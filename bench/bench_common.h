@@ -16,7 +16,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -43,6 +45,8 @@ struct FigureOptions {
 };
 
 /// Parses the common options plus any bench-specific `extra` option names.
+/// An unknown flag or a malformed value prints the error and the allowed
+/// flags to stderr and exits with status 2.
 inline FigureOptions parse_figure_options(int argc, const char* const* argv,
                                           util::CliArgs** extra_out = nullptr,
                                           std::vector<std::string> extra = {}) {
@@ -50,27 +54,35 @@ inline FigureOptions parse_figure_options(int argc, const char* const* argv,
                                    "nmin",   "nmax",  "nstep",   "alpha",
                                    "budget", "model", "plot"};
   for (auto& e : extra) allowed.push_back(std::move(e));
-  static util::CliArgs* args = nullptr;  // leak-free enough for a main()
-  args = new util::CliArgs(argc, argv, allowed);
-  if (extra_out != nullptr) *extra_out = args;
+  try {
+    static util::CliArgs* args = nullptr;  // leak-free enough for a main()
+    args = new util::CliArgs(argc, argv, allowed);
+    if (extra_out != nullptr) *extra_out = args;
 
-  FigureOptions opt;
-  opt.trials = static_cast<std::uint64_t>(args->get_int_or("trials", 1000));
-  opt.seed = static_cast<std::uint64_t>(args->get_int_or("seed", 20080617));
-  opt.threads = static_cast<unsigned>(args->get_int_or("threads", 0));
-  opt.csv = args->get_bool("csv");
-  opt.n_min = static_cast<std::uint64_t>(args->get_int_or("nmin", 100));
-  opt.n_max = static_cast<std::uint64_t>(args->get_int_or("nmax", 2000));
-  opt.n_step = static_cast<std::uint64_t>(args->get_int_or("nstep", 100));
-  opt.alpha = args->get_double_or("alpha", 0.95);
-  opt.budget = static_cast<std::uint64_t>(args->get_int_or("budget", 20));
-  const std::string model = args->get_or("model", "poisson");
-  RFID_EXPECT(model == "poisson" || model == "exact",
-              "--model must be poisson or exact");
-  opt.model = model == "exact" ? math::EmptySlotModel::kExact
-                               : math::EmptySlotModel::kPoissonApprox;
-  opt.plot = args->get_bool("plot");
-  return opt;
+    FigureOptions opt;
+    opt.trials = static_cast<std::uint64_t>(args->get_int_or("trials", 1000));
+    opt.seed = static_cast<std::uint64_t>(args->get_int_or("seed", 20080617));
+    opt.threads = static_cast<unsigned>(args->get_int_or("threads", 0));
+    opt.csv = args->get_bool("csv");
+    opt.n_min = static_cast<std::uint64_t>(args->get_int_or("nmin", 100));
+    opt.n_max = static_cast<std::uint64_t>(args->get_int_or("nmax", 2000));
+    opt.n_step = static_cast<std::uint64_t>(args->get_int_or("nstep", 100));
+    opt.alpha = args->get_double_or("alpha", 0.95);
+    opt.budget = static_cast<std::uint64_t>(args->get_int_or("budget", 20));
+    const std::string model = args->get_or("model", "poisson");
+    RFID_EXPECT(model == "poisson" || model == "exact",
+                "--model must be poisson or exact");
+    opt.model = model == "exact" ? math::EmptySlotModel::kExact
+                                 : math::EmptySlotModel::kPoissonApprox;
+    opt.plot = args->get_bool("plot");
+    return opt;
+  } catch (const std::logic_error& e) {  // also std::stoll's invalid_argument
+    std::cerr << (argc > 0 ? argv[0] : "bench") << ": bad command line: "
+              << e.what() << "\nallowed flags:";
+    for (const std::string& name : allowed) std::cerr << " --" << name;
+    std::cerr << '\n';
+    std::exit(2);
+  }
 }
 
 inline std::vector<std::uint64_t> tag_count_sweep(const FigureOptions& opt) {

@@ -84,9 +84,12 @@ std::string Bitstring::to_hex() const {
 }
 
 Bitstring Bitstring::from_hex(std::size_t size, const std::string& hex) {
-  Bitstring bs(size);
-  RFID_EXPECT(hex.size() == bs.words_.size() * 16,
+  // Checked before allocating: `size` may come from untrusted input, and the
+  // hex string it must match is already in memory.
+  const std::size_t words = size / kWordBits + (size % kWordBits == 0 ? 0 : 1);
+  RFID_EXPECT(hex.size() % 16 == 0 && hex.size() / 16 == words,
               "hex length does not match bitstring size");
+  Bitstring bs(size);
   for (std::size_t i = 0; i < bs.words_.size(); ++i) {
     std::uint64_t w = 0;
     for (std::size_t j = 0; j < 16; ++j) {

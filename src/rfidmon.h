@@ -53,9 +53,11 @@
 #include "storage/durable_server.h"   // IWYU pragma: export
 #include "storage/fleet_journal.h"    // IWYU pragma: export
 #include "storage/journal.h"          // IWYU pragma: export
+#include "storage/record_log.h"       // IWYU pragma: export
 #include "storage/server_state.h"     // IWYU pragma: export
 #include "sim/trial_runner.h"         // IWYU pragma: export
 #include "tag/tag_set.h"              // IWYU pragma: export
+#include "util/codec.h"               // IWYU pragma: export
 #include "util/random.h"              // IWYU pragma: export
 #include "wire/codec.h"               // IWYU pragma: export
 #include "wire/link.h"                // IWYU pragma: export

@@ -1,6 +1,6 @@
 // The service frame: the unit of exchange on a client connection.
 //
-// Grammar (all integers little-endian, mirroring wire/codec.h):
+// Grammar (all integers little-endian, mirroring util/codec.h):
 //
 //   frame    := type:u8  length:u32  payload:length  checksum:u32
 //   checksum := fnv1a32(type || length || payload)

@@ -1,21 +1,13 @@
 #include "service/messages.h"
 
-#include <stdexcept>
-
-#include "wire/codec.h"
+#include "util/codec.h"
 
 namespace rfid::service {
 
 namespace {
 
-using wire::Decoder;
-using wire::Encoder;
-
-void put_bool(Encoder& enc, bool v) {
-  enc.put_u8(v ? 1 : 0);
-}
-
-bool get_bool(Decoder& dec) { return dec.get_u8() != 0; }
+using util::Decoder;
+using util::Encoder;
 
 void put_tag_ids(Encoder& enc, const std::vector<tag::TagId>& ids) {
   enc.put_u32(static_cast<std::uint32_t>(ids.size()));
@@ -26,14 +18,10 @@ void put_tag_ids(Encoder& enc, const std::vector<tag::TagId>& ids) {
 }
 
 std::vector<tag::TagId> get_tag_ids(Decoder& dec) {
-  const std::uint32_t count = dec.get_u32();
-  // 12 encoded bytes per id: a forged count dies here, before reserve().
-  if (count > dec.remaining() / 12) {
-    throw std::invalid_argument("tag id count exceeds payload");
-  }
+  const std::size_t count = dec.get_count(12);
   std::vector<tag::TagId> ids;
   ids.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     const std::uint32_t hi = dec.get_u32();
     const std::uint64_t lo = dec.get_u64();
     ids.emplace_back(hi, lo);
@@ -47,13 +35,10 @@ void put_u64s(Encoder& enc, const std::vector<std::uint64_t>& values) {
 }
 
 std::vector<std::uint64_t> get_u64s(Decoder& dec) {
-  const std::uint32_t count = dec.get_u32();
-  if (count > dec.remaining() / 8) {
-    throw std::invalid_argument("u64 count exceeds payload");
-  }
+  const std::size_t count = dec.get_count(8);
   std::vector<std::uint64_t> values;
   values.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) values.push_back(dec.get_u64());
+  for (std::size_t i = 0; i < count; ++i) values.push_back(dec.get_u64());
   return values;
 }
 
@@ -147,7 +132,7 @@ std::vector<std::byte> encode(const StartRunRequest& m) {
   Encoder enc;
   enc.put_string(m.inventory);
   enc.put_u64(m.seed);
-  put_bool(enc, m.identify);
+  enc.put_bool(m.identify);
   put_u64s(enc, m.stolen);
   return std::move(enc).take();
 }
@@ -157,7 +142,7 @@ StartRunRequest decode_start_run(std::span<const std::byte> payload) {
   StartRunRequest m;
   m.inventory = dec.get_string();
   m.seed = dec.get_u64();
-  m.identify = get_bool(dec);
+  m.identify = dec.get_bool();
   m.stolen = get_u64s(dec);
   dec.expect_exhausted();
   return m;
@@ -168,7 +153,7 @@ std::vector<std::byte> encode(const StartWatchRequest& m) {
   enc.put_string(m.inventory);
   enc.put_u64(m.seed);
   enc.put_u64(m.epochs);
-  put_bool(enc, m.identify);
+  enc.put_bool(m.identify);
   enc.put_u64(m.steal_epoch);
   enc.put_u64(m.steal);
   enc.put_u64(m.steal_from);
@@ -181,7 +166,7 @@ StartWatchRequest decode_start_watch(std::span<const std::byte> payload) {
   m.inventory = dec.get_string();
   m.seed = dec.get_u64();
   m.epochs = dec.get_u64();
-  m.identify = get_bool(dec);
+  m.identify = dec.get_bool();
   m.steal_epoch = dec.get_u64();
   m.steal = dec.get_u64();
   m.steal_from = dec.get_u64();
@@ -232,7 +217,7 @@ std::vector<std::byte> encode(const RunVerdictMsg& m) {
   enc.put_u64(m.zones_violated);
   enc.put_u64(m.attempts);
   enc.put_u64(m.tags_named);
-  put_bool(enc, m.aborted);
+  enc.put_bool(m.aborted);
   put_tag_ids(enc, m.missing);
   return std::move(enc).take();
 }
@@ -247,7 +232,7 @@ RunVerdictMsg decode_run_verdict(std::span<const std::byte> payload) {
   m.zones_violated = dec.get_u64();
   m.attempts = dec.get_u64();
   m.tags_named = dec.get_u64();
-  m.aborted = get_bool(dec);
+  m.aborted = dec.get_bool();
   m.missing = get_tag_ids(dec);
   dec.expect_exhausted();
   return m;
@@ -280,7 +265,7 @@ std::vector<std::byte> encode(const WatchDone& m) {
   enc.put_u64(m.run_id);
   enc.put_u64(m.epochs_completed);
   enc.put_u64(m.alerts);
-  put_bool(enc, m.gave_up);
+  enc.put_bool(m.gave_up);
   return std::move(enc).take();
 }
 
@@ -290,7 +275,7 @@ WatchDone decode_watch_done(std::span<const std::byte> payload) {
   m.run_id = dec.get_u64();
   m.epochs_completed = dec.get_u64();
   m.alerts = dec.get_u64();
-  m.gave_up = get_bool(dec);
+  m.gave_up = dec.get_bool();
   dec.expect_exhausted();
   return m;
 }

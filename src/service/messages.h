@@ -1,14 +1,15 @@
 // Payload schemas for every service frame type.
 //
-// Encoding reuses wire/codec.h primitives (little-endian fixed-width ints,
+// Encoding reuses util/codec.h primitives (little-endian fixed-width ints,
 // u32-length-prefixed strings), so the service speaks the same byte dialect
-// as the reader link. Every decode_* throws std::invalid_argument on a
-// truncated or trailing-garbage payload — the dispatcher maps that to the
-// typed kMalformedPayload error instead of crashing the connection handler.
+// as the reader link and the storage journals. Every decode_* throws
+// std::invalid_argument on a truncated or trailing-garbage payload — the
+// dispatcher maps that to the typed kMalformedPayload error instead of
+// crashing the connection handler.
 //
 // Vector fields are count-prefixed (u32) and the counts are validated
-// against the remaining payload before any reservation, so a forged count
-// cannot allocate unboundedly.
+// against the remaining payload before any reservation
+// (Decoder::get_count), so a forged count cannot allocate unboundedly.
 #pragma once
 
 #include <cstdint>

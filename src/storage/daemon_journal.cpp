@@ -1,16 +1,18 @@
 #include "storage/daemon_journal.h"
 
-#include <bit>
 #include <span>
 #include <stdexcept>
 #include <utility>
 
-#include "hash/fnv.h"
-#include "util/expect.h"
+#include "storage/record_log.h"
+#include "util/codec.h"
 
 namespace rfid::storage {
 
 namespace {
+
+using util::Decoder;
+using util::Encoder;
 
 enum class RecordKind : std::uint8_t {
   kStart = 1,
@@ -18,288 +20,200 @@ enum class RecordKind : std::uint8_t {
   kSnapshot = 3,
 };
 
-// Private little-endian scalar encoding, same shape as the WAL's and the
-// fleet journal's — each format stays free to drift independently.
-class ByteWriter {
- public:
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
-    }
-  }
-  void bytes(std::string_view v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    out_.append(v);
-  }
-  [[nodiscard]] std::string take() { return std::move(out_); }
+// Minimum encoded sizes, for bounding count prefixes before reserving.
+constexpr std::size_t kZoneHealthBytes = 4 + 4 + 1 + 1 + 8 + 4;
+constexpr std::size_t kReaderHealthBytes = 4 + 1 + 8;
+constexpr std::size_t kAlertBytes = 8 + 1 + 8 + 8 + 4;  // format 2
+constexpr std::size_t kTagIdBytes = 4 + 8;
 
- private:
-  std::string out_;
-};
-
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  [[nodiscard]] std::uint8_t u8() {
-    return static_cast<std::uint8_t>(take(1)[0]);
-  }
-  [[nodiscard]] std::uint32_t u32() {
-    const std::string_view b = take(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(b[static_cast<std::size_t>(i)]))
-           << (8 * i);
-    }
-    return v;
-  }
-  [[nodiscard]] std::uint64_t u64() {
-    const std::string_view b = take(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(b[static_cast<std::size_t>(i)]))
-           << (8 * i);
-    }
-    return v;
-  }
-  [[nodiscard]] std::string_view bytes() { return take(u32()); }
-  [[nodiscard]] bool exhausted() const noexcept { return pos_ == data_.size(); }
-
- private:
-  [[nodiscard]] std::string_view take(std::size_t n) {
-    RFID_EXPECT(data_.size() - pos_ >= n, "daemon journal payload truncated");
-    const std::string_view v = data_.substr(pos_, n);
-    pos_ += n;
-    return v;
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
-[[nodiscard]] std::uint64_t checksum_of(std::string_view payload) noexcept {
-  return hash::fnv1a64(std::as_bytes(std::span(payload.data(), payload.size())));
-}
-
-void write_zone_health(ByteWriter& w, const DaemonZoneHealthRecord& zone) {
-  w.u32(zone.miss_streak);
-  w.u32(zone.intact_streak);
-  w.u8(zone.violated ? 1 : 0);
-  w.u8(zone.quarantined ? 1 : 0);
-  w.u64(zone.quarantined_at);
-  w.u32(static_cast<std::uint32_t>(zone.readers.size()));
+void write_zone_health(Encoder& w, const DaemonZoneHealthRecord& zone) {
+  w.put_u32(zone.miss_streak);
+  w.put_u32(zone.intact_streak);
+  w.put_bool(zone.violated);
+  w.put_bool(zone.quarantined);
+  w.put_u64(zone.quarantined_at);
+  w.put_u32(static_cast<std::uint32_t>(zone.readers.size()));
   for (const DaemonReaderHealthRecord& reader : zone.readers) {
-    w.u32(reader.bad_streak);
-    w.u8(reader.quarantined ? 1 : 0);
-    w.u64(reader.quarantined_at);
+    w.put_u32(reader.bad_streak);
+    w.put_bool(reader.quarantined);
+    w.put_u64(reader.quarantined_at);
   }
 }
 
-void write_alert(ByteWriter& w, const DaemonAlertRecord& alert) {
-  w.u64(alert.sequence);
-  w.u8(alert.kind);
-  w.u64(alert.epoch);
-  w.u64(alert.zone);
-  w.bytes(alert.detail);
-  w.u32(static_cast<std::uint32_t>(alert.missing.size()));
+void write_alert(Encoder& w, const DaemonAlertRecord& alert) {
+  w.put_u64(alert.sequence);
+  w.put_u8(alert.kind);
+  w.put_u64(alert.epoch);
+  w.put_u64(alert.zone);
+  w.put_string(alert.detail);
+  w.put_u32(static_cast<std::uint32_t>(alert.missing.size()));
   for (const tag::TagId& id : alert.missing) {
-    w.u32(id.hi());
-    w.u64(id.lo());
+    w.put_u32(id.hi());
+    w.put_u64(id.lo());
   }
 }
 
-[[nodiscard]] std::string encode_payload(const DaemonJournalRecord& record) {
-  ByteWriter w;
+// Checkpoints and snapshots both end in [zones][alerts].
+void write_zones_and_alerts(Encoder& w,
+                            const std::vector<DaemonZoneHealthRecord>& zones,
+                            const std::vector<DaemonAlertRecord>& alerts) {
+  w.put_u32(static_cast<std::uint32_t>(zones.size()));
+  for (const DaemonZoneHealthRecord& zone : zones) write_zone_health(w, zone);
+  w.put_u32(static_cast<std::uint32_t>(alerts.size()));
+  for (const DaemonAlertRecord& alert : alerts) write_alert(w, alert);
+}
+
+[[nodiscard]] std::vector<std::byte> encode_payload(
+    const DaemonJournalRecord& record) {
+  Encoder w;
   std::visit(
       [&w](const auto& r) {
         using T = std::decay_t<decltype(r)>;
         if constexpr (std::is_same_v<T, DaemonStartRecord>) {
-          w.u8(static_cast<std::uint8_t>(RecordKind::kStart));
-          w.u64(r.seed);
-          w.bytes(r.daemon);
-          w.u64(r.config_hash);
+          w.put_u8(static_cast<std::uint8_t>(RecordKind::kStart));
+          w.put_u64(r.seed);
+          w.put_string(r.daemon);
+          w.put_u64(r.config_hash);
         } else if constexpr (std::is_same_v<T, DaemonCheckpointRecord>) {
-          w.u8(static_cast<std::uint8_t>(RecordKind::kCheckpoint));
-          w.u64(r.epoch);
-          w.u8(r.verdict);
-          w.u64(r.next_alert_sequence);
-          w.u32(static_cast<std::uint32_t>(r.zones.size()));
-          for (const DaemonZoneHealthRecord& zone : r.zones) {
-            write_zone_health(w, zone);
-          }
-          w.u32(static_cast<std::uint32_t>(r.alerts.size()));
-          for (const DaemonAlertRecord& alert : r.alerts) {
-            write_alert(w, alert);
-          }
+          w.put_u8(static_cast<std::uint8_t>(RecordKind::kCheckpoint));
+          w.put_u64(r.epoch);
+          w.put_u8(r.verdict);
+          w.put_u64(r.next_alert_sequence);
+          write_zones_and_alerts(w, r.zones, r.alerts);
         } else {
-          w.u8(static_cast<std::uint8_t>(RecordKind::kSnapshot));
-          w.u64(r.next_alert_sequence);
-          w.u32(static_cast<std::uint32_t>(r.verdicts.size()));
-          for (const std::uint8_t verdict : r.verdicts) w.u8(verdict);
-          w.u32(static_cast<std::uint32_t>(r.zones.size()));
-          for (const DaemonZoneHealthRecord& zone : r.zones) {
-            write_zone_health(w, zone);
-          }
-          w.u32(static_cast<std::uint32_t>(r.alerts.size()));
-          for (const DaemonAlertRecord& alert : r.alerts) {
-            write_alert(w, alert);
-          }
+          w.put_u8(static_cast<std::uint8_t>(RecordKind::kSnapshot));
+          w.put_u64(r.next_alert_sequence);
+          w.put_u32(static_cast<std::uint32_t>(r.verdicts.size()));
+          for (const std::uint8_t verdict : r.verdicts) w.put_u8(verdict);
+          write_zones_and_alerts(w, r.zones, r.alerts);
         }
       },
       record);
-  return w.take();
+  return std::move(w).take();
 }
 
-[[nodiscard]] DaemonZoneHealthRecord read_zone_health(ByteReader& r) {
+[[nodiscard]] DaemonZoneHealthRecord read_zone_health(Decoder& r) {
   DaemonZoneHealthRecord zone;
-  zone.miss_streak = r.u32();
-  zone.intact_streak = r.u32();
-  zone.violated = r.u8() != 0;
-  zone.quarantined = r.u8() != 0;
-  zone.quarantined_at = r.u64();
-  const std::uint32_t readers = r.u32();
+  zone.miss_streak = r.get_u32();
+  zone.intact_streak = r.get_u32();
+  zone.violated = r.get_bool();
+  zone.quarantined = r.get_bool();
+  zone.quarantined_at = r.get_u64();
+  const std::size_t readers = r.get_count(kReaderHealthBytes);
   zone.readers.reserve(readers);
-  for (std::uint32_t i = 0; i < readers; ++i) {
+  for (std::size_t i = 0; i < readers; ++i) {
     DaemonReaderHealthRecord reader;
-    reader.bad_streak = r.u32();
-    reader.quarantined = r.u8() != 0;
-    reader.quarantined_at = r.u64();
+    reader.bad_streak = r.get_u32();
+    reader.quarantined = r.get_bool();
+    reader.quarantined_at = r.get_u64();
     zone.readers.push_back(reader);
   }
   return zone;
 }
 
-[[nodiscard]] DaemonAlertRecord read_alert(ByteReader& r,
+[[nodiscard]] DaemonAlertRecord read_alert(Decoder& r,
                                            std::uint32_t version) {
   DaemonAlertRecord alert;
-  alert.sequence = r.u64();
-  alert.kind = r.u8();
-  alert.epoch = r.u64();
-  alert.zone = r.u64();
-  alert.detail = std::string(r.bytes());
+  alert.sequence = r.get_u64();
+  alert.kind = r.get_u8();
+  alert.epoch = r.get_u64();
+  alert.zone = r.get_u64();
+  alert.detail = r.get_string();
   if (version >= 3) {
-    const std::uint32_t missing = r.u32();
+    const std::size_t missing = r.get_count(kTagIdBytes);
     alert.missing.reserve(missing);
-    for (std::uint32_t i = 0; i < missing; ++i) {
-      const std::uint32_t hi = r.u32();
-      const std::uint64_t lo = r.u64();
+    for (std::size_t i = 0; i < missing; ++i) {
+      const std::uint32_t hi = r.get_u32();
+      const std::uint64_t lo = r.get_u64();
       alert.missing.emplace_back(hi, lo);
     }
   }
   return alert;
 }
 
-[[nodiscard]] DaemonJournalRecord decode_payload(std::string_view payload,
-                                                 std::uint32_t version) {
-  ByteReader r(payload);
-  const auto kind = static_cast<RecordKind>(r.u8());
+void read_zones_and_alerts(Decoder& r, std::uint32_t version,
+                           std::vector<DaemonZoneHealthRecord>& zones,
+                           std::vector<DaemonAlertRecord>& alerts) {
+  const std::size_t zone_count = r.get_count(kZoneHealthBytes);
+  zones.reserve(zone_count);
+  for (std::size_t i = 0; i < zone_count; ++i) {
+    zones.push_back(read_zone_health(r));
+  }
+  const std::size_t alert_count = r.get_count(kAlertBytes);
+  alerts.reserve(alert_count);
+  for (std::size_t i = 0; i < alert_count; ++i) {
+    alerts.push_back(read_alert(r, version));
+  }
+}
+
+[[nodiscard]] DaemonJournalRecord decode_payload(
+    std::span<const std::byte> payload, std::uint32_t version) {
+  Decoder r(payload);
+  const auto kind = static_cast<RecordKind>(r.get_u8());
   DaemonJournalRecord out;
   switch (kind) {
     case RecordKind::kStart: {
       DaemonStartRecord rec;
-      rec.seed = r.u64();
-      rec.daemon = std::string(r.bytes());
-      rec.config_hash = r.u64();
+      rec.seed = r.get_u64();
+      rec.daemon = r.get_string();
+      rec.config_hash = r.get_u64();
       out = std::move(rec);
       break;
     }
     case RecordKind::kCheckpoint: {
       DaemonCheckpointRecord rec;
-      rec.epoch = r.u64();
-      rec.verdict = r.u8();
-      rec.next_alert_sequence = r.u64();
-      const std::uint32_t zones = r.u32();
-      rec.zones.reserve(zones);
-      for (std::uint32_t i = 0; i < zones; ++i) {
-        rec.zones.push_back(read_zone_health(r));
-      }
-      const std::uint32_t alerts = r.u32();
-      rec.alerts.reserve(alerts);
-      for (std::uint32_t i = 0; i < alerts; ++i) {
-        rec.alerts.push_back(read_alert(r, version));
-      }
+      rec.epoch = r.get_u64();
+      rec.verdict = r.get_u8();
+      rec.next_alert_sequence = r.get_u64();
+      read_zones_and_alerts(r, version, rec.zones, rec.alerts);
       out = std::move(rec);
       break;
     }
     case RecordKind::kSnapshot: {
       DaemonSnapshotRecord rec;
-      rec.next_alert_sequence = r.u64();
-      const std::uint32_t verdicts = r.u32();
+      rec.next_alert_sequence = r.get_u64();
+      const std::size_t verdicts = r.get_count(1);
       rec.verdicts.reserve(verdicts);
-      for (std::uint32_t i = 0; i < verdicts; ++i) {
-        rec.verdicts.push_back(r.u8());
+      for (std::size_t i = 0; i < verdicts; ++i) {
+        rec.verdicts.push_back(r.get_u8());
       }
-      const std::uint32_t zones = r.u32();
-      rec.zones.reserve(zones);
-      for (std::uint32_t i = 0; i < zones; ++i) {
-        rec.zones.push_back(read_zone_health(r));
-      }
-      const std::uint32_t alerts = r.u32();
-      rec.alerts.reserve(alerts);
-      for (std::uint32_t i = 0; i < alerts; ++i) {
-        rec.alerts.push_back(read_alert(r, version));
-      }
+      read_zones_and_alerts(r, version, rec.zones, rec.alerts);
       out = std::move(rec);
       break;
     }
     default:
       throw std::invalid_argument("unknown daemon journal record kind");
   }
-  RFID_EXPECT(r.exhausted(), "trailing bytes in daemon journal payload");
+  r.expect_exhausted();
   return out;
+}
+
+// Extends the folded image by one checkpoint: the reduction both replay and
+// the live journal perform.
+void fold(DaemonSnapshotRecord& folded, DaemonCheckpointRecord checkpoint) {
+  folded.verdicts.push_back(checkpoint.verdict);
+  folded.zones = std::move(checkpoint.zones);
+  folded.next_alert_sequence = checkpoint.next_alert_sequence;
+  for (DaemonAlertRecord& alert : checkpoint.alerts) {
+    folded.alerts.push_back(std::move(alert));
+  }
 }
 
 }  // namespace
 
 std::string encode_daemon_record(const DaemonJournalRecord& record) {
-  const std::string payload = encode_payload(record);
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.u64(checksum_of(payload));
-  std::string out = frame.take();
-  out += payload;
-  return out;
+  return frame_record(encode_payload(record));
 }
 
 DaemonJournalScan scan_daemon_journal(std::string_view bytes) {
-  DaemonJournalScan scan;
-  if (bytes.substr(0, kDaemonJournalMagic.size()) == kDaemonJournalMagic) {
-    scan.version = 3;
-  } else if (bytes.substr(0, kDaemonJournalMagicV2.size()) ==
-             kDaemonJournalMagicV2) {
-    scan.version = 2;
-  } else {
-    scan.dropped_bytes = bytes.size();
-    return scan;
-  }
-  scan.header_valid = true;
-  std::size_t pos = kDaemonJournalMagic.size();
-  scan.valid_bytes = pos;
-  constexpr std::size_t kFrameHeader = 4 + 8;
-  while (bytes.size() - pos >= kFrameHeader) {
-    ByteReader frame(bytes.substr(pos, kFrameHeader));
-    const std::uint32_t len = frame.u32();
-    const std::uint64_t declared = frame.u64();
-    if (bytes.size() - pos - kFrameHeader < len) break;  // torn tail
-    const std::string_view payload = bytes.substr(pos + kFrameHeader, len);
-    if (checksum_of(payload) != declared) break;  // torn or rotted
-    try {
-      scan.records.push_back(decode_payload(payload, scan.version));
-    } catch (const std::invalid_argument&) {
-      break;  // checksum collision on garbage; treat as corruption
-    }
-    pos += kFrameHeader + len;
-    scan.valid_bytes = pos;
-  }
-  scan.dropped_bytes = bytes.size() - scan.valid_bytes;
+  const bool v2 = bytes.starts_with(kDaemonJournalMagicV2);
+  const std::uint32_t version = v2 ? 2 : 3;
+  auto scan = scan_record_log<DaemonJournalScan>(
+      bytes, v2 ? kDaemonJournalMagicV2 : kDaemonJournalMagic,
+      [version](std::span<const std::byte> payload) {
+        return decode_payload(payload, version);
+      });
+  scan.version = scan.header_valid ? version : 0;
   return scan;
 }
 
@@ -345,14 +259,8 @@ DaemonReplay DaemonJournal::open(const DaemonStartRecord& start) {
           tail_checkpoints = 0;
           continue;
         }
-        auto& checkpoint =
-            std::get<DaemonCheckpointRecord>(scan.records[i]);
-        folded.verdicts.push_back(checkpoint.verdict);
-        folded.zones = std::move(checkpoint.zones);
-        folded.next_alert_sequence = checkpoint.next_alert_sequence;
-        for (DaemonAlertRecord& alert : checkpoint.alerts) {
-          folded.alerts.push_back(std::move(alert));
-        }
+        fold(folded,
+             std::move(std::get<DaemonCheckpointRecord>(scan.records[i])));
         ++tail_checkpoints;
       }
       if (start.config_hash != 0 && begun.config_hash != 0 &&
@@ -394,19 +302,8 @@ DaemonReplay DaemonJournal::open(const DaemonStartRecord& start) {
 }
 
 void DaemonJournal::begin_fresh_locked(const DaemonStartRecord& start) {
-  // temp -> flush -> rename: either the old journal or the complete new one
-  // is readable at every point.
-  const std::string tmp = name_ + ".tmp";
-  try {
-    if (backend_.exists(tmp)) backend_.remove(tmp);
-    std::string bytes(kDaemonJournalMagic);
-    bytes += encode_daemon_record(start);
-    backend_.append(tmp, bytes);
-    backend_.flush(tmp);
-    backend_.rename(tmp, name_);
-  } catch (const IoError&) {
-    ++append_failures_;
-  }
+  (void)replace_locked(std::string(kDaemonJournalMagic) +
+                       encode_daemon_record(start));
 }
 
 void DaemonJournal::rotate_locked() {
@@ -414,28 +311,21 @@ void DaemonJournal::rotate_locked() {
   // journal stays readable until the new one is durable, so a crash at any
   // point of the rotation resumes to the same state (the torture sweep
   // crosses crash points with rotation points).
-  const std::string tmp = name_ + ".tmp";
-  try {
-    if (backend_.exists(tmp)) backend_.remove(tmp);
-    std::string bytes(kDaemonJournalMagic);
-    bytes += encode_daemon_record(start_);
-    bytes += encode_daemon_record(folded_);
-    backend_.append(tmp, bytes);
-    backend_.flush(tmp);
-    backend_.rename(tmp, name_);
+  if (replace_locked(std::string(kDaemonJournalMagic) +
+                     encode_daemon_record(start_) +
+                     encode_daemon_record(folded_))) {
     checkpoints_since_snapshot_ = 0;
     ++rotations_;
-  } catch (const IoError&) {
-    ++append_failures_;
   }
 }
 
-void DaemonJournal::fold_locked(const DaemonCheckpointRecord& record) {
-  folded_.verdicts.push_back(record.verdict);
-  folded_.zones = record.zones;
-  folded_.next_alert_sequence = record.next_alert_sequence;
-  for (const DaemonAlertRecord& alert : record.alerts) {
-    folded_.alerts.push_back(alert);
+bool DaemonJournal::replace_locked(std::string_view bytes) {
+  try {
+    replace_atomically(backend_, name_, name_ + ".tmp", bytes);
+    return true;
+  } catch (const IoError&) {
+    ++append_failures_;
+    return false;
   }
 }
 
@@ -451,7 +341,7 @@ void DaemonJournal::checkpoint(const DaemonCheckpointRecord& record) {
   // Folding happens even when the append failed — the folded image mirrors
   // what the daemon believes, and a later successful rotation repairs the
   // journal to match it.
-  fold_locked(record);
+  fold(folded_, record);
   ++checkpoints_since_snapshot_;
   if (rotate_after_ > 0 && checkpoints_since_snapshot_ >= rotate_after_) {
     rotate_locked();

@@ -17,8 +17,9 @@
 // One atomic record means an epoch either happened (alerts and health
 // together) or it did not — the bit-identity the torture sweep pins down.
 //
-// Framing is the fleet journal's: magic header, then
-// [u32 len][u64 fnv1a64(payload)][payload], truncate-at-first-tear.
+// On disk: the "RFIDMON-DAEMON 3\n" magic line, then one record-log frame
+// per record (storage/record_log.h owns the frame, the truncate-at-first-
+// tear scan and the atomic rewrite that fresh starts and rotations use).
 // Replay folds every checkpoint after the last matching start record;
 // a torn tail is compacted away on open() so later appends never extend
 // garbage into an unreadable journal.
@@ -197,7 +198,8 @@ class DaemonJournal {
  private:
   void begin_fresh_locked(const DaemonStartRecord& start);
   void rotate_locked();
-  void fold_locked(const DaemonCheckpointRecord& record);
+  /// Atomic rewrite of the journal; false (IoError counted) on failure.
+  bool replace_locked(std::string_view bytes);
 
   StorageBackend& backend_;
   std::string name_;

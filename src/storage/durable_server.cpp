@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "obs/catalog.h"
+#include "storage/record_log.h"
 #include "util/expect.h"
 
 namespace rfid::storage {
@@ -276,15 +277,12 @@ void DurableInventoryServer::resync(server::GroupId id,
 }
 
 void DurableInventoryServer::rotate() {
-  const std::string tmp = config_.prefix + ".snapshot.tmp";
-  if (backend_.exists(tmp)) backend_.remove(tmp);
   const std::uint64_t next = generation_ + 1;
-  // temp -> flush -> rename: the new snapshot appears atomically and only
-  // with its full contents durable. The old generation stays readable until
-  // the new one is committed, so a crash anywhere in here loses nothing.
-  backend_.append(tmp, dump_state(server_));
-  backend_.flush(tmp);
-  backend_.rename(tmp, snapshot_name(next));
+  // The new snapshot appears atomically and only with its full contents
+  // durable. The old generation stays readable until the new one is
+  // committed, so a crash anywhere in here loses nothing.
+  replace_atomically(backend_, snapshot_name(next),
+                     config_.prefix + ".snapshot.tmp", dump_state(server_));
   backend_.append(journal_name(next), std::string(kJournalMagic));
   backend_.flush(journal_name(next));
   generation_ = next;

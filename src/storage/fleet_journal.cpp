@@ -1,16 +1,18 @@
 #include "storage/fleet_journal.h"
 
-#include <bit>
 #include <span>
 #include <stdexcept>
 #include <utility>
 
-#include "hash/fnv.h"
-#include "util/expect.h"
+#include "storage/record_log.h"
+#include "util/codec.h"
 
 namespace rfid::storage {
 
 namespace {
+
+using util::Decoder;
+using util::Encoder;
 
 enum class RecordKind : std::uint8_t {
   kRunStart = 1,
@@ -18,208 +20,101 @@ enum class RecordKind : std::uint8_t {
   kRunEnd = 3,
 };
 
-// Little-endian scalar encoding, same shape as the WAL's (journal.cpp keeps
-// its writer/reader private, and the two formats should be free to drift).
-class ByteWriter {
- public:
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
-    }
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void bytes(std::string_view v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    out_.append(v);
-  }
-  [[nodiscard]] std::string take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  [[nodiscard]] std::uint8_t u8() {
-    return static_cast<std::uint8_t>(take(1)[0]);
-  }
-  [[nodiscard]] std::uint32_t u32() {
-    const std::string_view b = take(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(b[static_cast<std::size_t>(i)]))
-           << (8 * i);
-    }
-    return v;
-  }
-  [[nodiscard]] std::uint64_t u64() {
-    const std::string_view b = take(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(b[static_cast<std::size_t>(i)]))
-           << (8 * i);
-    }
-    return v;
-  }
-  [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
-  [[nodiscard]] std::string_view bytes() { return take(u32()); }
-  [[nodiscard]] bool exhausted() const noexcept { return pos_ == data_.size(); }
-
- private:
-  [[nodiscard]] std::string_view take(std::size_t n) {
-    RFID_EXPECT(data_.size() - pos_ >= n, "fleet journal payload truncated");
-    const std::string_view v = data_.substr(pos_, n);
-    pos_ += n;
-    return v;
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
-[[nodiscard]] std::uint64_t checksum_of(std::string_view payload) noexcept {
-  return hash::fnv1a64(std::as_bytes(std::span(payload.data(), payload.size())));
-}
-
-[[nodiscard]] std::string encode_payload(const FleetJournalRecord& record) {
-  ByteWriter w;
+[[nodiscard]] std::vector<std::byte> encode_payload(
+    const FleetJournalRecord& record) {
+  Encoder w;
   std::visit(
       [&w](const auto& r) {
         using T = std::decay_t<decltype(r)>;
         if constexpr (std::is_same_v<T, FleetRunStartRecord>) {
-          w.u8(static_cast<std::uint8_t>(RecordKind::kRunStart));
-          w.u64(r.seed);
-          w.bytes(r.fleet);
-          w.u64(r.config_hash);
+          w.put_u8(static_cast<std::uint8_t>(RecordKind::kRunStart));
+          w.put_u64(r.seed);
+          w.put_string(r.fleet);
+          w.put_u64(r.config_hash);
         } else if constexpr (std::is_same_v<T, FleetZoneRecord>) {
-          w.u8(static_cast<std::uint8_t>(RecordKind::kZone));
-          w.bytes(r.inventory);
-          w.u64(r.zone);
-          w.u8(r.status);
-          w.u32(r.attempts);
-          w.u8(r.last_failure);
-          w.u8(r.resynced ? 1 : 0);
-          w.u64(r.rounds_completed);
-          w.u64(r.intact_rounds);
-          w.u64(r.mismatched_rounds);
-          w.u64(r.deadline_missed_rounds);
-          w.u64(r.frames_sent);
-          w.u64(r.retransmissions);
-          w.f64(r.duration_us);
-          w.u32(r.readers);
-          w.u64(r.degraded_rounds);
-          w.u32(r.suspected_readers);
+          w.put_u8(static_cast<std::uint8_t>(RecordKind::kZone));
+          w.put_string(r.inventory);
+          w.put_u64(r.zone);
+          w.put_u8(r.status);
+          w.put_u32(r.attempts);
+          w.put_u8(r.last_failure);
+          w.put_bool(r.resynced);
+          w.put_u64(r.rounds_completed);
+          w.put_u64(r.intact_rounds);
+          w.put_u64(r.mismatched_rounds);
+          w.put_u64(r.deadline_missed_rounds);
+          w.put_u64(r.frames_sent);
+          w.put_u64(r.retransmissions);
+          w.put_f64(r.duration_us);
+          w.put_u32(r.readers);
+          w.put_u64(r.degraded_rounds);
+          w.put_u32(r.suspected_readers);
         } else {
-          w.u8(static_cast<std::uint8_t>(RecordKind::kRunEnd));
-          w.u8(r.verdict);
+          w.put_u8(static_cast<std::uint8_t>(RecordKind::kRunEnd));
+          w.put_u8(r.verdict);
         }
       },
       record);
-  return w.take();
+  return std::move(w).take();
 }
 
-[[nodiscard]] FleetJournalRecord decode_payload(std::string_view payload) {
-  ByteReader r(payload);
-  const auto kind = static_cast<RecordKind>(r.u8());
+[[nodiscard]] FleetJournalRecord decode_payload(
+    std::span<const std::byte> payload) {
+  Decoder r(payload);
+  const auto kind = static_cast<RecordKind>(r.get_u8());
   FleetJournalRecord out;
   switch (kind) {
     case RecordKind::kRunStart: {
       FleetRunStartRecord rec;
-      rec.seed = r.u64();
-      rec.fleet = std::string(r.bytes());
-      rec.config_hash = r.u64();
+      rec.seed = r.get_u64();
+      rec.fleet = r.get_string();
+      rec.config_hash = r.get_u64();
       out = std::move(rec);
       break;
     }
     case RecordKind::kZone: {
       FleetZoneRecord rec;
-      rec.inventory = std::string(r.bytes());
-      rec.zone = r.u64();
-      rec.status = r.u8();
-      rec.attempts = r.u32();
-      rec.last_failure = r.u8();
-      rec.resynced = r.u8() != 0;
-      rec.rounds_completed = r.u64();
-      rec.intact_rounds = r.u64();
-      rec.mismatched_rounds = r.u64();
-      rec.deadline_missed_rounds = r.u64();
-      rec.frames_sent = r.u64();
-      rec.retransmissions = r.u64();
-      rec.duration_us = r.f64();
-      rec.readers = r.u32();
-      rec.degraded_rounds = r.u64();
-      rec.suspected_readers = r.u32();
+      rec.inventory = r.get_string();
+      rec.zone = r.get_u64();
+      rec.status = r.get_u8();
+      rec.attempts = r.get_u32();
+      rec.last_failure = r.get_u8();
+      rec.resynced = r.get_bool();
+      rec.rounds_completed = r.get_u64();
+      rec.intact_rounds = r.get_u64();
+      rec.mismatched_rounds = r.get_u64();
+      rec.deadline_missed_rounds = r.get_u64();
+      rec.frames_sent = r.get_u64();
+      rec.retransmissions = r.get_u64();
+      rec.duration_us = r.get_f64();
+      rec.readers = r.get_u32();
+      rec.degraded_rounds = r.get_u64();
+      rec.suspected_readers = r.get_u32();
       out = std::move(rec);
       break;
     }
     case RecordKind::kRunEnd: {
       FleetRunEndRecord rec;
-      rec.verdict = r.u8();
+      rec.verdict = r.get_u8();
       out = rec;
       break;
     }
     default:
       throw std::invalid_argument("unknown fleet journal record kind");
   }
-  RFID_EXPECT(r.exhausted(), "trailing bytes in fleet journal payload");
+  r.expect_exhausted();
   return out;
 }
 
 }  // namespace
 
 std::string encode_fleet_record(const FleetJournalRecord& record) {
-  const std::string payload = encode_payload(record);
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.u64(checksum_of(payload));
-  std::string out = frame.take();
-  out += payload;
-  return out;
+  return frame_record(encode_payload(record));
 }
 
 FleetJournalScan scan_fleet_journal(std::string_view bytes) {
-  FleetJournalScan scan;
-  if (bytes.substr(0, kFleetJournalMagic.size()) != kFleetJournalMagic) {
-    scan.dropped_bytes = bytes.size();
-    return scan;
-  }
-  scan.header_valid = true;
-  std::size_t pos = kFleetJournalMagic.size();
-  scan.valid_bytes = pos;
-  constexpr std::size_t kFrameHeader = 4 + 8;
-  while (bytes.size() - pos >= kFrameHeader) {
-    ByteReader frame(bytes.substr(pos, kFrameHeader));
-    const std::uint32_t len = frame.u32();
-    const std::uint64_t declared = frame.u64();
-    if (bytes.size() - pos - kFrameHeader < len) break;  // torn tail
-    const std::string_view payload = bytes.substr(pos + kFrameHeader, len);
-    if (checksum_of(payload) != declared) break;  // torn or rotted
-    try {
-      scan.records.push_back(decode_payload(payload));
-    } catch (const std::invalid_argument&) {
-      break;  // checksum collision on garbage; treat as corruption
-    }
-    pos += kFrameHeader + len;
-    scan.valid_bytes = pos;
-  }
-  scan.dropped_bytes = bytes.size() - scan.valid_bytes;
-  return scan;
-}
-
-std::map<std::pair<std::string, std::uint64_t>, FleetZoneRecord>
-recover_interrupted_run(const FleetJournalScan& scan, std::uint64_t seed,
-                        std::string_view fleet) {
-  return recover_interrupted_run_checked(scan, seed, fleet, 0).zones;
+  return scan_record_log<FleetJournalScan>(bytes, kFleetJournalMagic,
+                                           decode_payload);
 }
 
 FleetRecovery recover_interrupted_run_checked(const FleetJournalScan& scan,
@@ -272,22 +167,18 @@ FleetJournalScan FleetJournal::load() const {
 void FleetJournal::begin(const FleetRunStartRecord& start,
                          const std::vector<FleetZoneRecord>& carried) {
   const std::lock_guard<std::mutex> lock(mu_);
-  // temp -> flush -> rename (the durable_server rotation idiom): the old
+  // Staged under a temp name and renamed over the old journal: the old
   // journal — and any carried records it holds — stays readable until the
   // new one is fully durable, so a crash anywhere in here loses nothing,
   // and a failed write can never leave a headerless file that later
   // appends would extend into an unreadable journal.
-  const std::string tmp = name_ + ".tmp";
+  std::string bytes(kFleetJournalMagic);
+  bytes += encode_fleet_record(start);
+  for (const FleetZoneRecord& zone : carried) {
+    bytes += encode_fleet_record(zone);
+  }
   try {
-    if (backend_.exists(tmp)) backend_.remove(tmp);
-    std::string bytes(kFleetJournalMagic);
-    bytes += encode_fleet_record(start);
-    for (const FleetZoneRecord& zone : carried) {
-      bytes += encode_fleet_record(zone);
-    }
-    backend_.append(tmp, bytes);
-    backend_.flush(tmp);
-    backend_.rename(tmp, name_);
+    replace_atomically(backend_, name_, name_ + ".tmp", bytes);
   } catch (const IoError&) {
     ++append_failures_;
   }
@@ -295,10 +186,6 @@ void FleetJournal::begin(const FleetRunStartRecord& start,
 
 void FleetJournal::append(const FleetJournalRecord& record) {
   const std::lock_guard<std::mutex> lock(mu_);
-  append_locked(record);
-}
-
-void FleetJournal::append_locked(const FleetJournalRecord& record) {
   try {
     backend_.append(name_, encode_fleet_record(record));
     backend_.flush(name_);

@@ -7,9 +7,9 @@
 // zone record can simply be *reused* on restart: the orchestrator skips the
 // zone and folds the recorded outcome into the aggregate verdict.
 //
-// Framing is the WAL's (journal.h): a magic header, then
-// [u32 len][u64 fnv1a64(payload)][payload] per record, truncate-at-first-
-// tear on scan. Record stream shape:
+// On disk: the "RFIDMON-FLEET 2\n" magic line, then one record-log frame per
+// record (storage/record_log.h owns the frame, the truncate-at-first-tear
+// scan and the atomic rewrite begin() uses). Record stream shape:
 //
 //   FleetRunStartRecord(seed, fleet)        one per run, written at start
 //   FleetZoneRecord ...                     one per zone reaching a terminal
@@ -19,7 +19,7 @@
 // Recovery looks at the records after the LAST start record: if no end
 // record follows, the run was interrupted and its zone records are
 // reusable — but only when seed and fleet name match the restarted run
-// (recover_interrupted_run enforces this).
+// (recover_interrupted_run_checked enforces this).
 #pragma once
 
 #include <cstdint>
@@ -96,10 +96,7 @@ struct FleetJournalScan {
 /// Zone records of an interrupted run (a start record with no end record),
 /// keyed by (inventory name, zone); later records win. Empty when the
 /// journal is clean, finished, or belongs to a different (seed, fleet).
-[[nodiscard]] std::map<std::pair<std::string, std::uint64_t>, FleetZoneRecord>
-recover_interrupted_run(const FleetJournalScan& scan, std::uint64_t seed,
-                        std::string_view fleet);
-
+///
 /// Config-checked recovery: an interrupted run whose recorded config_hash
 /// no longer matches the restarted plan must NOT be folded in — its zone
 /// records describe zones that may no longer exist (different zone count)
@@ -147,8 +144,6 @@ class FleetJournal {
   }
 
  private:
-  void append_locked(const FleetJournalRecord& record);
-
   StorageBackend& backend_;
   std::string name_;
   mutable std::mutex mu_;

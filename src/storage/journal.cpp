@@ -1,15 +1,17 @@
 #include "storage/journal.h"
 
-#include <bit>
-#include <cstring>
 #include <span>
 
-#include "hash/fnv.h"
+#include "storage/record_log.h"
+#include "util/codec.h"
 #include "util/expect.h"
 
 namespace rfid::storage {
 
 namespace {
+
+using util::Decoder;
+using util::Encoder;
 
 // Payload type discriminator (first payload byte).
 enum class RecordKind : std::uint8_t {
@@ -19,176 +21,121 @@ enum class RecordKind : std::uint8_t {
   kResync = 4,
 };
 
-// Little-endian scalar encoding, independent of host byte order.
-class ByteWriter {
- public:
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void bytes(std::string_view v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    out_.append(v);
-  }
-  [[nodiscard]] std::string take() { return std::move(out_); }
+// Encoded size of one tag: u32 id hi, u64 id lo, u64 counter.
+constexpr std::size_t kTagBytes = 4 + 8 + 8;
 
- private:
-  std::string out_;
-};
-
-// Throws std::invalid_argument past the end — scan_journal() converts that
-// into a truncation point, so a rotted length field cannot crash recovery.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  [[nodiscard]] std::uint8_t u8() { return static_cast<std::uint8_t>(take(1)[0]); }
-  [[nodiscard]] std::uint32_t u32() {
-    const std::string_view b = take(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(static_cast<unsigned char>(b[static_cast<std::size_t>(i)])) << (8 * i);
-    return v;
-  }
-  [[nodiscard]] std::uint64_t u64() {
-    const std::string_view b = take(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[static_cast<std::size_t>(i)])) << (8 * i);
-    return v;
-  }
-  [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
-  [[nodiscard]] std::string_view bytes() { return take(u32()); }
-  [[nodiscard]] bool exhausted() const noexcept { return pos_ == data_.size(); }
-
- private:
-  [[nodiscard]] std::string_view take(std::size_t n) {
-    RFID_EXPECT(data_.size() - pos_ >= n, "journal payload truncated");
-    const std::string_view v = data_.substr(pos_, n);
-    pos_ += n;
-    return v;
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
-void put_tags(ByteWriter& w, const tag::TagSet& tags) {
-  w.u64(tags.size());
+void put_tags(Encoder& w, const tag::TagSet& tags) {
+  w.put_u64(tags.size());
   for (const tag::Tag& t : tags.tags()) {
-    w.u32(t.id().hi());
-    w.u64(t.id().lo());
-    w.u64(t.counter());
+    w.put_u32(t.id().hi());
+    w.put_u64(t.id().lo());
+    w.put_u64(t.counter());
   }
 }
 
-[[nodiscard]] tag::TagSet get_tags(ByteReader& r) {
-  const std::uint64_t count = r.u64();
-  RFID_EXPECT(count <= (1ULL << 32), "implausible journal tag count");
+[[nodiscard]] tag::TagSet get_tags(Decoder& r) {
+  const std::size_t count = r.get_count<std::uint64_t>(kTagBytes);
   std::vector<tag::Tag> tags;
   tags.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint32_t hi = r.u32();
-    const std::uint64_t lo = r.u64();
-    const std::uint64_t counter = r.u64();
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t hi = r.get_u32();
+    const std::uint64_t lo = r.get_u64();
+    const std::uint64_t counter = r.get_u64();
     tags.emplace_back(tag::TagId(hi, lo), counter);
   }
   return tag::TagSet(std::move(tags));
 }
 
-void put_bitstring(ByteWriter& w, const bits::Bitstring& b) {
-  w.u64(b.size());
-  w.bytes(b.to_hex());
+void put_bitstring(Encoder& w, const bits::Bitstring& b) {
+  w.put_u64(b.size());
+  w.put_string(b.to_hex());
 }
 
-[[nodiscard]] bits::Bitstring get_bitstring(ByteReader& r) {
-  const std::uint64_t size = r.u64();
-  RFID_EXPECT(size <= (1ULL << 32), "implausible bitstring size");
-  return bits::Bitstring::from_hex(size, std::string(r.bytes()));
+[[nodiscard]] bits::Bitstring get_bitstring(Decoder& r) {
+  const std::uint64_t size = r.get_u64();
+  return bits::Bitstring::from_hex(size, r.get_string());
 }
 
-[[nodiscard]] std::string encode_payload(const JournalRecord& record) {
-  ByteWriter w;
+[[nodiscard]] std::vector<std::byte> encode_payload(const JournalRecord& record) {
+  Encoder w;
   if (const auto* enroll = std::get_if<EnrollRecord>(&record)) {
-    w.u8(static_cast<std::uint8_t>(RecordKind::kEnroll));
-    w.u8(static_cast<std::uint8_t>(enroll->config.protocol));
-    w.u64(enroll->config.policy.tolerated_missing);
-    w.f64(enroll->config.policy.confidence);
-    w.u8(static_cast<std::uint8_t>(enroll->config.policy.model));
-    w.u64(enroll->config.comm_budget);
-    w.u32(enroll->config.slack_slots);
-    w.bytes(enroll->config.name);
+    w.put_u8(static_cast<std::uint8_t>(RecordKind::kEnroll));
+    w.put_u8(static_cast<std::uint8_t>(enroll->config.protocol));
+    w.put_u64(enroll->config.policy.tolerated_missing);
+    w.put_f64(enroll->config.policy.confidence);
+    w.put_u8(static_cast<std::uint8_t>(enroll->config.policy.model));
+    w.put_u64(enroll->config.comm_budget);
+    w.put_u32(enroll->config.slack_slots);
+    w.put_string(enroll->config.name);
     put_tags(w, enroll->tags);
   } else if (const auto* trp = std::get_if<TrpRoundRecord>(&record)) {
-    w.u8(static_cast<std::uint8_t>(RecordKind::kTrpRound));
-    w.u64(trp->group);
-    w.u32(trp->challenge.frame_size);
-    w.u64(trp->challenge.r);
+    w.put_u8(static_cast<std::uint8_t>(RecordKind::kTrpRound));
+    w.put_u64(trp->group);
+    w.put_u32(trp->challenge.frame_size);
+    w.put_u64(trp->challenge.r);
     put_bitstring(w, trp->reported);
   } else if (const auto* utrp = std::get_if<UtrpRoundRecord>(&record)) {
-    w.u8(static_cast<std::uint8_t>(RecordKind::kUtrpRound));
-    w.u64(utrp->group);
-    w.u32(utrp->challenge.frame_size);
-    w.u32(static_cast<std::uint32_t>(utrp->challenge.seeds.size()));
-    for (const std::uint64_t seed : utrp->challenge.seeds) w.u64(seed);
-    w.u8(utrp->deadline_met ? 1 : 0);
+    w.put_u8(static_cast<std::uint8_t>(RecordKind::kUtrpRound));
+    w.put_u64(utrp->group);
+    w.put_u32(utrp->challenge.frame_size);
+    w.put_u32(static_cast<std::uint32_t>(utrp->challenge.seeds.size()));
+    for (const std::uint64_t seed : utrp->challenge.seeds) w.put_u64(seed);
+    w.put_bool(utrp->deadline_met);
     put_bitstring(w, utrp->reported);
   } else {
     const auto& resync = std::get<ResyncRecord>(record);
-    w.u8(static_cast<std::uint8_t>(RecordKind::kResync));
-    w.u64(resync.group);
+    w.put_u8(static_cast<std::uint8_t>(RecordKind::kResync));
+    w.put_u64(resync.group);
     put_tags(w, resync.audited);
   }
-  return w.take();
+  return std::move(w).take();
 }
 
-[[nodiscard]] JournalRecord decode_payload(std::string_view payload) {
-  ByteReader r(payload);
+[[nodiscard]] JournalRecord decode_payload(std::span<const std::byte> payload) {
+  Decoder r(payload);
   JournalRecord record;
-  switch (static_cast<RecordKind>(r.u8())) {
+  switch (static_cast<RecordKind>(r.get_u8())) {
     case RecordKind::kEnroll: {
       EnrollRecord enroll;
-      const auto protocol = r.u8();
+      const auto protocol = r.get_u8();
       RFID_EXPECT(protocol <= 1, "bad protocol kind in enroll record");
       enroll.config.protocol = static_cast<server::ProtocolKind>(protocol);
-      enroll.config.policy.tolerated_missing = r.u64();
-      enroll.config.policy.confidence = r.f64();
-      const auto model = r.u8();
+      enroll.config.policy.tolerated_missing = r.get_u64();
+      enroll.config.policy.confidence = r.get_f64();
+      const auto model = r.get_u8();
       RFID_EXPECT(model <= 1, "bad slot model in enroll record");
       enroll.config.policy.model = static_cast<math::EmptySlotModel>(model);
-      enroll.config.comm_budget = r.u64();
-      enroll.config.slack_slots = r.u32();
-      enroll.config.name = std::string(r.bytes());
+      enroll.config.comm_budget = r.get_u64();
+      enroll.config.slack_slots = r.get_u32();
+      enroll.config.name = r.get_string();
       enroll.tags = get_tags(r);
       record = std::move(enroll);
       break;
     }
     case RecordKind::kTrpRound: {
       TrpRoundRecord trp;
-      trp.group = r.u64();
-      trp.challenge.frame_size = r.u32();
-      trp.challenge.r = r.u64();
+      trp.group = r.get_u64();
+      trp.challenge.frame_size = r.get_u32();
+      trp.challenge.r = r.get_u64();
       trp.reported = get_bitstring(r);
       record = std::move(trp);
       break;
     }
     case RecordKind::kUtrpRound: {
       UtrpRoundRecord utrp;
-      utrp.group = r.u64();
-      utrp.challenge.frame_size = r.u32();
-      const std::uint32_t seeds = r.u32();
+      utrp.group = r.get_u64();
+      utrp.challenge.frame_size = r.get_u32();
+      const std::size_t seeds = r.get_count(8);
       utrp.challenge.seeds.reserve(seeds);
-      for (std::uint32_t i = 0; i < seeds; ++i) utrp.challenge.seeds.push_back(r.u64());
-      utrp.deadline_met = r.u8() != 0;
+      for (std::size_t i = 0; i < seeds; ++i) utrp.challenge.seeds.push_back(r.get_u64());
+      utrp.deadline_met = r.get_bool();
       utrp.reported = get_bitstring(r);
       record = std::move(utrp);
       break;
     }
     case RecordKind::kResync: {
       ResyncRecord resync;
-      resync.group = r.u64();
+      resync.group = r.get_u64();
       resync.audited = get_tags(r);
       record = std::move(resync);
       break;
@@ -196,54 +143,18 @@ void put_bitstring(ByteWriter& w, const bits::Bitstring& b) {
     default:
       RFID_EXPECT(false, "unknown journal record kind");
   }
-  RFID_EXPECT(r.exhausted(), "trailing bytes in journal record");
+  r.expect_exhausted();
   return record;
-}
-
-[[nodiscard]] std::uint64_t checksum_of(std::string_view payload) {
-  return hash::fnv1a64(std::span(
-      reinterpret_cast<const std::byte*>(payload.data()), payload.size()));
 }
 
 }  // namespace
 
 std::string encode_record(const JournalRecord& record) {
-  const std::string payload = encode_payload(record);
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.u64(checksum_of(payload));
-  std::string out = frame.take();
-  out += payload;
-  return out;
+  return frame_record(encode_payload(record));
 }
 
 JournalScan scan_journal(std::string_view bytes) {
-  JournalScan scan;
-  if (bytes.substr(0, kJournalMagic.size()) != kJournalMagic) {
-    scan.dropped_bytes = bytes.size();
-    return scan;
-  }
-  scan.header_valid = true;
-  std::size_t pos = kJournalMagic.size();
-  scan.valid_bytes = pos;
-  constexpr std::size_t kFrameHeader = 4 + 8;
-  while (bytes.size() - pos >= kFrameHeader) {
-    ByteReader frame(bytes.substr(pos, kFrameHeader));
-    const std::uint32_t len = frame.u32();
-    const std::uint64_t declared = frame.u64();
-    if (bytes.size() - pos - kFrameHeader < len) break;  // torn tail
-    const std::string_view payload = bytes.substr(pos + kFrameHeader, len);
-    if (checksum_of(payload) != declared) break;  // torn or rotted
-    try {
-      scan.records.push_back(decode_payload(payload));
-    } catch (const std::invalid_argument&) {
-      break;  // checksum collision on garbage; treat as corruption
-    }
-    pos += kFrameHeader + len;
-    scan.valid_bytes = pos;
-  }
-  scan.dropped_bytes = bytes.size() - scan.valid_bytes;
-  return scan;
+  return scan_record_log<JournalScan>(bytes, kJournalMagic, decode_payload);
 }
 
 }  // namespace rfid::storage

@@ -11,17 +11,13 @@
 // deterministic, so recovery regenerates verdicts, counter advances, and the
 // alert timeline bit-for-bit.
 //
-// On-wire record framing (little-endian):
-//
-//   "RFIDMON-JOURNAL 1\n"                              file header
-//   [u32 payload_len][u64 fnv1a64(payload)][payload]   repeated
-//
-// A record is valid iff its full framing is present AND the checksum
-// matches. scan_journal() stops at the first invalid record and reports the
-// clean prefix — a torn tail (crash mid-append) or a rotted byte truncates
-// the suffix instead of failing recovery. Atomicity therefore holds per
-// record: a mutation is either fully journaled (replayed) or not journaled
-// at all (lost with the crash) — never half-applied.
+// On-disk layout: the "RFIDMON-JOURNAL 1\n" magic line, then one record-log
+// frame per record (storage/record_log.h owns the frame, the torn-tail scan
+// and the atomic rewrite). scan_journal() stops at the first invalid record
+// and reports the clean prefix — a torn tail (crash mid-append) or a rotted
+// byte truncates the suffix instead of failing recovery. Atomicity therefore
+// holds per record: a mutation is either fully journaled (replayed) or not
+// journaled at all (lost with the crash) — never half-applied.
 #pragma once
 
 #include <cstdint>

@@ -1,103 +1,23 @@
 #include "wire/codec.h"
 
-#include <cstring>
-
 #include "hash/fnv.h"
 #include "util/expect.h"
 
 namespace rfid::wire {
 
-void Encoder::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Encoder::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Encoder::put_f64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(bits);
-}
-
-void Encoder::put_bytes(std::span<const std::byte> data) {
-  RFID_EXPECT(data.size() <= 0xffffffffu, "byte string too long for wire");
-  put_u32(static_cast<std::uint32_t>(data.size()));
-  bytes_.insert(bytes_.end(), data.begin(), data.end());
-}
-
-void Encoder::put_string(const std::string& s) {
-  put_bytes(std::span(reinterpret_cast<const std::byte*>(s.data()), s.size()));
-}
-
-void Decoder::need(std::size_t n) const {
-  RFID_EXPECT(offset_ + n <= data_.size(), "truncated message");
-}
-
-std::uint8_t Decoder::get_u8() {
-  need(1);
-  return static_cast<std::uint8_t>(data_[offset_++]);
-}
-
-std::uint32_t Decoder::get_u32() {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(get_u8()) << (8 * i);
-  return v;
-}
-
-std::uint64_t Decoder::get_u64() {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(get_u8()) << (8 * i);
-  return v;
-}
-
-double Decoder::get_f64() {
-  const std::uint64_t bits = get_u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::vector<std::byte> Decoder::get_bytes() {
-  const std::uint32_t length = get_u32();
-  need(length);
-  std::vector<std::byte> out(data_.begin() + static_cast<std::ptrdiff_t>(offset_),
-                             data_.begin() + static_cast<std::ptrdiff_t>(offset_ + length));
-  offset_ += length;
-  return out;
-}
-
-std::string Decoder::get_string() {
-  const auto raw = get_bytes();
-  return std::string(reinterpret_cast<const char*>(raw.data()), raw.size());
-}
-
-void Decoder::expect_exhausted() const {
-  RFID_EXPECT(remaining() == 0, "trailing bytes after message payload");
-}
-
 std::vector<std::byte> frame_payload(std::span<const std::byte> payload) {
-  Encoder enc;
-  enc.put_u32(static_cast<std::uint32_t>(payload.size()));
-  for (const std::byte b : payload) enc.put_u8(static_cast<std::uint8_t>(b));
+  util::Encoder enc;
+  enc.put_bytes(payload);  // [u32 length][payload]
   enc.put_u32(hash::fnv1a32(payload));
   return std::move(enc).take();
 }
 
 std::vector<std::byte> unframe_payload(std::span<const std::byte> frame) {
-  Decoder dec(frame);
-  const std::uint32_t length = dec.get_u32();
-  RFID_EXPECT(dec.remaining() == length + 4u, "frame length mismatch");
-  std::vector<std::byte> payload;
-  payload.reserve(length);
-  for (std::uint32_t i = 0; i < length; ++i) {
-    payload.push_back(static_cast<std::byte>(dec.get_u8()));
-  }
+  util::Decoder dec(frame);
+  std::vector<std::byte> payload = dec.get_bytes();
   const std::uint32_t declared = dec.get_u32();
-  RFID_EXPECT(declared == hash::fnv1a32(payload), "frame checksum mismatch");
   dec.expect_exhausted();
+  RFID_EXPECT(declared == hash::fnv1a32(payload), "frame checksum mismatch");
   return payload;
 }
 

@@ -1,66 +1,21 @@
-// Byte-level encoding for server <-> reader messages.
+// Frame for server <-> reader messages.
 //
 // The paper assumes a channel between the monitoring server and the RFID
-// reader (challenges flow one way, bitstrings the other). This codec pins an
-// interoperable wire format: little-endian fixed-width integers, length-
-// prefixed byte strings, and a trailing FNV-1a-32 checksum over every frame.
-// Deliberately boring — the point is that two independent implementations
-// could talk to each other, and that corruption is detected before parsing.
+// reader (challenges flow one way, bitstrings the other). Messages encode
+// their fields with the shared little-endian codec (util/codec.h); this file
+// pins the frame around them: a length prefix and a trailing FNV-1a-32
+// checksum over every payload. Deliberately boring — the point is that two
+// independent implementations could talk to each other, and that corruption
+// is detected before parsing.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
+#include "util/codec.h"
+
 namespace rfid::wire {
-
-/// Append-only byte sink with primitive writers.
-class Encoder {
- public:
-  void put_u8(std::uint8_t v) { bytes_.push_back(static_cast<std::byte>(v)); }
-  void put_u32(std::uint32_t v);
-  void put_u64(std::uint64_t v);
-  void put_f64(double v);
-  /// Length-prefixed (u32) byte string.
-  void put_bytes(std::span<const std::byte> data);
-  void put_string(const std::string& s);
-
-  [[nodiscard]] const std::vector<std::byte>& bytes() const noexcept {
-    return bytes_;
-  }
-  [[nodiscard]] std::vector<std::byte> take() && { return std::move(bytes_); }
-
- private:
-  std::vector<std::byte> bytes_;
-};
-
-/// Forward-only reader over a byte span. All getters throw
-/// std::invalid_argument on truncation — never read past the end.
-class Decoder {
- public:
-  explicit Decoder(std::span<const std::byte> data) : data_(data) {}
-
-  [[nodiscard]] std::uint8_t get_u8();
-  [[nodiscard]] std::uint32_t get_u32();
-  [[nodiscard]] std::uint64_t get_u64();
-  [[nodiscard]] double get_f64();
-  [[nodiscard]] std::vector<std::byte> get_bytes();
-  [[nodiscard]] std::string get_string();
-
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return data_.size() - offset_;
-  }
-  /// Asserts the whole payload was consumed (catches trailing garbage).
-  void expect_exhausted() const;
-
- private:
-  void need(std::size_t n) const;
-
-  std::span<const std::byte> data_;
-  std::size_t offset_ = 0;
-};
 
 /// Wraps a payload in a frame: [u32 length][payload][u32 fnv1a32(payload)].
 [[nodiscard]] std::vector<std::byte> frame_payload(std::span<const std::byte> payload);

@@ -6,6 +6,9 @@ namespace rfid::wire {
 
 namespace {
 
+using util::Decoder;
+using util::Encoder;
+
 [[nodiscard]] std::vector<std::byte> finish(Encoder&& enc) {
   return frame_payload(std::move(enc).take());
 }
@@ -70,7 +73,7 @@ std::vector<std::byte> encode(const VerdictAck& msg) {
   Encoder enc;
   enc.put_u8(static_cast<std::uint8_t>(MessageType::kVerdictAck));
   enc.put_u64(msg.round);
-  enc.put_u8(msg.intact ? 1 : 0);
+  enc.put_bool(msg.intact);
   return finish(std::move(enc));
 }
 
@@ -102,9 +105,9 @@ UtrpChallengeMsg decode_utrp_challenge(std::span<const std::byte> frame) {
   UtrpChallengeMsg msg;
   msg.round = dec.get_u64();
   msg.challenge.frame_size = dec.get_u32();
-  const std::uint32_t count = dec.get_u32();
+  const std::size_t count = dec.get_count(8);
   msg.challenge.seeds.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     msg.challenge.seeds.push_back(dec.get_u64());
   }
   dec.expect_exhausted();
@@ -131,7 +134,7 @@ VerdictAck decode_verdict_ack(std::span<const std::byte> frame) {
   Decoder dec = open(storage, frame, MessageType::kVerdictAck);
   VerdictAck msg;
   msg.round = dec.get_u64();
-  msg.intact = dec.get_u8() != 0;
+  msg.intact = dec.get_bool();
   dec.expect_exhausted();
   return msg;
 }

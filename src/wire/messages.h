@@ -6,8 +6,9 @@
 //   UtrpChallengeMsg   server -> reader   (f, r_1..r_f)           [Alg. 5]
 //   BitstringReport    reader -> server   bs (+ measured scan time)
 //   VerdictAck         server -> reader   round accepted (intact or not)
-// Every message is tagged with a type byte and framed/checksummed by the
-// codec; decode_* functions reject wrong types, truncation, and garbage.
+// Every message is tagged with a type byte, encoded with util/codec.h and
+// framed/checksummed by wire/codec.h; decode_* functions reject wrong types,
+// truncation, and garbage.
 // Requests and reports are idempotent (keyed by round number) so the session
 // layer can retransmit over lossy links without double-counting.
 #pragma once

@@ -208,7 +208,7 @@ TEST(MultiReaderFaultPlanParser, RejectsMalformedReaderPrefixes) {
 TEST(FaultInjector, CorruptFlipsExactlyOneBit) {
   fault::FaultPlan plan;
   fault::FaultInjector injector(plan);
-  wire::Encoder enc;
+  util::Encoder enc;
   enc.put_u64(0xdeadbeefcafef00dULL);
   auto frame = wire::frame_payload(enc.bytes());
   const auto original = frame;
@@ -227,7 +227,7 @@ TEST(FaultInjector, CorruptFlipsExactlyOneBit) {
 TEST(FaultInjector, CorruptedFrameRejectedByChecksum) {
   fault::FaultPlan plan;
   fault::FaultInjector injector(plan);
-  wire::Encoder enc;
+  util::Encoder enc;
   enc.put_string("monitor me");
   // Every single-bit flip anywhere in the frame must be caught.
   for (int trial = 0; trial < 64; ++trial) {

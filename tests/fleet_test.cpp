@@ -511,14 +511,19 @@ TEST(FleetJournal, RecoveryMatchesSeedAndFleetOnly) {
   journal.append(zone);
 
   const auto scan = storage::scan_fleet_journal(backend.read("fleet.journal"));
-  EXPECT_EQ(storage::recover_interrupted_run(scan, 5, "f").size(), 1u);
-  EXPECT_TRUE(storage::recover_interrupted_run(scan, 6, "f").empty());
-  EXPECT_TRUE(storage::recover_interrupted_run(scan, 5, "g").empty());
+  EXPECT_EQ(
+      storage::recover_interrupted_run_checked(scan, 5, "f", 0).zones.size(),
+      1u);
+  EXPECT_TRUE(
+      storage::recover_interrupted_run_checked(scan, 6, "f", 0).zones.empty());
+  EXPECT_TRUE(
+      storage::recover_interrupted_run_checked(scan, 5, "g", 0).zones.empty());
 
   // A finished run (end record present) has nothing to recover.
   journal.append(storage::FleetRunEndRecord{.verdict = 0});
   const auto done = storage::scan_fleet_journal(backend.read("fleet.journal"));
-  EXPECT_TRUE(storage::recover_interrupted_run(done, 5, "f").empty());
+  EXPECT_TRUE(
+      storage::recover_interrupted_run_checked(done, 5, "f", 0).zones.empty());
 }
 
 // Rig for the begin() crash-atomicity sweep: an interrupted run's journal
@@ -575,7 +580,8 @@ TEST(FleetJournal, BeginIsCrashAtomicAtEveryCrashPoint) {
           << "crash at op " << k << " (before=" << before
           << ") left an unreadable journal";
       EXPECT_EQ(scan.dropped_bytes, 0u);
-      const auto zones = storage::recover_interrupted_run(scan, 9, "f");
+      const auto zones =
+          storage::recover_interrupted_run_checked(scan, 9, "f", 0).zones;
       ASSERT_EQ(zones.count({"inv", 1}), 1u)
           << "crash at op " << k << " (before=" << before
           << ") lost the carried zone record";
@@ -605,7 +611,9 @@ TEST(FleetJournal, FailedBeginLeavesTheOldJournalReadable) {
   const auto scan = storage::scan_fleet_journal(inner.read("fleet.journal"));
   EXPECT_TRUE(scan.header_valid);
   EXPECT_EQ(scan.dropped_bytes, 0u);
-  EXPECT_EQ(storage::recover_interrupted_run(scan, 9, "f").size(), 2u);
+  EXPECT_EQ(
+      storage::recover_interrupted_run_checked(scan, 9, "f", 0).zones.size(),
+      2u);
 }
 
 TEST(FleetOrchestrator, ReusesZonesJournaledByAnInterruptedRun) {
@@ -662,7 +670,8 @@ TEST(FleetOrchestrator, CompletedRunLeavesAFinishedJournal) {
   EXPECT_TRUE(std::holds_alternative<storage::FleetRunEndRecord>(
       scan.records.back()));
   // A restart after completion recovers nothing (the run is finished).
-  EXPECT_TRUE(storage::recover_interrupted_run(scan, 41, "fleet").empty());
+  EXPECT_TRUE(storage::recover_interrupted_run_checked(scan, 41, "fleet", 0)
+                  .zones.empty());
 }
 
 TEST(FleetOrchestrator, FleetWithNothingMonitoredIsInconclusive) {

@@ -1,10 +1,12 @@
 // Tests for the crash-consistent storage layer: backend semantics, journal
-// framing, full-state codec, and DurableInventoryServer recovery. The
-// exhaustive crash-point sweep lives in storage_torture_test.cpp; these are
-// the targeted unit tests.
+// framing (byte identity and hostile input for all three journal formats),
+// full-state codec, and DurableInventoryServer recovery. The exhaustive
+// crash-point sweep lives in storage_torture_test.cpp; these are the
+// targeted unit tests.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -14,10 +16,14 @@
 #include "protocol/trp.h"
 #include "protocol/utrp.h"
 #include "storage/backend.h"
+#include "storage/daemon_journal.h"
 #include "storage/durable_server.h"
+#include "storage/fleet_journal.h"
 #include "storage/journal.h"
+#include "storage/record_log.h"
 #include "storage/server_state.h"
 #include "tag/tag_set.h"
+#include "util/codec.h"
 #include "util/random.h"
 
 namespace {
@@ -209,6 +215,456 @@ TEST(Journal, BadHeaderRejectsWholeFile) {
   const auto scan = rfid::storage::scan_journal("NOT A JOURNAL\n");
   EXPECT_FALSE(scan.header_valid);
   EXPECT_TRUE(scan.records.empty());
+}
+
+// ---------------------------------------------------------------------------
+// On-disk byte identity: one record of every kind in each journal format,
+// with fixed field values, against bytes captured before the three journals
+// shared one codec and one record log. Round-trip tests cannot see a writer
+// and a reader that drift together; these pin the bytes themselves.
+
+namespace storage = rfid::storage;
+using rfid::tag::Tag;
+using rfid::tag::TagId;
+
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xfU];
+  }
+  return out;
+}
+
+rfid::bits::Bitstring bits_with(std::size_t size,
+                                std::initializer_list<std::size_t> set) {
+  rfid::bits::Bitstring b(size);
+  for (const std::size_t i : set) b.set(i);
+  return b;
+}
+
+storage::DaemonZoneHealthRecord fixed_zone_health() {
+  return {.miss_streak = 1,
+          .intact_streak = 2,
+          .violated = true,
+          .quarantined = false,
+          .quarantined_at = 9,
+          .readers = {{.bad_streak = 3, .quarantined = true,
+                       .quarantined_at = 4}}};
+}
+
+storage::DaemonAlertRecord fixed_alert(bool with_missing) {
+  storage::DaemonAlertRecord alert{.sequence = 4,
+                                   .kind = 2,
+                                   .epoch = 3,
+                                   .zone = 0,
+                                   .detail = "zone 0 violated",
+                                   .missing = {}};
+  if (with_missing) alert.missing = {TagId(1, 2), TagId(0xdeadbeef, 7)};
+  return alert;
+}
+
+TEST(JournalBytes, MagicsAreUnchanged) {
+  EXPECT_EQ(storage::kJournalMagic, "RFIDMON-JOURNAL 1\n");
+  EXPECT_EQ(storage::kFleetJournalMagic, "RFIDMON-FLEET 2\n");
+  EXPECT_EQ(storage::kDaemonJournalMagic, "RFIDMON-DAEMON 3\n");
+  EXPECT_EQ(storage::kDaemonJournalMagicV2, "RFIDMON-DAEMON 2\n");
+}
+
+TEST(JournalBytes, WalRecordsMatchCapturedBytes) {
+  EnrollRecord enroll;
+  enroll.config = utrp_config("dock", 3);
+  enroll.config.policy.model = rfid::math::EmptySlotModel::kExact;
+  enroll.config.comm_budget = 7;
+  enroll.config.slack_slots = 2;
+  enroll.tags = TagSet({Tag(TagId(1, 2), 3),
+                        Tag(TagId(0xdeadbeef, 0x0123456789abcdefULL), 9)});
+  EXPECT_EQ(to_hex(encode_record(enroll)),
+            "57000000718ed231a02f50d201010300000000000000666666666666ee3f0107"
+            "000000000000000200000004000000646f636b02000000000000000100000002"
+            "000000000000000300000000000000efbeaddeefcdab89674523010900000000"
+            "000000");
+
+  EXPECT_EQ(to_hex(encode_record(TrpRoundRecord{
+                1, {.frame_size = 70, .r = 0xfeed}, bits_with(70, {0, 65})})),
+            "41000000baa395730e5b8fce02010000000000000046000000edfe0000000000"
+            "0046000000000000002000000030303030303030303030303030303031303030"
+            "30303030303030303030303032");
+
+  UtrpRoundRecord utrp;
+  utrp.group = 2;
+  utrp.challenge = {.frame_size = 3, .seeds = {5, 6, 7}};
+  utrp.reported = bits_with(3, {1});
+  utrp.deadline_met = false;
+  EXPECT_EQ(to_hex(encode_record(utrp)),
+            "4600000095ecfe68ad6f36a20302000000000000000300000003000000050000"
+            "0000000000060000000000000007000000000000000003000000000000001000"
+            "000030303030303030303030303030303032");
+
+  EXPECT_EQ(to_hex(encode_record(
+                ResyncRecord{2, TagSet({Tag(TagId(4, 5), 6)})})),
+            "2500000077b14c330877de110402000000000000000100000000000000040000"
+            "0005000000000000000600000000000000");
+}
+
+TEST(JournalBytes, FleetRecordsMatchCapturedBytes) {
+  EXPECT_EQ(to_hex(storage::encode_fleet_record(storage::FleetRunStartRecord{
+                .seed = 42, .fleet = "north", .config_hash = 0xabc})),
+            "1a0000009041de25a17d5da1012a00000000000000050000006e6f727468bc0a"
+            "000000000000");
+  EXPECT_EQ(to_hex(storage::encode_fleet_record(storage::FleetZoneRecord{
+                .inventory = "inv",
+                .zone = 1,
+                .status = 2,
+                .attempts = 3,
+                .last_failure = 4,
+                .resynced = true,
+                .rounds_completed = 5,
+                .intact_rounds = 6,
+                .mismatched_rounds = 7,
+                .deadline_missed_rounds = 8,
+                .frames_sent = 9,
+                .retransmissions = 10,
+                .duration_us = 1234.5,
+                .readers = 3,
+                .degraded_rounds = 11,
+                .suspected_readers = 1})),
+            "5f000000fd9b3a51af1affc70203000000696e76010000000000000002030000"
+            "0004010500000000000000060000000000000007000000000000000800000000"
+            "00000009000000000000000a0000000000000000000000004a9340030000000b"
+            "0000000000000001000000");
+  EXPECT_EQ(to_hex(storage::encode_fleet_record(
+                storage::FleetRunEndRecord{.verdict = 2})),
+            "02000000b04feeb407ec35080302");
+}
+
+TEST(JournalBytes, DaemonRecordsMatchCapturedBytes) {
+  EXPECT_EQ(to_hex(storage::encode_daemon_record(storage::DaemonStartRecord{
+                .seed = 7, .daemon = "d", .config_hash = 0x99})),
+            "160000007351d5bf44191e530107000000000000000100000064990000000000"
+            "0000");
+  EXPECT_EQ(
+      to_hex(storage::encode_daemon_record(storage::DaemonCheckpointRecord{
+          .epoch = 3,
+          .verdict = 1,
+          .next_alert_sequence = 5,
+          .zones = {fixed_zone_health()},
+          .alerts = {fixed_alert(true)}})),
+      "850000006c90127cafcc87ef0203000000000000000105000000000000000100"
+      "0000010000000200000001000900000000000000010000000300000001040000"
+      "0000000000010000000400000000000000020300000000000000000000000000"
+      "00000f0000007a6f6e6520302076696f6c617465640200000001000000020000"
+      "0000000000efbeadde0700000000000000");
+  EXPECT_EQ(
+      to_hex(storage::encode_daemon_record(storage::DaemonSnapshotRecord{
+          .verdicts = {0, 1, 1},
+          .zones = {fixed_zone_health()},
+          .alerts = {fixed_alert(true)},
+          .next_alert_sequence = 5})),
+      "83000000fada14ca4327ada60305000000000000000300000000010101000000"
+      "0100000002000000010009000000000000000100000003000000010400000000"
+      "0000000100000004000000000000000203000000000000000000000000000000"
+      "0f0000007a6f6e6520302076696f6c6174656402000000010000000200000000"
+      "000000efbeadde0700000000000000");
+}
+
+// ---------------------------------------------------------------------------
+// Forged counts: a checksum-valid record whose count prefix claims billions
+// of elements must be rejected as damage, not attempted as an allocation.
+
+TEST(JournalForgedCount, WalTagCountTruncatesTheScan) {
+  rfid::util::Rng rng(14);
+  std::string bytes(storage::kJournalMagic);
+  bytes += encode_record(sample_enroll(rng));
+  const std::size_t clean = bytes.size();
+  rfid::util::Encoder forged;  // an enroll record claiming 2^32 tags
+  forged.put_u8(1);            // kind: enroll
+  forged.put_u8(0);            // protocol: TRP
+  forged.put_u64(0);           // tolerated_missing
+  forged.put_f64(0.95);        // confidence
+  forged.put_u8(0);            // slot model
+  forged.put_u64(20);          // comm_budget
+  forged.put_u32(8);           // slack_slots
+  forged.put_string("forged");
+  forged.put_u64(1ULL << 32);  // tag count
+  bytes += storage::frame_record(forged.bytes());
+
+  const auto scan = storage::scan_journal(bytes);
+  EXPECT_TRUE(scan.header_valid);
+  ASSERT_EQ(scan.records.size(), 1u);
+  EXPECT_EQ(scan.valid_bytes, clean);
+  EXPECT_GT(scan.dropped_bytes, 0u);
+}
+
+TEST(JournalForgedCount, DaemonZoneCountTruncatesTheScanAndOpenResumes) {
+  const storage::DaemonStartRecord start{.seed = 7, .daemon = "d"};
+  std::string bytes(storage::kDaemonJournalMagic);
+  bytes += storage::encode_daemon_record(start);
+  bytes += storage::encode_daemon_record(storage::DaemonCheckpointRecord{
+      .epoch = 0, .verdict = 1, .next_alert_sequence = 0, .zones = {},
+      .alerts = {}});
+  const std::size_t clean = bytes.size();
+  rfid::util::Encoder forged;  // a checkpoint claiming 2^32 - 1 zones
+  forged.put_u8(2);            // kind: checkpoint
+  forged.put_u64(1);           // epoch
+  forged.put_u8(1);            // verdict
+  forged.put_u64(0);           // next_alert_sequence
+  forged.put_u32(0xffffffffU); // zone count
+  forged.put_u32(0);           // alert count
+  bytes += storage::frame_record(forged.bytes());
+
+  const auto scan = storage::scan_daemon_journal(bytes);
+  ASSERT_EQ(scan.records.size(), 2u);
+  EXPECT_EQ(scan.valid_bytes, clean);
+  EXPECT_GT(scan.dropped_bytes, 0u);
+
+  MemoryBackend backend;
+  backend.append("daemon.journal", bytes);
+  backend.flush("daemon.journal");
+  storage::DaemonJournal journal(backend, "daemon.journal");
+  const storage::DaemonReplay replay = journal.open(start);
+  EXPECT_FALSE(replay.fresh);
+  EXPECT_EQ(replay.verdicts, (std::vector<std::uint8_t>{1}));
+  EXPECT_EQ(replay.compacted_bytes, scan.dropped_bytes);
+  // open() compacted the forged tail away.
+  EXPECT_EQ(storage::scan_daemon_journal(backend.read("daemon.journal"))
+                .dropped_bytes,
+            0u);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input: every journal format under truncation at every length,
+// every single-bit flip, and seeded garbage tails — the journal counterpart
+// of service_frame_test's FlippedBitFailsChecksum and
+// RandomGarbageNeverCrashes.
+
+/// What a scan kept, each record re-encoded so every format compares as
+/// bytes.
+struct Kept {
+  std::vector<std::string> records;
+  std::uint64_t valid_bytes = 0;
+  std::uint64_t dropped_bytes = 0;
+};
+
+template <class Scan, class Encode>
+Kept kept(const Scan& scan, Encode encode) {
+  Kept out{{}, scan.valid_bytes, scan.dropped_bytes};
+  for (const auto& record : scan.records) out.records.push_back(encode(record));
+  return out;
+}
+
+using Scanner = std::function<Kept(std::string_view)>;
+
+/// `journal` is valid and its records re-encode to `originals`. Every
+/// attacked copy must scan without throwing, account for every byte, and
+/// keep a prefix of `originals` — all of them when the damage sits behind
+/// the whole journal (`intact_prefix`).
+void attack(const std::string& journal, std::size_t header,
+            const std::vector<std::string>& originals, const Scanner& scan) {
+  const auto check = [&](const std::string& bytes, const std::string& what,
+                         bool intact_prefix) {
+    Kept got;
+    try {
+      got = scan(bytes);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": scan threw " << e.what();
+      return;
+    }
+    EXPECT_EQ(got.valid_bytes + got.dropped_bytes, bytes.size()) << what;
+    const std::size_t expected =
+        intact_prefix ? originals.size() : got.records.size();
+    ASSERT_LE(expected, originals.size()) << what;
+    ASSERT_LE(expected, got.records.size()) << what;
+    for (std::size_t i = 0; i < expected; ++i) {
+      ASSERT_EQ(got.records[i], originals[i]) << what << ", record " << i;
+    }
+  };
+
+  const Kept intact = scan(journal);
+  ASSERT_EQ(intact.records, originals);
+  ASSERT_EQ(intact.dropped_bytes, 0u);
+
+  for (std::size_t length = 0; length <= journal.size(); ++length) {
+    check(journal.substr(0, length), "truncated to " + std::to_string(length),
+          false);
+  }
+  for (std::size_t at = 0; at < journal.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bytes = journal;
+      bytes[at] = static_cast<char>(bytes[at] ^ (1 << bit));
+      check(bytes, "bit " + std::to_string(bit) + " of byte " +
+                       std::to_string(at) + " flipped",
+            false);
+    }
+  }
+  rfid::util::Rng rng(journal.size());
+  for (int trial = 0; trial < 200; ++trial) {
+    // Raw garbage after the header, and checksum-valid garbage after the
+    // whole journal: the second reaches the record decoders, which must
+    // reject it (or decode it) without disturbing the records before it.
+    std::string raw = journal.substr(0, header);
+    std::vector<std::byte> payload(rng.below(64));
+    for (std::byte& b : payload) b = static_cast<std::byte>(rng.below(256));
+    for (const std::byte b : payload) raw.push_back(static_cast<char>(b));
+    check(raw, "garbage tail " + std::to_string(trial), false);
+    if (!payload.empty()) payload[0] = static_cast<std::byte>(rng.below(5));
+    check(journal + storage::frame_record(payload),
+          "framed garbage " + std::to_string(trial), true);
+  }
+}
+
+/// Daemon format 2, written field by field: format 3 without each alert's
+/// missing-tag list, the layout builds before the drill-down wrote.
+std::string daemon_v2_journal(
+    const std::vector<storage::DaemonJournalRecord>& records) {
+  std::string out(storage::kDaemonJournalMagicV2);
+  for (const auto& record : records) {
+    rfid::util::Encoder w;
+    const auto zones_and_alerts = [&w](const auto& zones, const auto& alerts) {
+      w.put_u32(static_cast<std::uint32_t>(zones.size()));
+      for (const storage::DaemonZoneHealthRecord& z : zones) {
+        w.put_u32(z.miss_streak);
+        w.put_u32(z.intact_streak);
+        w.put_u8(z.violated ? 1 : 0);
+        w.put_u8(z.quarantined ? 1 : 0);
+        w.put_u64(z.quarantined_at);
+        w.put_u32(static_cast<std::uint32_t>(z.readers.size()));
+        for (const storage::DaemonReaderHealthRecord& r : z.readers) {
+          w.put_u32(r.bad_streak);
+          w.put_u8(r.quarantined ? 1 : 0);
+          w.put_u64(r.quarantined_at);
+        }
+      }
+      w.put_u32(static_cast<std::uint32_t>(alerts.size()));
+      for (const storage::DaemonAlertRecord& a : alerts) {
+        w.put_u64(a.sequence);
+        w.put_u8(a.kind);
+        w.put_u64(a.epoch);
+        w.put_u64(a.zone);
+        w.put_string(a.detail);
+      }
+    };
+    if (const auto* start = std::get_if<storage::DaemonStartRecord>(&record)) {
+      w.put_u8(1);
+      w.put_u64(start->seed);
+      w.put_string(start->daemon);
+      w.put_u64(start->config_hash);
+    } else if (const auto* checkpoint =
+                   std::get_if<storage::DaemonCheckpointRecord>(&record)) {
+      w.put_u8(2);
+      w.put_u64(checkpoint->epoch);
+      w.put_u8(checkpoint->verdict);
+      w.put_u64(checkpoint->next_alert_sequence);
+      zones_and_alerts(checkpoint->zones, checkpoint->alerts);
+    } else {
+      const auto& snapshot = std::get<storage::DaemonSnapshotRecord>(record);
+      w.put_u8(3);
+      w.put_u64(snapshot.next_alert_sequence);
+      w.put_u32(static_cast<std::uint32_t>(snapshot.verdicts.size()));
+      for (const std::uint8_t verdict : snapshot.verdicts) w.put_u8(verdict);
+      zones_and_alerts(snapshot.zones, snapshot.alerts);
+    }
+    out += storage::frame_record(w.bytes());
+  }
+  return out;
+}
+
+TEST(JournalHostileInput, WalScanSurvivesEveryAttack) {
+  rfid::util::Rng rng(15);
+  EnrollRecord enroll;
+  enroll.config = utrp_config("dock", 1);
+  enroll.tags = TagSet::make_random(3, rng);
+  UtrpRoundRecord utrp;
+  utrp.challenge = {.frame_size = 3, .seeds = {5, 6, 7}};
+  utrp.reported = bits_with(3, {1});
+  const std::vector<JournalRecord> records{
+      enroll,
+      TrpRoundRecord{0, {.frame_size = 70, .r = 3}, bits_with(70, {0, 65})},
+      utrp, ResyncRecord{0, TagSet::make_random(3, rng)}};
+  std::string journal(storage::kJournalMagic);
+  std::vector<std::string> originals;
+  for (const JournalRecord& record : records) {
+    originals.push_back(encode_record(record));
+    journal += originals.back();
+  }
+  attack(journal, storage::kJournalMagic.size(), originals,
+         [](std::string_view bytes) {
+           return kept(storage::scan_journal(bytes),
+                       [](const JournalRecord& r) { return encode_record(r); });
+         });
+}
+
+TEST(JournalHostileInput, FleetScanSurvivesEveryAttack) {
+  const std::vector<storage::FleetJournalRecord> records{
+      storage::FleetRunStartRecord{.seed = 9, .fleet = "f", .config_hash = 1},
+      storage::FleetZoneRecord{.inventory = "inv", .zone = 0, .attempts = 1},
+      storage::FleetZoneRecord{.inventory = "inv", .zone = 1, .readers = 3},
+      storage::FleetRunEndRecord{.verdict = 1}};
+  std::string journal(storage::kFleetJournalMagic);
+  std::vector<std::string> originals;
+  for (const auto& record : records) {
+    originals.push_back(storage::encode_fleet_record(record));
+    journal += originals.back();
+  }
+  attack(journal, storage::kFleetJournalMagic.size(), originals,
+         [](std::string_view bytes) {
+           return kept(storage::scan_fleet_journal(bytes),
+                       [](const storage::FleetJournalRecord& r) {
+                         return storage::encode_fleet_record(r);
+                       });
+         });
+}
+
+/// A daemon record stream exercising every record kind and nested list.
+std::vector<storage::DaemonJournalRecord> daemon_records(bool with_missing) {
+  return {storage::DaemonStartRecord{.seed = 7, .daemon = "d"},
+          storage::DaemonCheckpointRecord{.epoch = 0,
+                                          .verdict = 1,
+                                          .next_alert_sequence = 5,
+                                          .zones = {fixed_zone_health()},
+                                          .alerts = {fixed_alert(with_missing)}},
+          storage::DaemonSnapshotRecord{.verdicts = {1},
+                                        .zones = {fixed_zone_health()},
+                                        .alerts = {fixed_alert(with_missing)},
+                                        .next_alert_sequence = 5},
+          storage::DaemonCheckpointRecord{.epoch = 1,
+                                          .verdict = 0,
+                                          .next_alert_sequence = 5,
+                                          .zones = {fixed_zone_health()},
+                                          .alerts = {}}};
+}
+
+Kept scan_daemon(std::string_view bytes) {
+  return kept(storage::scan_daemon_journal(bytes),
+              [](const storage::DaemonJournalRecord& r) {
+                return storage::encode_daemon_record(r);
+              });
+}
+
+TEST(JournalHostileInput, DaemonScanSurvivesEveryAttack) {
+  std::string journal(storage::kDaemonJournalMagic);
+  std::vector<std::string> originals;
+  for (const auto& record : daemon_records(true)) {
+    originals.push_back(storage::encode_daemon_record(record));
+    journal += originals.back();
+  }
+  attack(journal, storage::kDaemonJournalMagic.size(), originals, scan_daemon);
+}
+
+TEST(JournalHostileInput, DaemonFormat2ScanSurvivesEveryAttack) {
+  // Format-2 records decode with empty missing lists, so they re-encode as
+  // the format-3 records that carry none.
+  const auto records = daemon_records(false);
+  const std::string journal = daemon_v2_journal(records);
+  std::vector<std::string> originals;
+  for (const auto& record : records) {
+    originals.push_back(storage::encode_daemon_record(record));
+  }
+  ASSERT_EQ(storage::scan_daemon_journal(journal).version, 2u);
+  attack(journal, storage::kDaemonJournalMagicV2.size(), originals,
+         scan_daemon);
 }
 
 // ---------------------------------------------------------------------------

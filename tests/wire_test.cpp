@@ -14,8 +14,8 @@
 namespace {
 
 using namespace rfid;
-using wire::Decoder;
-using wire::Encoder;
+using util::Decoder;
+using util::Encoder;
 
 // ----------------------------------------------------------------- codec --
 
@@ -134,6 +134,19 @@ TEST(Messages, PeekTypeAndWrongTypeRejected) {
 TEST(Messages, MalformedChallengeRejected) {
   const auto frame = wire::encode(wire::TrpChallengeMsg{1, {0, 5}});
   EXPECT_THROW((void)wire::decode_trp_challenge(frame), std::invalid_argument);
+}
+
+TEST(Messages, ForgedSeedCountRejectedBeforeAllocating) {
+  // A checksum-valid UTRP challenge claiming 2^32 - 1 seeds but carrying one.
+  Encoder enc;
+  enc.put_u8(static_cast<std::uint8_t>(wire::MessageType::kUtrpChallenge));
+  enc.put_u64(1);            // round
+  enc.put_u32(4);            // frame size
+  enc.put_u32(0xffffffffU);  // seed count
+  enc.put_u64(9);            // the one seed present
+  EXPECT_THROW(
+      (void)wire::decode_utrp_challenge(wire::frame_payload(enc.bytes())),
+      std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ link --
