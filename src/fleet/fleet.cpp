@@ -225,14 +225,9 @@ Admission FleetOrchestrator::submit(InventorySpec spec) {
     absent[static_cast<std::size_t>(idx)] = true;
   }
 
-  // Eq. (3) solves cost tens of milliseconds; zones share the few distinct
-  // (n, m) shapes the near-equal split produces, so solve each shape once —
-  // here, sequentially, before any worker thread exists. Fused sizing
-  // (generalized Theorem 1) is deduped the same way.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, math::UtrpPlan> solved;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, math::TrpPlan>
-      fused_solved;
-
+  // UTRP and fused zones are sized here, before any worker runs, so an
+  // unsatisfiable spec throws from submit() rather than from a worker
+  // thread. The optimizers are memoized: a repeated shape is a lookup.
   const std::uint32_t k = s.fusion.readers;
   inventory->zones.resize(slices.size());
   std::size_t offset = 0;
@@ -252,18 +247,10 @@ Admission FleetOrchestrator::submit(InventorySpec spec) {
     }
     offset += n;
 
+    const std::uint64_t tolerance = s.plan.zones[z].tolerance;
     if (s.protocol == Protocol::kUtrp) {
-      const std::pair<std::uint64_t, std::uint64_t> key{
-          n, s.plan.zones[z].tolerance};
-      auto it = solved.find(key);
-      if (it == solved.end()) {
-        it = solved
-                 .emplace(key, math::optimize_utrp_frame(
-                                   key.first, key.second, s.alpha,
-                                   s.comm_budget, s.slack_slots, s.model))
-                 .first;
-      }
-      state.utrp_plan = it->second;
+      state.utrp_plan = math::optimize_utrp_frame(
+          n, tolerance, s.alpha, s.comm_budget, s.slack_slots, s.model);
     }
 
     if (k > 1) {
@@ -271,25 +258,19 @@ Admission FleetOrchestrator::submit(InventorySpec spec) {
       // reader answers. The stream derives from (seed, inventory, zone) but
       // NOT the attempt: a retrying reader re-scans the same (f, r) pairs
       // its peers saw, which TRP makes idempotent.
-      const std::pair<std::uint64_t, std::uint64_t> key{
-          n, s.plan.zones[z].tolerance};
-      auto it = fused_solved.find(key);
-      if (it == fused_solved.end()) {
-        it = fused_solved
-                 .emplace(key, math::optimize_fused_trp_frame(
-                                   key.first, key.second, s.alpha,
-                                   s.fusion.sizing(), s.model))
-                 .first;
-      }
-      state.fused_threshold = math::fused_mismatch_threshold(
-          n, it->second.frame_size, s.fusion.sizing());
+      const std::uint32_t frame_size =
+          math::optimize_fused_trp_frame(n, tolerance, s.alpha,
+                                         s.fusion.sizing(), s.model)
+              .frame_size;
+      state.fused_threshold =
+          math::fused_mismatch_threshold(n, frame_size, s.fusion.sizing());
       util::Rng crng(util::derive_seed(
           util::derive_seed(config_.seed, inventory->name_hash, z),
           kChallengeSalt));
       state.challenges.reserve(s.rounds);
       for (std::uint64_t round = 0; round < s.rounds; ++round) {
         state.challenges.push_back(
-            protocol::TrpChallenge{it->second.frame_size, crng()});
+            protocol::TrpChallenge{frame_size, crng()});
       }
       state.reader_attempts.resize(k);
     }

@@ -327,9 +327,9 @@ class FleetOrchestrator {
   FleetOrchestrator(const FleetOrchestrator&) = delete;
   FleetOrchestrator& operator=(const FleetOrchestrator&) = delete;
 
-  /// Admits an inventory (or defers/rejects it under saturation). All
-  /// Eq. (3) solves happen here, sequentially, so worker threads never
-  /// race on the optimizer. Must not be called after run().
+  /// Admits an inventory (or defers/rejects it under saturation). UTRP
+  /// and fused zones are sized here, so an unsatisfiable spec throws before
+  /// any worker runs. Must not be called after run().
   Admission submit(InventorySpec spec);
 
   /// Executes every admitted zone and aggregates. Call once.

@@ -1,22 +1,28 @@
 #include "math/frame_optimizer.h"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
 #include "math/approximation.h"
 #include "math/binomial.h"
+#include "math/plan_memo.h"
 #include "util/expect.h"
 #include "util/log.h"
 
 namespace rfid::math {
 
-TrpPlan optimize_trp_frame(std::uint64_t n, std::uint64_t m, double alpha,
-                           EmptySlotModel model) {
+namespace {
+
+void expect_frame_inputs(std::uint64_t n, std::uint64_t m, double alpha) {
   RFID_EXPECT(n >= 1, "need at least one tag");
   RFID_EXPECT(m + 1 <= n, "tolerance m must satisfy m + 1 <= n");
   RFID_EXPECT(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
+}
 
+TrpPlan solve_trp_frame(std::uint64_t n, std::uint64_t m, double alpha,
+                        EmptySlotModel model) {
   const auto pred = [&](std::uint32_t f) {
     return detection_probability(n, m + 1, f, model) > alpha;
   };
@@ -28,6 +34,43 @@ TrpPlan optimize_trp_frame(std::uint64_t n, std::uint64_t m, double alpha,
   plan.predicted_detection =
       detection_probability(n, m + 1, plan.frame_size, model);
   return plan;
+}
+
+UtrpPlan solve_utrp_frame(std::uint64_t n, std::uint64_t m, double alpha,
+                          std::uint64_t c, std::uint32_t slack_slots,
+                          EmptySlotModel model) {
+  const auto pred = [&](std::uint32_t f) {
+    return utrp_detection_probability(n, m, c, f, model) > alpha;
+  };
+  // UTRP never needs a smaller frame than TRP (the adversary only gains
+  // information relative to TRP), so start the bracket search there.
+  const TrpPlan trp = solve_trp_frame(n, m, alpha, model);
+
+  UtrpPlan plan;
+  plan.optimal_frame = minimal_satisfying_frame(pred, trp.frame_size);
+  plan.frame_size = plan.optimal_frame + slack_slots;
+  plan.predicted_detection =
+      utrp_detection_probability(n, m, c, plan.frame_size, model);
+  plan.expected_cprime =
+      static_cast<double>(c) /
+      empty_slot_probability(n - m - 1, plan.frame_size, model);
+  RFID_ENSURE(plan.predicted_detection > alpha,
+              "slack must not lower the detection probability");
+  return plan;
+}
+
+}  // namespace
+
+TrpPlan optimize_trp_frame(std::uint64_t n, std::uint64_t m, double alpha,
+                           EmptySlotModel model) {
+  expect_frame_inputs(n, m, alpha);
+  return detail::memoized_plan<TrpPlan>(
+      {.kind = detail::PlanKind::kTrp,
+       .model = model,
+       .n = n,
+       .m = m,
+       .alpha_bits = std::bit_cast<std::uint64_t>(alpha)},
+      [&] { return solve_trp_frame(n, m, alpha, model); });
 }
 
 double utrp_detection_probability(std::uint64_t n, std::uint64_t m,
@@ -70,26 +113,16 @@ double utrp_detection_probability(std::uint64_t n, std::uint64_t m,
 UtrpPlan optimize_utrp_frame(std::uint64_t n, std::uint64_t m, double alpha,
                              std::uint64_t c, std::uint32_t slack_slots,
                              EmptySlotModel model) {
-  RFID_EXPECT(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-
-  const auto pred = [&](std::uint32_t f) {
-    return utrp_detection_probability(n, m, c, f, model) > alpha;
-  };
-  // UTRP never needs a smaller frame than TRP (the adversary only gains
-  // information relative to TRP), so start the bracket search there.
-  const TrpPlan trp = optimize_trp_frame(n, m, alpha, model);
-
-  UtrpPlan plan;
-  plan.optimal_frame = minimal_satisfying_frame(pred, trp.frame_size);
-  plan.frame_size = plan.optimal_frame + slack_slots;
-  plan.predicted_detection =
-      utrp_detection_probability(n, m, c, plan.frame_size, model);
-  plan.expected_cprime =
-      static_cast<double>(c) /
-      empty_slot_probability(n - m - 1, plan.frame_size, model);
-  RFID_ENSURE(plan.predicted_detection > alpha,
-              "slack must not lower the detection probability");
-  return plan;
+  expect_frame_inputs(n, m, alpha);
+  return detail::memoized_plan<UtrpPlan>(
+      {.kind = detail::PlanKind::kUtrp,
+       .model = model,
+       .n = n,
+       .m = m,
+       .alpha_bits = std::bit_cast<std::uint64_t>(alpha),
+       .comm_budget = c,
+       .slack_slots = slack_slots},
+      [&] { return solve_utrp_frame(n, m, alpha, c, slack_slots, model); });
 }
 
 }  // namespace rfid::math

@@ -14,8 +14,15 @@
 //   Σ_i Σ_j P(x=i) P(y=j) · g(i+j, i, f−c')  >  α.     (Eq. 3)
 // The paper adds 5–10 slots of slack because the expected-value derivation
 // of c' is slightly optimistic; `slack_slots` reproduces that.
+//
+// A plan depends only on these inputs, so a server sizes each group shape
+// once and reuses f for every challenge: the optimizers here and in
+// fused_detection.h are memoized per process (math/plan_memo.h). A repeated
+// shape returns the exact plan its first solve produced; invalid input
+// throws before the lookup and an unsatisfiable one throws on every call.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 
@@ -60,6 +67,24 @@ inline constexpr std::uint32_t kMaxFrameSize = 1u << 24;
     std::uint64_t n, std::uint64_t m, double alpha, std::uint64_t c,
     std::uint32_t slack_slots = 8,
     EmptySlotModel model = EmptySlotModel::kPoissonApprox);
+
+/// Entry cap of the per-process plan memo. Enrollment passes client-chosen
+/// (n, m, alpha) into the optimizers, so the table is bounded: past the cap
+/// the oldest plan is evicted.
+inline constexpr std::size_t kPlanMemoCapacity = 1024;
+
+/// Counters of the plan memo shared by the three frame optimizers.
+struct PlanMemoStats {
+  std::uint64_t hits = 0;     // calls answered from the memo
+  std::uint64_t misses = 0;   // valid calls that had to solve
+  std::uint64_t entries = 0;  // plans held now, at most kPlanMemoCapacity
+};
+
+[[nodiscard]] PlanMemoStats plan_memo_stats();
+
+/// Empties the memo and zeroes its counters, so the next call of each
+/// shape solves cold (benches time the solve this way).
+void clear_plan_memo();
 
 /// Finds the minimal f in [1, kMaxFrameSize] with pred(f) true, assuming
 /// pred is (effectively) monotone nondecreasing in f: exponential search for

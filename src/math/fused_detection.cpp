@@ -1,10 +1,12 @@
 #include "math/fused_detection.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "math/approximation.h"
 #include "math/binomial.h"
+#include "math/plan_memo.h"
 #include "util/expect.h"
 
 namespace rfid::math {
@@ -96,14 +98,11 @@ double fused_detection_probability(std::uint64_t n, std::uint64_t x,
   return 1.0 - std::clamp(miss, 0.0, 1.0);
 }
 
-TrpPlan optimize_fused_trp_frame(std::uint64_t n, std::uint64_t m, double alpha,
-                                 const FusedSizingParams& params,
-                                 EmptySlotModel model) {
-  RFID_EXPECT(n >= 1, "need at least one tag");
-  RFID_EXPECT(m + 1 <= n, "tolerance m must satisfy m + 1 <= n");
-  RFID_EXPECT(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-  validate(params);
+namespace {
 
+TrpPlan solve_fused_trp_frame(std::uint64_t n, std::uint64_t m, double alpha,
+                              const FusedSizingParams& params,
+                              EmptySlotModel model) {
   const auto pred = [&](std::uint32_t f) {
     return fused_detection_probability(n, m + 1, f, params, model) > alpha;
   };
@@ -115,6 +114,29 @@ TrpPlan optimize_fused_trp_frame(std::uint64_t n, std::uint64_t m, double alpha,
   plan.predicted_detection =
       fused_detection_probability(n, m + 1, plan.frame_size, params, model);
   return plan;
+}
+
+}  // namespace
+
+TrpPlan optimize_fused_trp_frame(std::uint64_t n, std::uint64_t m, double alpha,
+                                 const FusedSizingParams& params,
+                                 EmptySlotModel model) {
+  RFID_EXPECT(n >= 1, "need at least one tag");
+  RFID_EXPECT(m + 1 <= n, "tolerance m must satisfy m + 1 <= n");
+  RFID_EXPECT(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
+  validate(params);
+
+  return detail::memoized_plan<TrpPlan>(
+      {.kind = detail::PlanKind::kFused,
+       .model = model,
+       .n = n,
+       .m = m,
+       .alpha_bits = std::bit_cast<std::uint64_t>(alpha),
+       .readers = params.readers,
+       .assumed_faulty = params.assumed_faulty,
+       .slot_loss_bits = std::bit_cast<std::uint64_t>(params.slot_loss),
+       .alert_budget_bits = std::bit_cast<std::uint64_t>(params.alert_budget)},
+      [&] { return solve_fused_trp_frame(n, m, alpha, params, model); });
 }
 
 }  // namespace rfid::math

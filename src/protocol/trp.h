@@ -41,8 +41,9 @@ struct MonitoringPolicy {
 
 class TrpServer {
  public:
-  /// Enrolls the group: records all IDs and solves Eq. (2) once (n, m, α are
-  /// fixed for the group's lifetime — the set is static per Sec. 3).
+  /// Enrolls the group: records all IDs and sizes the frame by Eq. (2),
+  /// memoized per process (n, m, α are fixed for the group's lifetime — the
+  /// set is static per Sec. 3).
   TrpServer(std::vector<tag::TagId> ids, MonitoringPolicy policy,
             hash::SlotHasher hasher = hash::SlotHasher{});
 

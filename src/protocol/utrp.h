@@ -78,18 +78,19 @@ struct UtrpScanResult {
 
 class UtrpServer {
  public:
-  /// Enrolls the group: snapshots IDs *and* counters, and solves Eq. (3)
-  /// once for the group's (n, m, α) against an adversary with communication
-  /// budget `comm_budget`. `slack_slots` reproduces the paper's 5–10 extra
-  /// slots over the Eq. (3) optimum.
+  /// Enrolls the group: snapshots IDs *and* counters, and sizes the frame
+  /// by Eq. (3) for the group's (n, m, α) against an adversary with
+  /// communication budget `comm_budget` (memoized per process, see
+  /// math/frame_optimizer.h). `slack_slots` reproduces the paper's 5–10
+  /// extra slots over the Eq. (3) optimum.
   UtrpServer(const tag::TagSet& enrolled, MonitoringPolicy policy,
              std::uint64_t comm_budget, std::uint32_t slack_slots = 8,
              hash::SlotHasher hasher = hash::SlotHasher{});
 
   /// Enrolls with a pre-solved Eq. (3) plan. The plan only depends on
-  /// (n, m, alpha, c, slack, model), so Monte-Carlo harnesses that rebuild
-  /// servers for thousands of same-shaped populations should solve once and
-  /// inject — the optimizer costs tens of milliseconds per solve.
+  /// (n, m, alpha, c, slack, model); a caller that must reject an
+  /// unsatisfiable shape before any server exists (the fleet sizes every
+  /// zone at submit, before its workers run) solves first and injects.
   UtrpServer(const tag::TagSet& enrolled, MonitoringPolicy policy,
              std::uint64_t comm_budget, const math::UtrpPlan& plan,
              hash::SlotHasher hasher = hash::SlotHasher{});

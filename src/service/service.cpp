@@ -57,7 +57,9 @@ struct MonitorService::Impl {
     std::uint64_t inflight = 0;
     std::uint64_t next_sequence = 0;
     std::map<std::string, Enrolled> inventories;
-    std::deque<TenantAlert> feed;  // bounded retained backlog
+    // Bounded retained backlog, as encoded kTenantAlert frames: each alert
+    // is encoded once, and Subscribe replays the stored bytes.
+    std::deque<std::vector<std::byte>> feed;
   };
 
   struct PendingRun {
@@ -189,13 +191,18 @@ struct MonitorService::Impl {
     return true;
   }
 
-  template <typename Msg>
-  void send(Conn& c, FrameType type, const Msg& msg) {
-    if (!queue_bytes(c, encode_frame(type, encode(msg)))) return;
+  /// Queues one encoded frame and counts it as sent.
+  void send_frame(Conn& c, std::vector<std::byte> frame) {
+    if (!queue_bytes(c, std::move(frame))) return;
     ++stats.frames_out;
     if (metrics() != nullptr) {
       obs::catalog::service_frames_total(*metrics(), "out").inc();
     }
+  }
+
+  template <typename Msg>
+  void send(Conn& c, FrameType type, const Msg& msg) {
+    send_frame(c, encode_frame(type, encode(msg)));
   }
 
   void send_error(Conn& c, ErrorCode code, std::string message) {
@@ -209,14 +216,16 @@ struct MonitorService::Impl {
   void publish_alert(const std::string& tenant_name, TenantAlert alert) {
     Tenant& tenant = tenants[tenant_name];
     alert.sequence = tenant.next_sequence++;
-    tenant.feed.push_back(alert);
-    while (tenant.feed.size() > config.alert_backlog) tenant.feed.pop_front();
+    std::vector<std::byte> frame =
+        encode_frame(FrameType::kTenantAlert, encode(alert));
     for (const auto& conn : conns) {
       if (conn->subscribed && !conn->closing && !conn->dead &&
           conn->tenant == tenant_name) {
-        send(*conn, FrameType::kTenantAlert, alert);
+        send_frame(*conn, frame);
       }
     }
+    tenant.feed.push_back(std::move(frame));
+    while (tenant.feed.size() > config.alert_backlog) tenant.feed.pop_front();
   }
 
   // -------------------------------------------------------- admission ----
@@ -653,8 +662,8 @@ struct MonitorService::Impl {
             }
           }
           send(c, FrameType::kSubscribeOk, SubscribeOk{tenant.feed.size()});
-          for (const TenantAlert& alert : tenant.feed) {
-            send(c, FrameType::kTenantAlert, alert);
+          for (const std::vector<std::byte>& alert : tenant.feed) {
+            send_frame(c, alert);
           }
           return;
         }

@@ -694,6 +694,26 @@ TEST(FleetOrchestrator, RejectsDuplicateInventoryNames) {
                std::invalid_argument);
 }
 
+TEST(FleetOrchestrator, UnsatisfiableUtrpSpecThrowsFromSubmit) {
+  // Zones are sized at submit, so a budget no frame can beat surfaces here,
+  // on the caller's thread, and again on a retry (failures are not cached).
+  util::Rng rng(113);
+  fleet::FleetOrchestrator orchestrator({.seed = 44, .threads = 2});
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    fleet::InventorySpec spec = make_trp_spec("hopeless", 60, 2, 30, rng);
+    spec.protocol = fleet::Protocol::kUtrp;
+    spec.comm_budget = 1'000'000'000;
+    try {
+      (void)orchestrator.submit(std::move(spec));
+      ADD_FAILURE() << "submit accepted an unsatisfiable UTRP spec";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("frame optimization"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ------------------------------------------------- supervised shutdown ----
 
 TEST(FleetScheduler, WaitIdleForTimesOutWhileWorkIsStuck) {

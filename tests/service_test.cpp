@@ -363,6 +363,80 @@ TEST(ServiceAlerts, WatchPublishesFeedAndSubscriberReplaysBacklog) {
   svc.stop();
 }
 
+TEST(ServiceAlerts, LateSubscriberReplaysTheNewestRetainedAlerts) {
+  ServiceConfig config;
+  config.alert_backlog = 3;
+  MonitorService svc{config};
+  svc.start();
+
+  // One subscriber stays connected throughout and sees every alert live.
+  ServiceClient live(svc.port());
+  live.hello("acme");
+  EXPECT_TRUE(live.subscribe().empty());
+
+  ServiceClient producer(svc.port());
+  producer.hello("acme");
+  const EnrollRequest inventory = small_inventory("cage", 60);
+  producer.enroll(inventory);
+  const std::vector<std::vector<std::uint64_t>> thefts = {
+      {3, 7}, {33, 41, 50}, {1}, {12, 13, 40}, {5, 59}};
+  for (std::size_t i = 0; i < thefts.size(); ++i) {
+    StartRunRequest run;
+    run.inventory = "cage";
+    run.seed = 100 + i;
+    run.identify = true;
+    run.stolen = thefts[i];
+    const service::StartOutcome outcome = producer.start_run(run);
+    ASSERT_TRUE(outcome.admitted.has_value());
+    ASSERT_EQ(producer.await_verdict(outcome.admitted->run_id).verdict.verdict,
+              static_cast<std::uint8_t>(fleet::GlobalVerdict::kViolated));
+  }
+
+  // Every verdict is out, so every alert is published: the late subscriber
+  // is told the backlog is full and gets its newest alert_backlog entries.
+  ServiceClient late(svc.port());
+  late.hello("acme");
+  late.send_frame(service::FrameType::kSubscribe, {});
+  service::Frame frame = late.read_frame();
+  ASSERT_EQ(static_cast<service::FrameType>(frame.type),
+            service::FrameType::kSubscribeOk);
+  ASSERT_EQ(service::decode_subscribe_ok(frame.payload).backlog,
+            config.alert_backlog);
+  std::vector<service::TenantAlert> replay;
+  for (std::uint64_t i = 0; i < config.alert_backlog; ++i) {
+    frame = late.read_frame();
+    ASSERT_EQ(static_cast<service::FrameType>(frame.type),
+              service::FrameType::kTenantAlert);
+    replay.push_back(service::decode_tenant_alert(frame.payload));
+  }
+  const std::uint64_t published = replay.back().sequence + 1;
+  ASSERT_GT(published, config.alert_backlog);  // the backlog overflowed
+
+  std::vector<service::TenantAlert> seen;
+  while (seen.size() < published) {
+    frame = live.read_frame();
+    ASSERT_EQ(static_cast<service::FrameType>(frame.type),
+              service::FrameType::kTenantAlert);
+    seen.push_back(service::decode_tenant_alert(frame.payload));
+    EXPECT_EQ(seen.back().sequence, seen.size() - 1);  // gapless, ordered
+  }
+  const std::size_t first = seen.size() - replay.size();
+  bool named = false;
+  for (std::size_t i = 0; i < replay.size(); ++i) {
+    const service::TenantAlert& want = seen[first + i];
+    EXPECT_EQ(replay[i].sequence, want.sequence);
+    EXPECT_EQ(replay[i].kind, want.kind);
+    EXPECT_EQ(replay[i].run_id, want.run_id);
+    EXPECT_EQ(replay[i].epoch, want.epoch);
+    EXPECT_EQ(replay[i].zone, want.zone);
+    EXPECT_EQ(replay[i].detail, want.detail);
+    EXPECT_EQ(replay[i].missing, want.missing);
+    named = named || !replay[i].missing.empty();
+  }
+  EXPECT_TRUE(named) << "no replayed alert carried identified stolen tags";
+  svc.stop();
+}
+
 TEST(ServiceDurability, JournalDirPersistsWatchJournalsAcrossRestart) {
   const std::filesystem::path root =
       std::filesystem::path(::testing::TempDir()) / "rfidmon_service_journals";
