@@ -114,10 +114,9 @@ std::string_view to_string(AlertKind kind) noexcept {
 }
 
 struct FleetOrchestrator::ZoneState {
-  tag::TagSet enrolled;            // zone slice, counters as enrolled
-  tag::ColumnarTagSet columnar;    // same slice, slot words precomputed once
+  tag::ColumnarTagSet enrolled;    // zone slice as enrolled: the server state
   std::vector<bool> absent;        // zone-local: true = stolen
-  std::vector<tag::Tag> present;   // live tag state across attempts
+  std::vector<tag::Tag> present;   // physical tag state across attempts
   math::UtrpPlan utrp_plan;        // solved once at submit (UTRP only)
   double deadline_us = std::numeric_limits<double>::infinity();
   std::vector<wire::SessionOutcome> attempts_log;
@@ -206,21 +205,21 @@ Admission FleetOrchestrator::submit(InventorySpec spec) {
     wave_zones_[wave] += zone_count;
   }
 
+  // The population is consumed here: each zone keeps it once as server
+  // state (columnar, slot words derived once for every server and retry)
+  // and once as physical state (`present`), and the spec keeps neither.
+  const tag::TagSet population = std::exchange(spec.tags, {});
   auto inventory = std::make_unique<Inventory>();
   inventory->spec = std::move(spec);
   inventory->wave = wave;
   const InventorySpec& s = inventory->spec;
   inventory->name_hash = name_hash_of(s.name);
 
-  // Zone slices (validates that the population matches the plan). The
-  // columnar twin carries the slot words: every zone server (and every
-  // retry) reuses them instead of re-hashing the population per attempt.
-  std::vector<tag::TagSet> slices = server::split_by_plan(s.tags, s.plan);
-  std::vector<tag::ColumnarTagSet> columnar_slices =
-      server::split_columnar_by_plan(tag::ColumnarTagSet::from_tag_set(s.tags),
-                                     s.plan);
+  // Zone slices (validates that the population matches the plan).
+  std::vector<tag::ColumnarTagSet> slices =
+      server::split_columnar_by_plan(population, s.plan);
 
-  std::vector<bool> absent(s.tags.size(), false);
+  std::vector<bool> absent(population.size(), false);
   for (const std::uint64_t idx : s.stolen) {
     absent[static_cast<std::size_t>(idx)] = true;
   }
@@ -234,7 +233,6 @@ Admission FleetOrchestrator::submit(InventorySpec spec) {
   for (std::size_t z = 0; z < slices.size(); ++z) {
     ZoneState& state = inventory->zones[z];
     state.enrolled = std::move(slices[z]);
-    state.columnar = std::move(columnar_slices[z]);
     const std::size_t n = state.enrolled.size();
     state.absent.assign(n, false);
     state.present.reserve(n);
@@ -242,7 +240,7 @@ Admission FleetOrchestrator::submit(InventorySpec spec) {
       if (absent[offset + j]) {
         state.absent[j] = true;
       } else {
-        state.present.push_back(state.enrolled.at(j));
+        state.present.push_back(population.at(offset + j));
       }
     }
     offset += n;
@@ -356,11 +354,8 @@ tag::TagSet FleetOrchestrator::audit_set(const ZoneState& state) const {
   tags.reserve(state.enrolled.size());
   std::size_t cursor = 0;
   for (std::size_t j = 0; j < state.enrolled.size(); ++j) {
-    if (state.absent[j]) {
-      tags.push_back(state.enrolled.at(j));
-    } else {
-      tags.push_back(state.present[cursor++]);
-    }
+    tags.push_back(state.absent[j] ? state.enrolled.tag(j)
+                                   : state.present[cursor++]);
   }
   return tag::TagSet(std::move(tags));
 }
@@ -425,8 +420,7 @@ void FleetOrchestrator::run_zone_attempt_body(std::size_t inv,
                                           s.alpha, s.model};
   wire::SessionOutcome outcome;
   if (s.protocol == Protocol::kTrp) {
-    protocol::TrpServer server(state.columnar, policy);
-    server.set_bulk_mode(s.bulk_mode);
+    protocol::TrpServer server(state.enrolled, policy);
     if (state.reader_dishonest[0]) {
       // The split-attack reader: forge the expected bitstring of the FULL
       // enrolled set — "nothing missing" — instead of scanning.
@@ -444,7 +438,6 @@ void FleetOrchestrator::run_zone_attempt_body(std::size_t inv,
     const tag::TagSet audited = audit_set(state);
     protocol::UtrpServer server(audited, policy, s.comm_budget,
                                 state.utrp_plan);
-    server.set_bulk_mode(s.bulk_mode);
     outcome = wire::run_utrp_session(queue, server,
                                      std::span<tag::Tag>(state.present),
                                      s.rounds, session, rng);
@@ -587,8 +580,7 @@ void FleetOrchestrator::run_reader_attempt_body(std::size_t inv,
 
   const protocol::MonitoringPolicy policy{s.plan.zones[zone].tolerance,
                                           s.alpha, s.model};
-  protocol::TrpServer server(state.columnar, policy);
-  server.set_bulk_mode(s.bulk_mode);
+  protocol::TrpServer server(state.enrolled, policy);
   if (state.reader_dishonest[reader]) {
     session.trp_forge = [&server](const protocol::TrpChallenge& c) {
       return server.expected_bitstring(c);
@@ -628,8 +620,7 @@ void FleetOrchestrator::finalize_fused_zone(std::size_t inv,
 
   const protocol::MonitoringPolicy policy{s.plan.zones[zone].tolerance,
                                           s.alpha, s.model};
-  protocol::TrpServer server(state.columnar, policy);
-  server.set_bulk_mode(s.bulk_mode);
+  protocol::TrpServer server(state.enrolled, policy);
   fusion::TrustTracker tracker(s.fusion);
 
   ZoneReport& report = state.report;
@@ -895,7 +886,7 @@ FleetResult FleetOrchestrator::run() {
           util::derive_seed(config_.seed, inventory->name_hash, z),
           kIdentifySalt));
       protocol::IdentifyResult campaign = identifier->identify(
-          state.columnar.ids(), std::span<const tag::Tag>(state.present),
+          state.enrolled.ids(), std::span<const tag::Tag>(state.present),
           hasher, rng);
       ZoneIdentification& id = state.report.identification;
       id.ran = true;
@@ -928,7 +919,9 @@ FleetResult FleetOrchestrator::run() {
     inv_report.name = inventory->spec.name;
     inv_report.protocol = inventory->spec.protocol;
     inv_report.wave = inventory->wave;
-    inv_report.tags = inventory->spec.tags.size();
+    for (const ZoneState& state : inventory->zones) {
+      inv_report.tags += state.enrolled.size();
+    }
     inv_report.worst_zone_detection =
         inventory->spec.plan.worst_zone_detection;
     for (const server::ZonePlan& zone : inventory->spec.plan.zones) {

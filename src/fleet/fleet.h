@@ -149,9 +149,6 @@ struct FleetConfig {
   const std::atomic<bool>* abort = nullptr;
 };
 
-/// One inventory: a planned population plus everything needed to run its
-/// zones. The spec owns its tags and fault plans; the orchestrator keeps
-/// the spec alive for the whole run.
 /// Identification drill-down policy: after a zone's verdict comes back
 /// kViolated, run a missing-tag identification campaign over that zone's
 /// enrolled slice so the escalation names the stolen tags instead of just
@@ -165,11 +162,17 @@ struct IdentifyDrillConfig {
   protocol::IdentifyConfig config;
 };
 
+/// One inventory: a planned population plus everything needed to run its
+/// zones. The spec owns its tags and fault plans; the orchestrator keeps
+/// the spec alive for the whole run, less the tags, which submit() consumes.
 struct InventorySpec {
   std::string name;  // stable across restarts (keys the journal)
   Protocol protocol = Protocol::kTrp;
   /// The enrolled population, in zone order: zone i covers the next
-  /// plan.zones[i].tags tags (split_by_plan's slicing).
+  /// plan.zones[i].tags tags (split_by_plan's slicing). Consumed by
+  /// FleetOrchestrator::submit(), which moves it out of the spec and keeps
+  /// each zone once as columnar server state and once as the physically
+  /// present tags.
   tag::TagSet tags;
   server::GroupPlan plan;
   /// Global indices into `tags` that are physically absent (stolen).
@@ -180,9 +183,6 @@ struct InventorySpec {
   std::uint64_t comm_budget = 100;
   std::uint32_t slack_slots = 8;
   std::uint64_t rounds = 1;  // monitoring rounds per zone session
-  /// Execution knob (never affects results): zone servers compute expected
-  /// bitstrings with the columnar bulk kernels. Off = scalar per-tag loops.
-  bool bulk_mode = true;
   /// Session template. Observability hooks and the fault plan are
   /// overridden per zone; everything else (links, retry policy, timing,
   /// UTRP deadline) applies to every zone of this inventory.

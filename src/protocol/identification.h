@@ -4,7 +4,7 @@
 // *which* ones — still without any tag ever transmitting its ID. Two family
 // members share one seam:
 //
-//   * kIterative — the original identifier (protocol/identify.h): per round
+//   * kIterative — the original, paper-faithful identifier: per round
 //     a framed challenge (f, r); an expected-occupied slot observed EMPTY
 //     proves its candidate mappers absent, an occupied slot with exactly one
 //     possible replier proves that tag present. Proven-present tags cannot

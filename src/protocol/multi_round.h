@@ -73,11 +73,6 @@ class MultiRoundTrpServer {
   /// per verify(). Pass nullptr to detach.
   void set_metrics(obs::MetricsRegistry* registry);
 
-  /// Bulk execution mode (default on); forwards to the inner TRP server so
-  /// every round's expected bitstring uses the columnar kernel.
-  void set_bulk_mode(bool on) noexcept { single_.set_bulk_mode(on); }
-  [[nodiscard]] bool bulk_mode() const noexcept { return single_.bulk_mode(); }
-
  private:
   TrpServer single_;  // owns ids/hasher; reused for per-round verification
   MultiRoundPlan plan_;

@@ -45,18 +45,11 @@ TrpChallenge TrpServer::issue_challenge(util::Rng& rng) const {
 
 bits::Bitstring TrpServer::expected_bitstring(const TrpChallenge& challenge) const {
   RFID_EXPECT(challenge.frame_size >= 1, "challenge has no slots");
-  if (bulk_) {
-    if (instruments_.bulk_slots != nullptr) {
-      instruments_.bulk_slots->inc(tags_.size());
-    }
-    return tag::bulk_trp_frame(hasher_, tags_.slot_words(), challenge.r,
-                               challenge.frame_size);
+  if (instruments_.bulk_slots != nullptr) {
+    instruments_.bulk_slots->inc(tags_.size());
   }
-  bits::Bitstring bs(challenge.frame_size);
-  for (const tag::TagId& id : tags_.ids()) {
-    bs.set(hasher_.slot(id.slot_word(), challenge.r, challenge.frame_size));
-  }
-  return bs;
+  return tag::bulk_trp_frame(hasher_, tags_.slot_words(), challenge.r,
+                             challenge.frame_size);
 }
 
 Verdict TrpServer::verify(const TrpChallenge& challenge,

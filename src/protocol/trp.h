@@ -71,7 +71,8 @@ class TrpServer {
   [[nodiscard]] TrpChallenge issue_challenge(util::Rng& rng) const;
 
   /// The bitstring an intact set would produce for `challenge` (Sec. 4.1:
-  /// the server can precompute it because slot choice is deterministic).
+  /// the server can precompute it because slot choice is deterministic),
+  /// computed by the fused columnar kernel (tag::bulk_trp_frame).
   [[nodiscard]] bits::Bitstring expected_bitstring(const TrpChallenge& challenge) const;
 
   /// Compares the reader's bitstring against the expectation.
@@ -85,13 +86,6 @@ class TrpServer {
   [[nodiscard]] Verdict verify_with_expected(const TrpChallenge& challenge,
                                              const bits::Bitstring& expected,
                                              const bits::Bitstring& reported) const;
-
-  /// Bulk execution mode (default on): expected bitstrings are computed by
-  /// the fused columnar kernel (tag::bulk_trp_frame) instead of the per-tag
-  /// scalar loop. Both paths are bit-identical — the flag exists so the
-  /// differential battery (tests/columnar_diff_test.cpp) can prove it.
-  void set_bulk_mode(bool on) noexcept { bulk_ = on; }
-  [[nodiscard]] bool bulk_mode() const noexcept { return bulk_; }
 
   /// Attaches an observability registry: issue_challenge/verify start
   /// recording challenge counts, round outcomes, slot totals, and frame
@@ -120,7 +114,6 @@ class TrpServer {
   MonitoringPolicy policy_;
   hash::SlotHasher hasher_;
   math::TrpPlan plan_;
-  bool bulk_ = true;
   Instruments instruments_;
 };
 

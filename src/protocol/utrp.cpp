@@ -178,7 +178,7 @@ UtrpScanResult utrp_scan(std::span<tag::Tag> tags, const hash::SlotHasher& hashe
 UtrpServer::UtrpServer(const tag::TagSet& enrolled, MonitoringPolicy policy,
                        std::uint64_t comm_budget, std::uint32_t slack_slots,
                        hash::SlotHasher hasher)
-    : mirror_(enrolled.tags().begin(), enrolled.tags().end()),
+    : mirror_(tag::ColumnarTagSet::from_tag_set(enrolled)),
       policy_(policy),
       comm_budget_(comm_budget),
       hasher_(hasher) {
@@ -193,7 +193,7 @@ UtrpServer::UtrpServer(const tag::TagSet& enrolled, MonitoringPolicy policy,
 UtrpServer::UtrpServer(const tag::TagSet& enrolled, MonitoringPolicy policy,
                        std::uint64_t comm_budget, const math::UtrpPlan& plan,
                        hash::SlotHasher hasher)
-    : mirror_(enrolled.tags().begin(), enrolled.tags().end()),
+    : mirror_(tag::ColumnarTagSet::from_tag_set(enrolled)),
       policy_(policy),
       comm_budget_(comm_budget),
       hasher_(hasher),
@@ -239,16 +239,12 @@ UtrpChallenge UtrpServer::issue_challenge(util::Rng& rng) const {
 }
 
 bits::Bitstring UtrpServer::expected_bitstring(const UtrpChallenge& challenge) const {
-  if (bulk_) {
-    tag::ColumnarTagSet columnar = tag::ColumnarTagSet::from_tags(mirror_);
-    UtrpScanResult scan = utrp_scan_columnar(columnar, hasher_, challenge);
-    if (instruments_.bulk_slots != nullptr) {
-      instruments_.bulk_slots->inc(scan.slots_hashed);
-    }
-    return std::move(scan.bitstring);
+  tag::ColumnarTagSet copy = mirror_;
+  UtrpScanResult scan = utrp_scan_columnar(copy, hasher_, challenge);
+  if (instruments_.bulk_slots != nullptr) {
+    instruments_.bulk_slots->inc(scan.slots_hashed);
   }
-  std::vector<tag::Tag> copy = mirror_;
-  return utrp_scan(copy, hasher_, challenge).bitstring;
+  return std::move(scan.bitstring);
 }
 
 Verdict UtrpServer::verify(const UtrpChallenge& challenge,
@@ -286,36 +282,19 @@ void UtrpServer::commit_round(const UtrpChallenge& challenge,
     needs_resync_ = true;
     return;
   }
-  if (bulk_) {
-    tag::ColumnarTagSet columnar = tag::ColumnarTagSet::from_tags(mirror_);
-    const UtrpScanResult replay = utrp_scan_columnar(columnar, hasher_, challenge);
-    // Write the advanced counters (and transient silenced flags) back so the
-    // row-oriented mirror stays byte-equal to what the scalar in-place walk
-    // would have produced — mirror(), snapshots, and dump_state never see a
-    // difference between the two modes.
-    for (std::size_t i = 0; i < mirror_.size(); ++i) {
-      tag::Tag t(columnar.id(i), columnar.counter(i));
-      if (columnar.silenced(i)) t.silence();
-      mirror_[i] = t;
-    }
-    if (instruments_.mirror_reseeds != nullptr) {
-      instruments_.mirror_reseeds->inc(replay.reseeds);
-    }
-    if (instruments_.bulk_slots != nullptr) {
-      instruments_.bulk_slots->inc(replay.slots_hashed);
-    }
-    return;
-  }
-  const UtrpScanResult replay = utrp_scan(mirror_, hasher_, challenge);
+  const UtrpScanResult replay = utrp_scan_columnar(mirror_, hasher_, challenge);
   if (instruments_.mirror_reseeds != nullptr) {
     instruments_.mirror_reseeds->inc(replay.reseeds);
+  }
+  if (instruments_.bulk_slots != nullptr) {
+    instruments_.bulk_slots->inc(replay.slots_hashed);
   }
 }
 
 void UtrpServer::resync(const tag::TagSet& audited) {
   RFID_EXPECT(audited.size() == mirror_.size(),
               "audit must cover the enrolled group");
-  mirror_.assign(audited.tags().begin(), audited.tags().end());
+  mirror_ = tag::ColumnarTagSet::from_tag_set(audited);
   needs_resync_ = false;
 }
 

@@ -15,9 +15,12 @@
 //    on-tag counter ct that feeds the slot hash h(id ⊕ r ⊕ ct) mod f, so a
 //    reader cannot rewind and replay the frame to learn reply positions.
 //
-// The walk over one frame is implemented once (utrp_scan) and used by the
-// honest reader on real tags and by the server on its mirrored database —
-// the server tracks each tag's counter, which only advances when queried.
+// The walk over one frame is implemented twice, with identical results:
+// utrp_scan over per-tag state (tag::Tag) is what physical tags do — the
+// honest reader, attacks, wire sessions and identification run it — and
+// utrp_scan_columnar is how the server walks its mirrored database, a
+// tag::ColumnarTagSet of IDs and counters (each counter only advances when
+// its tag is queried).
 //
 // Counter synchronization: after a verified-intact round the real walk was
 // identical to the expected walk, so commit_round() advances the server's
@@ -71,18 +74,18 @@ struct UtrpScanResult {
 /// counters/silenced flags), but the per-reseed reception runs as one bulk
 /// kernel pass (tag::bulk_utrp_receive_seed) over contiguous columns instead
 /// of per-tag calls. Only the ideal channel is offered — this is the
-/// server-side mirror walk; physical reader scans keep the scalar path.
+/// server-side mirror walk; physical reader scans keep the per-tag path.
 [[nodiscard]] UtrpScanResult utrp_scan_columnar(tag::ColumnarTagSet& tags,
                                                 const hash::SlotHasher& hasher,
                                                 const UtrpChallenge& challenge);
 
 class UtrpServer {
  public:
-  /// Enrolls the group: snapshots IDs *and* counters, and sizes the frame
-  /// by Eq. (3) for the group's (n, m, α) against an adversary with
-  /// communication budget `comm_budget` (memoized per process, see
-  /// math/frame_optimizer.h). `slack_slots` reproduces the paper's 5–10
-  /// extra slots over the Eq. (3) optimum.
+  /// Enrolls the group: snapshots IDs *and* counters into the columnar
+  /// mirror, and sizes the frame by Eq. (3) for the group's (n, m, α)
+  /// against an adversary with communication budget `comm_budget`
+  /// (memoized per process, see math/frame_optimizer.h). `slack_slots`
+  /// reproduces the paper's 5–10 extra slots over the Eq. (3) optimum.
   UtrpServer(const tag::TagSet& enrolled, MonitoringPolicy policy,
              std::uint64_t comm_budget, std::uint32_t slack_slots = 8,
              hash::SlotHasher hasher = hash::SlotHasher{});
@@ -105,8 +108,8 @@ class UtrpServer {
   [[nodiscard]] UtrpChallenge issue_challenge(util::Rng& rng) const;
 
   /// The bitstring an honest reader scanning the intact set would return,
-  /// derived from the mirrored database (counters included). Does not
-  /// advance the mirror.
+  /// derived from the mirrored database (counters included) by walking a
+  /// copy of it. Does not advance the mirror.
   [[nodiscard]] bits::Bitstring expected_bitstring(const UtrpChallenge& challenge) const;
 
   /// Compares a returned bitstring against the expectation. `deadline_met`
@@ -116,10 +119,10 @@ class UtrpServer {
                                const bits::Bitstring& reported,
                                bool deadline_met = true) const;
 
-  /// Advances the mirror counters by replaying the expected walk. Call after
-  /// a round whose verdict was intact (the real tags then made exactly the
-  /// same transitions). Calling it after a failed round marks the server as
-  /// needing re-synchronization.
+  /// Advances the mirror counters by replaying the expected walk in place.
+  /// Call after a round whose verdict was intact (the real tags then made
+  /// exactly the same transitions). Calling it after a failed round marks
+  /// the server as needing re-synchronization.
   void commit_round(const UtrpChallenge& challenge, const Verdict& verdict);
 
   /// True once a failed round has left mirror and reality possibly diverged.
@@ -133,16 +136,9 @@ class UtrpServer {
   /// Re-enrolls from a trusted physical audit of the tags (counters copied).
   void resync(const tag::TagSet& audited);
 
-  /// Bulk execution mode (default on): expected_bitstring and commit_round
-  /// run the columnar mirror walk (utrp_scan_columnar) instead of the
-  /// per-tag scalar walk. Bit-identical either way — proven by the
-  /// differential battery in tests/columnar_diff_test.cpp.
-  void set_bulk_mode(bool on) noexcept { bulk_ = on; }
-  [[nodiscard]] bool bulk_mode() const noexcept { return bulk_; }
-
   /// The mirrored database (IDs + counters as the server believes them).
   /// Read-only: exposed so recovery flows can audit counter drift.
-  [[nodiscard]] std::span<const tag::Tag> mirror() const noexcept {
+  [[nodiscard]] const tag::ColumnarTagSet& mirror() const noexcept {
     return mirror_;
   }
 
@@ -167,13 +163,12 @@ class UtrpServer {
     obs::Histogram* frame_size = nullptr;
   };
 
-  std::vector<tag::Tag> mirror_;  // IDs + counters as the server believes them
+  tag::ColumnarTagSet mirror_;  // IDs + counters as the server believes them
   MonitoringPolicy policy_;
   std::uint64_t comm_budget_;
   hash::SlotHasher hasher_;
   math::UtrpPlan plan_;
   bool needs_resync_ = false;
-  bool bulk_ = true;
   Instruments instruments_;
 };
 

@@ -34,7 +34,6 @@
 #include "protocol/air_driver.h"      // IWYU pragma: export
 #include "protocol/collect_all.h"     // IWYU pragma: export
 #include "protocol/identification.h"  // IWYU pragma: export
-#include "protocol/identify.h"        // IWYU pragma: export
 #include "protocol/messages.h"        // IWYU pragma: export
 #include "protocol/multi_round.h"     // IWYU pragma: export
 #include "protocol/provisioning.h"    // IWYU pragma: export

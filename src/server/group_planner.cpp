@@ -59,39 +59,42 @@ GroupPlan plan_groups(const PlannerInput& input) {
   return plan;
 }
 
-std::vector<tag::TagSet> split_by_plan(const tag::TagSet& tags,
-                                       const GroupPlan& plan) {
+namespace {
+
+/// Hands each zone its contiguous subspan of `tags`, in plan order.
+template <typename Zone, typename Make>
+std::vector<Zone> split_spans(const tag::TagSet& tags, const GroupPlan& plan,
+                              Make make) {
   std::uint64_t total = 0;
   for (const ZonePlan& zone : plan.zones) total += zone.tags;
   RFID_EXPECT(tags.size() == total,
               "population size does not match the plan's zone totals");
-  std::vector<tag::TagSet> out;
+  std::vector<Zone> out;
   out.reserve(plan.zones.size());
   const std::span<const tag::Tag> all = tags.tags();
   std::size_t offset = 0;
   for (const ZonePlan& zone : plan.zones) {
-    const std::span<const tag::Tag> slice =
-        all.subspan(offset, static_cast<std::size_t>(zone.tags));
-    out.emplace_back(std::vector<tag::Tag>(slice.begin(), slice.end()));
+    out.push_back(
+        make(all.subspan(offset, static_cast<std::size_t>(zone.tags))));
     offset += static_cast<std::size_t>(zone.tags);
   }
   return out;
 }
 
+}  // namespace
+
+std::vector<tag::TagSet> split_by_plan(const tag::TagSet& tags,
+                                       const GroupPlan& plan) {
+  return split_spans<tag::TagSet>(
+      tags, plan, [](std::span<const tag::Tag> zone) {
+        return tag::TagSet(std::vector<tag::Tag>(zone.begin(), zone.end()));
+      });
+}
+
 std::vector<tag::ColumnarTagSet> split_columnar_by_plan(
-    const tag::ColumnarTagSet& tags, const GroupPlan& plan) {
-  std::uint64_t total = 0;
-  for (const ZonePlan& zone : plan.zones) total += zone.tags;
-  RFID_EXPECT(tags.size() == total,
-              "population size does not match the plan's zone totals");
-  std::vector<tag::ColumnarTagSet> out;
-  out.reserve(plan.zones.size());
-  std::size_t offset = 0;
-  for (const ZonePlan& zone : plan.zones) {
-    out.push_back(tags.slice(offset, static_cast<std::size_t>(zone.tags)));
-    offset += static_cast<std::size_t>(zone.tags);
-  }
-  return out;
+    const tag::TagSet& tags, const GroupPlan& plan) {
+  return split_spans<tag::ColumnarTagSet>(tags, plan,
+                                          &tag::ColumnarTagSet::from_tags);
 }
 
 }  // namespace rfid::server

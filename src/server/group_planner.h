@@ -66,11 +66,11 @@ struct GroupPlan {
 [[nodiscard]] std::vector<tag::TagSet> split_by_plan(const tag::TagSet& tags,
                                                      const GroupPlan& plan);
 
-/// The columnar twin of split_by_plan: contiguous column slices, one per
-/// zone, with the precomputed slot words carried over instead of re-derived.
-/// This is the handoff the fleet uses to seed per-zone TrpServers without a
-/// per-tag AoS round trip.
+/// The columnar twin of split_by_plan: each zone is columnarized straight
+/// from its subspan of `tags` (slot words derived once, here), with no
+/// whole-population columnar copy in between. This is the handoff the fleet
+/// uses to hold each zone's server-side state.
 [[nodiscard]] std::vector<tag::ColumnarTagSet> split_columnar_by_plan(
-    const tag::ColumnarTagSet& tags, const GroupPlan& plan);
+    const tag::TagSet& tags, const GroupPlan& plan);
 
 }  // namespace rfid::server

@@ -42,8 +42,6 @@ GroupId InventoryServer::enroll(const tag::TagSet& tags, GroupConfig config) {
     groups_.push_back(Group{std::move(config), std::move(engine), 0});
   }
   Group& g = groups_.back();
-  std::visit([&](auto& engine) { engine.set_bulk_mode(g.config.bulk_mode); },
-             g.engine);
   if (metrics_ != nullptr) {
     std::visit([&](auto& engine) { engine.set_metrics(metrics_); }, g.engine);
     obs::catalog::groups_enrolled_total(*metrics_,
@@ -67,8 +65,6 @@ void InventoryServer::re_enroll(GroupId id, const tag::TagSet& tags,
   g.rounds = 0;
   g.active = true;
   invalidate_expected(id);
-  std::visit([&](auto& engine) { engine.set_bulk_mode(g.config.bulk_mode); },
-             g.engine);
   if (metrics_ != nullptr) {
     std::visit([&](auto& engine) { engine.set_metrics(metrics_); }, g.engine);
     obs::catalog::groups_enrolled_total(*metrics_,
@@ -229,8 +225,7 @@ tag::TagSet InventoryServer::utrp_mirror(GroupId id) const {
   const Group& g = group(id);
   const auto* utrp = std::get_if<protocol::UtrpServer>(&g.engine);
   RFID_EXPECT(utrp != nullptr, "only UTRP groups carry a mirror");
-  const std::span<const tag::Tag> mirror = utrp->mirror();
-  return tag::TagSet(std::vector<tag::Tag>(mirror.begin(), mirror.end()));
+  return utrp->mirror().to_tag_set();
 }
 
 tag::TagSet InventoryServer::group_tags(GroupId id) const {

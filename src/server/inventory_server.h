@@ -36,10 +36,6 @@ struct GroupConfig {
   ProtocolKind protocol = ProtocolKind::kTrp;
   std::uint64_t comm_budget = 20;  // UTRP: adversary communication budget c
   std::uint32_t slack_slots = 8;   // UTRP: extra slots over the Eq. (3) optimum
-  /// Execution knob, not protocol state (never persisted): run the group's
-  /// engine through the columnar bulk kernels. Off = scalar per-tag loops,
-  /// bit-identical output (tests/columnar_diff_test.cpp).
-  bool bulk_mode = true;
 };
 
 /// Opaque handle to an enrolled group.

@@ -312,40 +312,17 @@ ColumnarTagSet ColumnarTagSet::from_ids(std::span<const TagId> ids) {
   return out;
 }
 
+Tag ColumnarTagSet::tag(std::size_t i) const {
+  Tag t(ids_[i], counters_[i]);
+  if (silenced(i)) t.silence();
+  return t;
+}
+
 TagSet ColumnarTagSet::to_tag_set() const {
   std::vector<Tag> tags;
   tags.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    Tag t(ids_[i], counters_[i]);
-    if (silenced(i)) t.silence();
-    tags.push_back(t);
-  }
+  for (std::size_t i = 0; i < size(); ++i) tags.push_back(tag(i));
   return TagSet(std::move(tags));
-}
-
-std::size_t ColumnarTagSet::silenced_count() const noexcept {
-  std::size_t total = 0;
-  for (const auto w : silenced_) {
-    total += static_cast<std::size_t>(std::popcount(w));
-  }
-  return total;
-}
-
-ColumnarTagSet ColumnarTagSet::slice(std::size_t first, std::size_t count) const {
-  RFID_EXPECT(first + count <= size(), "columnar slice out of range");
-  ColumnarTagSet out;
-  out.ids_.assign(ids_.begin() + static_cast<std::ptrdiff_t>(first),
-                  ids_.begin() + static_cast<std::ptrdiff_t>(first + count));
-  out.slot_words_.assign(
-      slot_words_.begin() + static_cast<std::ptrdiff_t>(first),
-      slot_words_.begin() + static_cast<std::ptrdiff_t>(first + count));
-  out.counters_.assign(counters_.begin() + static_cast<std::ptrdiff_t>(first),
-                       counters_.begin() + static_cast<std::ptrdiff_t>(first + count));
-  out.silenced_.assign(bitmap_words(count), 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (silenced(first + i)) out.silenced_[i / 64] |= std::uint64_t{1} << (i % 64);
-  }
-  return out;
 }
 
 void bulk_trp_slots(const hash::SlotHasher& hasher,
@@ -394,16 +371,6 @@ void bulk_utrp_receive_seed(const hash::SlotHasher& hasher, ColumnarTagSet& tags
       }
     }
   });
-}
-
-void bulk_fill_frame(std::span<const std::uint32_t> slots,
-                     bits::Bitstring& frame) {
-  const std::size_t f = frame.size();
-  const std::span<std::uint64_t> words = frame.words();
-  for (const std::uint32_t slot : slots) {
-    RFID_EXPECT(slot < f, "slot choice outside frame");
-    words[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-  }
 }
 
 bits::Bitstring bulk_trp_frame(const hash::SlotHasher& hasher,

@@ -1,12 +1,16 @@
-// ColumnarTagSet: the struct-of-arrays twin of tag::TagSet, plus the bulk
-// kernels that make million-tag populations practical.
+// ColumnarTagSet: the server's tag representation — the struct-of-arrays
+// twin of tag::TagSet — plus the bulk kernels that make million-tag
+// populations practical.
 //
 // The object model (tag::Tag) is the right shape for the paper's per-tag
-// state machine, but its hot loops — computing h(id ⊕ r) mod f over a whole
-// population, advancing UTRP counters on a re-seed, scattering slot picks
-// into a frame bitstring — pay a 32-byte stride, a per-call hash-kind
-// switch, and a non-inlined Bitstring::set per tag. At the ROADMAP's
-// million-tag target that overhead dominates the actual hashing.
+// state machine, and it stays the model of physical tags (readers, attacks,
+// wire sessions, identification). But its hot loops — computing
+// h(id ⊕ r) mod f over a whole population, advancing UTRP counters on a
+// re-seed, scattering slot picks into a frame bitstring — pay a 32-byte
+// stride, a per-call hash-kind switch, and a non-inlined Bitstring::set per
+// tag. At the ROADMAP's million-tag target that overhead dominates the
+// actual hashing, so every server-side database (TRP enrollment, the UTRP
+// counter mirror, the fleet's per-zone state) is held in this form.
 //
 // ColumnarTagSet stores the same state as contiguous columns:
 //   * ids        — the full 96-bit TagIds (identity; round-trip fidelity),
@@ -18,10 +22,11 @@
 // The bulk kernels below hoist the hash-kind dispatch out of the loop
 // (one switch per call, not per tag), stream the 8-byte slot_word column,
 // and accumulate frame bitstrings with branchless 64-bit word ORs. They are
-// exact drop-ins: every kernel computes bit-identical results to the scalar
+// exact drop-ins: every kernel computes bit-identical results to the per-tag
 // Tag::trp_slot / Tag::utrp_receive_seed / Bitstring::set paths — pinned by
 // tests/columnar_test.cpp (element-wise equivalence) and
-// tests/columnar_diff_test.cpp (whole-session equivalence).
+// tests/columnar_diff_test.cpp (the server engines against a per-tag
+// oracle).
 //
 // Conversion is lossless both ways: TagSet -> ColumnarTagSet -> TagSet
 // preserves ids, counters, and silenced flags for any population.
@@ -82,6 +87,8 @@ class ColumnarTagSet {
   [[nodiscard]] bool silenced(std::size_t i) const {
     return (silenced_[i / 64] >> (i % 64)) & 1U;
   }
+  /// Tag i as a per-tag object (id, counter, silenced flag).
+  [[nodiscard]] Tag tag(std::size_t i) const;
 
   void silence(std::size_t i) { silenced_[i / 64] |= std::uint64_t{1} << (i % 64); }
 
@@ -90,14 +97,6 @@ class ColumnarTagSet {
   void begin_round() noexcept {
     for (auto& w : silenced_) w = 0;
   }
-
-  /// Number of tags currently silenced (popcount over the bitmap).
-  [[nodiscard]] std::size_t silenced_count() const noexcept;
-
-  /// Contiguous sub-population [first, first + count) — how the group
-  /// planner hands per-zone columnar slices to the fleet (split_by_plan's
-  /// slicing, without re-deriving slot words per zone).
-  [[nodiscard]] ColumnarTagSet slice(std::size_t first, std::size_t count) const;
 
  private:
   std::vector<TagId> ids_;
@@ -127,12 +126,6 @@ void bulk_trp_slots(const hash::SlotHasher& hasher,
 void bulk_utrp_receive_seed(const hash::SlotHasher& hasher, ColumnarTagSet& tags,
                             std::uint64_t r, std::uint32_t frame_size,
                             std::span<std::uint32_t> out);
-
-/// Scatters slot picks into `frame` (1 = slot occupied) using direct 64-bit
-/// word ORs — no per-bit bounds-checked call. Every slot must be
-/// < frame.size(); `frame` is OR-accumulated, not cleared.
-void bulk_fill_frame(std::span<const std::uint32_t> slots,
-                     bits::Bitstring& frame);
 
 /// Fused hash + scatter: the bitstring an intact population produces for a
 /// TRP challenge (f, r), without materializing the slot array. This is the

@@ -1,21 +1,31 @@
-// The scalar-vs-bulk differential battery: every observable artifact of a
-// monitoring run — expected bitstrings, verdicts, wire SessionOutcomes,
-// dump_state() fingerprints, Prometheus exposition — must be bit-identical
-// with bulk execution on and off, across a grid of population sizes
-// (straddling the 64-tag bitmap word, up to 10^5), protocols (TRP, UTRP,
-// multi-round), seeds, and fault scripts.
+// The oracle battery: the columnar server engines — the only server-side
+// tag representation — checked against the per-tag state machine.
 //
-// One deliberate exception: the rfidmon_bulk_slots_total family counts work
-// done BY the bulk kernels, so it necessarily differs between modes; the
-// exposition comparison strips rfidmon_bulk_ lines and keeps everything
-// else (including the expected-cache counters, which are mode-independent).
+// Engine cases run a test-side oracle live next to each server, across a
+// grid of population sizes (straddling the 64-tag bitmap word, up to 10^5)
+// and seeds:
+//   * TRP: the per-tag slot loop, one SlotHasher::slot per enrolled id;
+//   * UTRP: protocol::utrp_scan over a std::vector<tag::Tag> mirror, with
+//     every server mirror entry (id, counter, silenced) compared against it
+//     after each commit_round;
+//   * multi-round: campaign verdicts recomputed from the TRP oracle.
+//
+// Larger cases — wire sessions under noisy fault scripts, a 10^5-tag
+// session, and a full InventoryServer operation script fingerprinted after
+// every step (dump_state() plus the Prometheus exposition, the
+// rfidmon_bulk_slots_total series included) — are pinned to fingerprints
+// recorded while the per-tag and columnar server paths both existed and
+// agreed bit for bit.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "fault/fault.h"
+#include "hash/fnv.h"
 #include "obs/expose.h"
 #include "obs/metrics.h"
 #include "protocol/multi_round.h"
@@ -37,17 +47,6 @@ const std::size_t kGrid[] = {1, 2, 63, 64, 65, 1000, 100000};
 /// Tolerance scaled so Eq. (2) frames stay sane across the whole grid.
 std::uint64_t tolerance_for(std::size_t n) { return n < 10 ? 0 : n / 10; }
 
-std::string strip_bulk_families(const std::string& exposition) {
-  std::istringstream in(exposition);
-  std::string line, out;
-  while (std::getline(in, line)) {
-    if (line.find("rfidmon_bulk_") != std::string::npos) continue;
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
-
 void expect_verdicts_equal(const protocol::Verdict& a,
                            const protocol::Verdict& b) {
   EXPECT_EQ(a.intact, b.intact);
@@ -58,32 +57,104 @@ void expect_verdicts_equal(const protocol::Verdict& a,
   EXPECT_EQ(a.deadline_met, b.deadline_met);
 }
 
-void expect_outcomes_equal(const wire::SessionOutcome& a,
-                           const wire::SessionOutcome& b) {
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.failure, b.failure);
-  EXPECT_EQ(a.rounds_completed, b.rounds_completed);
-  ASSERT_EQ(a.round_failures.size(), b.round_failures.size());
-  for (std::size_t i = 0; i < a.round_failures.size(); ++i) {
-    EXPECT_EQ(a.round_failures[i].round, b.round_failures[i].round);
-    EXPECT_EQ(a.round_failures[i].reason, b.round_failures[i].reason);
+// ------------------------------------------------------------- oracles ----
+
+/// TRP expected bitstring, one tag at a time.
+bits::Bitstring oracle_trp_expected(std::span<const tag::TagId> ids,
+                                    const hash::SlotHasher& hasher,
+                                    const protocol::TrpChallenge& challenge) {
+  bits::Bitstring bs(challenge.frame_size);
+  for (const tag::TagId& id : ids) {
+    bs.set(hasher.slot(id.slot_word(), challenge.r, challenge.frame_size));
   }
-  ASSERT_EQ(a.verdicts.size(), b.verdicts.size());
-  for (std::size_t i = 0; i < a.verdicts.size(); ++i) {
-    expect_verdicts_equal(a.verdicts[i], b.verdicts[i]);
+  return bs;
+}
+
+protocol::Verdict oracle_verdict(const bits::Bitstring& expected,
+                                 const bits::Bitstring& reported,
+                                 bool deadline_met = true) {
+  protocol::Verdict verdict;
+  verdict.deadline_met = deadline_met;
+  verdict.mismatched_slots = expected.hamming_distance(reported);
+  verdict.intact = deadline_met && verdict.mismatched_slots == 0;
+  if (verdict.mismatched_slots != 0) {
+    verdict.first_mismatch_slot = *expected.first_difference(reported);
   }
-  ASSERT_EQ(a.reported.size(), b.reported.size());
-  for (std::size_t i = 0; i < a.reported.size(); ++i) {
-    EXPECT_EQ(a.reported[i], b.reported[i]);
+  return verdict;
+}
+
+/// The UTRP server as the per-tag state machine: a row-oriented mirror that
+/// expected() walks on a copy and commit() walks in place.
+struct UtrpOracle {
+  std::vector<tag::Tag> mirror;
+  hash::SlotHasher hasher;
+  bool needs_resync = false;
+
+  [[nodiscard]] bits::Bitstring expected(
+      const protocol::UtrpChallenge& challenge) const {
+    std::vector<tag::Tag> copy = mirror;
+    return protocol::utrp_scan(copy, hasher, challenge).bitstring;
   }
-  EXPECT_EQ(a.frames_sent, b.frames_sent);
-  EXPECT_EQ(a.frames_dropped, b.frames_dropped);
-  EXPECT_EQ(a.retransmissions, b.retransmissions);
-  EXPECT_EQ(a.finished_at_us, b.finished_at_us);
-  EXPECT_EQ(a.corrupt_frames_dropped, b.corrupt_frames_dropped);
-  EXPECT_EQ(a.burst_frames_dropped, b.burst_frames_dropped);
-  EXPECT_EQ(a.frames_duplicated, b.frames_duplicated);
-  EXPECT_EQ(a.reader_crashes, b.reader_crashes);
+
+  void commit(const protocol::UtrpChallenge& challenge,
+              const protocol::Verdict& verdict) {
+    if (!verdict.intact) {
+      needs_resync = true;
+      return;
+    }
+    (void)protocol::utrp_scan(mirror, hasher, challenge);
+  }
+};
+
+void expect_mirror_matches(const protocol::UtrpServer& server,
+                           const UtrpOracle& oracle, std::size_t n) {
+  ASSERT_EQ(server.needs_resync(), oracle.needs_resync) << "n=" << n;
+  const tag::ColumnarTagSet& mirror = server.mirror();
+  ASSERT_EQ(mirror.size(), oracle.mirror.size());
+  for (std::size_t i = 0; i < mirror.size(); ++i) {
+    ASSERT_EQ(mirror.id(i), oracle.mirror[i].id()) << "n=" << n << " i=" << i;
+    ASSERT_EQ(mirror.counter(i), oracle.mirror[i].counter())
+        << "n=" << n << " i=" << i;
+    ASSERT_EQ(mirror.silenced(i), oracle.mirror[i].silenced())
+        << "n=" << n << " i=" << i;
+  }
+}
+
+// -------------------------------------------------------- fingerprints ----
+
+std::string fingerprint(const std::string& text) {
+  const std::uint64_t h =
+      hash::fnv1a64(std::as_bytes(std::span(text.data(), text.size())));
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+/// Every observable field of a session outcome, exactly (finished_at_us in
+/// hexfloat so the fingerprint pins the double bit for bit).
+std::string render(const wire::SessionOutcome& o) {
+  std::ostringstream out;
+  out << "completed " << o.completed << " failure "
+      << static_cast<int>(o.failure) << " rounds " << o.rounds_completed
+      << '\n';
+  for (const wire::RoundFailure& f : o.round_failures) {
+    out << "round_failure " << f.round << ' ' << static_cast<int>(f.reason)
+        << '\n';
+  }
+  for (const protocol::Verdict& v : o.verdicts) {
+    out << "verdict " << v.intact << ' ' << v.mismatched_slots << ' '
+        << v.first_mismatch_slot << ' ' << v.deadline_met << '\n';
+  }
+  for (const bits::Bitstring& b : o.reported) {
+    out << "reported " << b.size() << ' ' << b.to_hex() << '\n';
+  }
+  out << "frames " << o.frames_sent << ' ' << o.frames_dropped << ' '
+      << o.retransmissions << " finished " << std::hexfloat
+      << o.finished_at_us << std::defaultfloat << " faults "
+      << o.corrupt_frames_dropped << ' ' << o.burst_frames_dropped << ' '
+      << o.frames_duplicated << ' ' << o.frames_reordered << ' '
+      << o.reader_crashes << '\n';
+  return out.str();
 }
 
 // ----------------------------------------------------- protocol engines ----
@@ -92,26 +163,25 @@ TEST(ColumnarDiff, TrpServerBitIdenticalAcrossGrid) {
   for (const std::size_t n : kGrid) {
     util::Rng rng(util::derive_seed(100, n));
     const tag::TagSet set = tag::TagSet::make_random(n, rng);
+    const std::vector<tag::TagId> ids = set.ids();
     const protocol::MonitoringPolicy policy{tolerance_for(n), 0.9};
-    protocol::TrpServer bulk(set.ids(), policy);
-    protocol::TrpServer scalar(set.ids(), policy);
-    scalar.set_bulk_mode(false);
-    ASSERT_TRUE(bulk.bulk_mode());
-    ASSERT_FALSE(scalar.bulk_mode());
+    const protocol::TrpServer server(ids, policy);
+    const hash::SlotHasher hasher;
 
     for (int round = 0; round < 3; ++round) {
-      const protocol::TrpChallenge c = bulk.issue_challenge(rng);
-      const bits::Bitstring eb = bulk.expected_bitstring(c);
-      const bits::Bitstring es = scalar.expected_bitstring(c);
-      ASSERT_EQ(eb, es) << "n=" << n << " round=" << round;
+      const protocol::TrpChallenge c = server.issue_challenge(rng);
+      const bits::Bitstring expected = server.expected_bitstring(c);
+      const bits::Bitstring oracle = oracle_trp_expected(ids, hasher, c);
+      ASSERT_EQ(expected, oracle) << "n=" << n << " round=" << round;
 
       // Honest report, then a perturbed one: verdicts must agree bit for
       // bit, including the first-mismatch slot.
-      expect_verdicts_equal(bulk.verify(c, eb), scalar.verify(c, eb));
-      bits::Bitstring perturbed = eb;
+      expect_verdicts_equal(server.verify(c, oracle),
+                            oracle_verdict(oracle, oracle));
+      bits::Bitstring perturbed = oracle;
       perturbed.set(c.frame_size / 2, !perturbed.test(c.frame_size / 2));
-      expect_verdicts_equal(bulk.verify(c, perturbed),
-                            scalar.verify(c, perturbed));
+      expect_verdicts_equal(server.verify(c, perturbed),
+                            oracle_verdict(oracle, perturbed));
     }
   }
 }
@@ -125,67 +195,75 @@ TEST(ColumnarDiff, UtrpServerBitIdenticalWithCommits) {
     util::Rng rng(util::derive_seed(200, n));
     const tag::TagSet set = tag::TagSet::make_random(n, rng);
     const protocol::MonitoringPolicy policy{tolerance_for(n), 0.9};
-    protocol::UtrpServer bulk(set, policy, 20);
-    protocol::UtrpServer scalar(set, policy, 20);
-    scalar.set_bulk_mode(false);
+    protocol::UtrpServer server(set, policy, 20);
+    UtrpOracle oracle{{set.tags().begin(), set.tags().end()},
+                      hash::SlotHasher{}, false};
+    expect_mirror_matches(server, oracle, n);
 
-    tag::TagSet present_bulk = set;
-    tag::TagSet present_scalar = set;
+    tag::TagSet present = set;
     const protocol::UtrpReader reader;
     for (int round = 0; round < 3; ++round) {
-      const protocol::UtrpChallenge c = bulk.issue_challenge(rng);
-      ASSERT_EQ(bulk.expected_bitstring(c), scalar.expected_bitstring(c))
+      const protocol::UtrpChallenge c = server.issue_challenge(rng);
+      const bits::Bitstring expected = oracle.expected(c);
+      ASSERT_EQ(server.expected_bitstring(c), expected)
           << "n=" << n << " round=" << round;
 
-      const auto scan_b = reader.scan(present_bulk.tags(), c);
-      const auto scan_s = reader.scan(present_scalar.tags(), c);
-      ASSERT_EQ(scan_b.bitstring, scan_s.bitstring);
-
-      const protocol::Verdict vb = bulk.verify(c, scan_b.bitstring);
-      const protocol::Verdict vs = scalar.verify(c, scan_s.bitstring);
-      expect_verdicts_equal(vb, vs);
+      const auto scan = reader.scan(present.tags(), c);
+      ASSERT_EQ(scan.bitstring, expected);
+      const protocol::Verdict verdict = server.verify(c, scan.bitstring);
+      expect_verdicts_equal(verdict, oracle_verdict(expected, scan.bitstring));
       // Commit advances the mirror counters: after this the NEXT round's
       // expectation depends on the walk having replayed identically.
-      bulk.commit_round(c, vb);
-      scalar.commit_round(c, vs);
-      ASSERT_EQ(bulk.needs_resync(), scalar.needs_resync());
-      const auto mb = bulk.mirror();
-      const auto ms = scalar.mirror();
-      ASSERT_EQ(mb.size(), ms.size());
-      for (std::size_t i = 0; i < mb.size(); ++i) {
-        ASSERT_EQ(mb[i].id(), ms[i].id()) << "n=" << n << " i=" << i;
-        ASSERT_EQ(mb[i].counter(), ms[i].counter());
-        ASSERT_EQ(mb[i].silenced(), ms[i].silenced());
-      }
-      present_bulk.begin_round();
-      present_scalar.begin_round();
+      server.commit_round(c, verdict);
+      oracle.commit(c, verdict);
+      expect_mirror_matches(server, oracle, n);
+      present.begin_round();
     }
+
+    // A tampered round: the verdict fails, the commit leaves the mirror
+    // untouched, and both sides flag the divergence.
+    const protocol::UtrpChallenge c = server.issue_challenge(rng);
+    bits::Bitstring tampered = oracle.expected(c);
+    tampered.set(0, !tampered.test(0));
+    const protocol::Verdict verdict = server.verify(c, tampered);
+    expect_verdicts_equal(verdict, oracle_verdict(oracle.expected(c), tampered));
+    server.commit_round(c, verdict);
+    oracle.commit(c, verdict);
+    expect_mirror_matches(server, oracle, n);
+    EXPECT_TRUE(server.needs_resync());
   }
 }
 
 TEST(ColumnarDiff, MultiRoundCampaignsBitIdentical) {
   for (const std::size_t n : {std::size_t{100}, std::size_t{1000}}) {
-    util::Rng rng_a(util::derive_seed(300, n));
-    util::Rng rng_b(util::derive_seed(300, n));
-    tag::TagSet set = tag::TagSet::make_random(n, rng_a);
-    (void)tag::TagSet::make_random(n, rng_b);  // keep the streams aligned
+    util::Rng rng(util::derive_seed(300, n));
+    tag::TagSet set = tag::TagSet::make_random(n, rng);
+    const std::vector<tag::TagId> ids = set.ids();
     const protocol::MonitoringPolicy policy{0, 0.99};
-    protocol::MultiRoundTrpServer bulk(set.ids(), policy, 4);
-    protocol::MultiRoundTrpServer scalar(set.ids(), policy, 4);
-    scalar.set_bulk_mode(false);
-    ASSERT_FALSE(scalar.bulk_mode());
+    const protocol::MultiRoundTrpServer server(ids, policy, 4);
 
-    const tag::TagSet stolen = set.steal_random(1, rng_a);
-    (void)rng_b();  // steal_random consumed rng_a; realign
-    const auto challenges_a = bulk.issue_challenges(rng_a);
+    const tag::TagSet stolen = set.steal_random(1, rng);
+    const auto challenges = server.issue_challenges(rng);
 
     const protocol::TrpReader reader;
     std::vector<bits::Bitstring> reported;
-    for (const auto& c : challenges_a) {
-      reported.push_back(reader.scan(set.tags(), c, rng_a));
+    for (const auto& c : challenges) {
+      reported.push_back(reader.scan(set.tags(), c, rng));
     }
-    expect_verdicts_equal(bulk.verify(challenges_a, reported),
-                          scalar.verify(challenges_a, reported));
+    // The oracle campaign: intact only if every round matches; otherwise
+    // the first failing round describes the verdict.
+    protocol::Verdict want;
+    want.intact = true;
+    const hash::SlotHasher hasher;
+    for (std::size_t k = 0; k < challenges.size(); ++k) {
+      const bits::Bitstring expected =
+          oracle_trp_expected(ids, hasher, challenges[k]);
+      if (expected != reported[k]) {
+        want = oracle_verdict(expected, reported[k]);
+        break;
+      }
+    }
+    expect_verdicts_equal(server.verify(challenges, reported), want);
   }
 }
 
@@ -202,58 +280,64 @@ fault::FaultPlan noisy_plan(std::uint64_t seed) {
   return plan;
 }
 
-TEST(ColumnarDiff, TrpWireSessionsMatchUnderFaults) {
-  for (const std::size_t n : {std::size_t{1}, std::size_t{63},
-                              std::size_t{65}, std::size_t{1000}}) {
-    for (const bool faulty : {false, true}) {
-      const fault::FaultPlan plan = noisy_plan(util::derive_seed(7, n));
-      util::Rng rng_theft(util::derive_seed(400, n));
-      tag::TagSet set = tag::TagSet::make_random(n, rng_theft);
-      if (n > 10) (void)set.steal_random(2, rng_theft);
+struct PinnedSession {
+  std::size_t n;
+  bool faulty;
+  const char* fingerprint;
+};
 
-      wire::SessionOutcome outcomes[2];
-      for (const bool bulk_on : {true, false}) {
-        protocol::TrpServer server(set.ids(),
-                                   {tolerance_for(n), 0.9});
-        server.set_bulk_mode(bulk_on);
-        wire::SessionConfig session;
-        session.uplink.drop_prob = 0.1;
-        session.downlink.drop_prob = 0.1;
-        if (faulty) session.faults = &plan;
-        sim::EventQueue queue;
-        util::Rng rng(util::derive_seed(500, n));
-        outcomes[bulk_on ? 0 : 1] = wire::run_trp_session(
-            queue, server, set.tags(), 3, session, rng);
-      }
-      expect_outcomes_equal(outcomes[0], outcomes[1]);
-    }
+TEST(ColumnarDiff, TrpWireSessionsMatchUnderFaults) {
+  const PinnedSession pins[] = {
+      {1, false, "158d996b3b12b70b"},    {1, true, "874736c1f7e79273"},
+      {63, false, "9553d52c21a15542"},   {63, true, "dc78528a7e3d9098"},
+      {65, false, "77803e69bb2ae13b"},   {65, true, "58e430a23c3eb756"},
+      {1000, false, "e1cd74858da2c985"}, {1000, true, "cf40e41e1ca56edb"},
+  };
+  for (const PinnedSession& pin : pins) {
+    const std::size_t n = pin.n;
+    const fault::FaultPlan plan = noisy_plan(util::derive_seed(7, n));
+    util::Rng rng_theft(util::derive_seed(400, n));
+    tag::TagSet set = tag::TagSet::make_random(n, rng_theft);
+    if (n > 10) (void)set.steal_random(2, rng_theft);
+
+    const protocol::TrpServer server(set.ids(), {tolerance_for(n), 0.9});
+    wire::SessionConfig session;
+    session.uplink.drop_prob = 0.1;
+    session.downlink.drop_prob = 0.1;
+    if (pin.faulty) session.faults = &plan;
+    sim::EventQueue queue;
+    util::Rng rng(util::derive_seed(500, n));
+    const wire::SessionOutcome outcome =
+        wire::run_trp_session(queue, server, set.tags(), 3, session, rng);
+    EXPECT_EQ(fingerprint(render(outcome)), pin.fingerprint)
+        << "n=" << n << " faulty=" << pin.faulty;
   }
 }
 
 TEST(ColumnarDiff, UtrpWireSessionsMatchUnderFaults) {
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{64}, std::size_t{1000}}) {
-    for (const bool faulty : {false, true}) {
-      const fault::FaultPlan plan = noisy_plan(util::derive_seed(8, n));
-      util::Rng rng_make(util::derive_seed(600, n));
-      const tag::TagSet set = tag::TagSet::make_random(n, rng_make);
+  const PinnedSession pins[] = {
+      {1, false, "c06e51db96a002a8"},    {1, true, "c83dd436931bf4e8"},
+      {64, false, "1c68cc4c8f904784"},   {64, true, "e79bbc56207e7fe1"},
+      {1000, false, "7f0b212f425f24ce"}, {1000, true, "ceb0188d81791b99"},
+  };
+  for (const PinnedSession& pin : pins) {
+    const std::size_t n = pin.n;
+    const fault::FaultPlan plan = noisy_plan(util::derive_seed(8, n));
+    util::Rng rng_make(util::derive_seed(600, n));
+    const tag::TagSet set = tag::TagSet::make_random(n, rng_make);
 
-      wire::SessionOutcome outcomes[2];
-      for (const bool bulk_on : {true, false}) {
-        protocol::UtrpServer server(set, {tolerance_for(n), 0.9}, 20);
-        server.set_bulk_mode(bulk_on);
-        tag::TagSet present = set;  // sessions mutate counters
-        wire::SessionConfig session;
-        session.uplink.drop_prob = 0.05;
-        session.downlink.drop_prob = 0.05;
-        if (faulty) session.faults = &plan;
-        sim::EventQueue queue;
-        util::Rng rng(util::derive_seed(700, n));
-        outcomes[bulk_on ? 0 : 1] = wire::run_utrp_session(
-            queue, server, present.tags(), 2, session, rng);
-      }
-      expect_outcomes_equal(outcomes[0], outcomes[1]);
-    }
+    protocol::UtrpServer server(set, {tolerance_for(n), 0.9}, 20);
+    tag::TagSet present = set;  // sessions mutate counters
+    wire::SessionConfig session;
+    session.uplink.drop_prob = 0.05;
+    session.downlink.drop_prob = 0.05;
+    if (pin.faulty) session.faults = &plan;
+    sim::EventQueue queue;
+    util::Rng rng(util::derive_seed(700, n));
+    const wire::SessionOutcome outcome = wire::run_utrp_session(
+        queue, server, present.tags(), 2, session, rng);
+    EXPECT_EQ(fingerprint(render(outcome)), pin.fingerprint)
+        << "n=" << n << " faulty=" << pin.faulty;
   }
 }
 
@@ -263,134 +347,115 @@ TEST(ColumnarDiff, TrpSessionAtHundredThousandTags) {
   tag::TagSet set = tag::TagSet::make_random(n, rng_make);
   (void)set.steal_random(n / 10 + 5, rng_make);  // beyond tolerance
 
-  wire::SessionOutcome outcomes[2];
-  for (const bool bulk_on : {true, false}) {
-    protocol::TrpServer server(set.ids(), {tolerance_for(n), 0.9});
-    server.set_bulk_mode(bulk_on);
-    sim::EventQueue queue;
-    util::Rng rng(9200);
-    outcomes[bulk_on ? 0 : 1] =
-        wire::run_trp_session(queue, server, set.tags(), 2, {}, rng);
-  }
-  expect_outcomes_equal(outcomes[0], outcomes[1]);
-  EXPECT_TRUE(outcomes[0].completed);
+  const protocol::TrpServer server(set.ids(), {tolerance_for(n), 0.9});
+  sim::EventQueue queue;
+  util::Rng rng(9200);
+  const wire::SessionOutcome outcome =
+      wire::run_trp_session(queue, server, set.tags(), 2, {}, rng);
+  EXPECT_TRUE(outcome.completed);
+  EXPECT_EQ(fingerprint(render(outcome)), "b8c613105290fa06");
 }
 
 // ------------- the full InventoryServer, fingerprinted after every step ----
 
 TEST(ColumnarDiff, InventoryServerStateAndExpositionBitIdentical) {
-  // Two servers — bulk on and off — driven by the identical operation
-  // script with identical RNG streams. After EVERY operation the
-  // dump_state() fingerprint and the Prometheus exposition (minus the
-  // rfidmon_bulk_ families, which count kernel-internal work) must match.
-  obs::MetricsRegistry reg_bulk, reg_scalar;
-  server::InventoryServer bulk, scalar;
-  bulk.attach_metrics(&reg_bulk);
-  scalar.attach_metrics(&reg_scalar);
-
-  util::Rng rng_bulk(4242), rng_scalar(4242);
+  // One server driven by a fixed operation script. After EVERY operation
+  // the dump_state() text and the Prometheus exposition are fingerprinted
+  // and compared, in order, with the pinned values.
+  const char* const pins[] = {
+      "a61d6c82354d053b",  // after enroll
+      "a7aa85f83a7f844d",  // after TRP round 0
+      "b576cf542c672699",  // after TRP round 1 (and its replayed challenge)
+      "a27d7852c717f41f",  // after TRP round 2
+      "1b72aa4a26501fcf",  // after theft round
+      "5f6b3685af4ce502",  // after UTRP round 0
+      "6ce3ba8fe68abcbb",  // after UTRP round 1
+      "ff31e53fec3f9d3f",  // after re_enroll
+      "136c962490e1ae61",  // after post-re_enroll round
+      "a5157384f3eb5695",  // after resync
+      "bf36f281419b65fd",  // after decommission
+  };
+  obs::MetricsRegistry registry;
+  server::InventoryServer inventory;
+  inventory.attach_metrics(&registry);
+  util::Rng rng(4242);
+  std::size_t step = 0;
   const auto check = [&](const char* where) {
-    ASSERT_EQ(storage::dump_state(bulk), storage::dump_state(scalar)) << where;
-    ASSERT_EQ(strip_bulk_families(obs::render_prometheus(reg_bulk.snapshot())),
-              strip_bulk_families(obs::render_prometheus(reg_scalar.snapshot())))
+    ASSERT_LT(step, std::size(pins)) << where;
+    EXPECT_EQ(fingerprint(storage::dump_state(inventory) + "\n--\n" +
+                          obs::render_prometheus(registry.snapshot())),
+              pins[step])
         << where;
+    ++step;
   };
 
-  // Enroll one group per protocol, mirrored configs except the bulk knob.
-  tag::TagSet trp_tags_b = tag::TagSet::make_random(65, rng_bulk);
-  tag::TagSet trp_tags_s = tag::TagSet::make_random(65, rng_scalar);
+  tag::TagSet trp_tags = tag::TagSet::make_random(65, rng);
   server::GroupConfig trp_cfg;
   trp_cfg.name = "aisle";
   trp_cfg.policy = {2, 0.9};
-  server::GroupConfig scalar_trp_cfg = trp_cfg;
-  scalar_trp_cfg.bulk_mode = false;
-  const server::GroupId gt = bulk.enroll(trp_tags_b, trp_cfg);
-  const server::GroupId gt2 = scalar.enroll(trp_tags_s, scalar_trp_cfg);
-  ASSERT_EQ(gt, gt2);
+  const server::GroupId gt = inventory.enroll(trp_tags, trp_cfg);
 
-  tag::TagSet utrp_tags_b = tag::TagSet::make_random(200, rng_bulk);
-  tag::TagSet utrp_tags_s = tag::TagSet::make_random(200, rng_scalar);
+  tag::TagSet utrp_tags = tag::TagSet::make_random(200, rng);
   server::GroupConfig utrp_cfg;
   utrp_cfg.name = "cage";
   utrp_cfg.policy = {3, 0.9};
   utrp_cfg.protocol = server::ProtocolKind::kUtrp;
-  server::GroupConfig scalar_utrp_cfg = utrp_cfg;
-  scalar_utrp_cfg.bulk_mode = false;
-  const server::GroupId gu = bulk.enroll(utrp_tags_b, utrp_cfg);
-  (void)scalar.enroll(utrp_tags_s, scalar_utrp_cfg);
+  const server::GroupId gu = inventory.enroll(utrp_tags, utrp_cfg);
   check("after enroll");
 
   const protocol::TrpReader trp_reader;
   const protocol::UtrpReader utrp_reader;
 
-  // Honest TRP rounds — including a repeated challenge, which both servers
-  // must serve from their expected-bitstring cache identically.
+  // Honest TRP rounds — including a repeated challenge, which the server
+  // serves from its expected-bitstring cache.
   for (int round = 0; round < 3; ++round) {
-    const auto cb = bulk.challenge_trp(gt, rng_bulk);
-    const auto cs = scalar.challenge_trp(gt, rng_scalar);
-    ASSERT_EQ(cb.r, cs.r);
-    expect_verdicts_equal(
-        bulk.submit_trp(gt, cb, trp_reader.scan(trp_tags_b.tags(), cb, rng_bulk)),
-        scalar.submit_trp(gt, cs,
-                          trp_reader.scan(trp_tags_s.tags(), cs, rng_scalar)));
+    const auto c = inventory.challenge_trp(gt, rng);
+    EXPECT_TRUE(
+        inventory.submit_trp(gt, c, trp_reader.scan(trp_tags.tags(), c, rng))
+            .intact);
     if (round == 1) {  // replay: second submission of the same challenge
-      expect_verdicts_equal(
-          bulk.submit_trp(gt, cb,
-                          trp_reader.scan(trp_tags_b.tags(), cb, rng_bulk)),
-          scalar.submit_trp(gt, cs,
-                            trp_reader.scan(trp_tags_s.tags(), cs, rng_scalar)));
+      EXPECT_TRUE(
+          inventory.submit_trp(gt, c, trp_reader.scan(trp_tags.tags(), c, rng))
+              .intact);
     }
     check("after TRP round");
   }
 
-  // Theft beyond tolerance, then a round that should alarm identically.
-  (void)trp_tags_b.steal_random(5, rng_bulk);
-  (void)trp_tags_s.steal_random(5, rng_scalar);
+  // Theft beyond tolerance, then a round.
+  (void)trp_tags.steal_random(5, rng);
   {
-    const auto cb = bulk.challenge_trp(gt, rng_bulk);
-    const auto cs = scalar.challenge_trp(gt, rng_scalar);
-    expect_verdicts_equal(
-        bulk.submit_trp(gt, cb, trp_reader.scan(trp_tags_b.tags(), cb, rng_bulk)),
-        scalar.submit_trp(gt, cs,
-                          trp_reader.scan(trp_tags_s.tags(), cs, rng_scalar)));
+    const auto c = inventory.challenge_trp(gt, rng);
+    (void)inventory.submit_trp(gt, c, trp_reader.scan(trp_tags.tags(), c, rng));
     check("after theft round");
   }
 
   // UTRP rounds with commits.
   for (int round = 0; round < 2; ++round) {
-    const auto cb = bulk.challenge_utrp(gu, rng_bulk);
-    const auto cs = scalar.challenge_utrp(gu, rng_scalar);
-    const auto scan_b = utrp_reader.scan(utrp_tags_b.tags(), cb);
-    const auto scan_s = utrp_reader.scan(utrp_tags_s.tags(), cs);
-    expect_verdicts_equal(bulk.submit_utrp(gu, cb, scan_b.bitstring, true),
-                          scalar.submit_utrp(gu, cs, scan_s.bitstring, true));
-    utrp_tags_b.begin_round();
-    utrp_tags_s.begin_round();
+    const auto c = inventory.challenge_utrp(gu, rng);
+    const auto scan = utrp_reader.scan(utrp_tags.tags(), c);
+    EXPECT_TRUE(inventory.submit_utrp(gu, c, scan.bitstring, true).intact);
+    utrp_tags.begin_round();
     check("after UTRP round");
   }
 
-  // Re-enrollment (must invalidate the TRP cache in both) and a fresh round.
-  bulk.re_enroll(gt, trp_tags_b, trp_cfg);
-  scalar.re_enroll(gt, trp_tags_s, scalar_trp_cfg);
-  EXPECT_EQ(bulk.expected_cache_entries(), scalar.expected_cache_entries());
+  // Re-enrollment (must invalidate the TRP cache) and a fresh round.
+  inventory.re_enroll(gt, trp_tags, trp_cfg);
+  EXPECT_EQ(inventory.expected_cache_entries(), 0u);
   check("after re_enroll");
   {
-    const auto cb = bulk.challenge_trp(gt, rng_bulk);
-    const auto cs = scalar.challenge_trp(gt, rng_scalar);
-    expect_verdicts_equal(
-        bulk.submit_trp(gt, cb, trp_reader.scan(trp_tags_b.tags(), cb, rng_bulk)),
-        scalar.submit_trp(gt, cs,
-                          trp_reader.scan(trp_tags_s.tags(), cs, rng_scalar)));
+    const auto c = inventory.challenge_trp(gt, rng);
+    EXPECT_TRUE(
+        inventory.submit_trp(gt, c, trp_reader.scan(trp_tags.tags(), c, rng))
+            .intact);
     check("after post-re_enroll round");
   }
 
-  // UTRP resync and decommission, mirrored.
-  bulk.resync(gu, utrp_tags_b);
-  scalar.resync(gu, utrp_tags_s);
+  // UTRP resync and decommission.
+  inventory.resync(gu, utrp_tags);
   check("after resync");
-  bulk.decommission(gt);
-  scalar.decommission(gt);
+  inventory.decommission(gt);
   check("after decommission");
+  EXPECT_EQ(step, std::size(pins));
 }
 
 }  // namespace

@@ -72,32 +72,24 @@ TEST(ColumnarTagSet, SilenceBeginRoundAndCount) {
   util::Rng rng(9);
   const tag::TagSet set = tag::TagSet::make_random(130, rng);
   ColumnarTagSet columnar = ColumnarTagSet::from_tag_set(set);
-  EXPECT_EQ(columnar.silenced_count(), 0u);
+  const auto silenced_count = [&columnar] {
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < columnar.size(); ++i) {
+      if (columnar.silenced(i)) ++count;
+    }
+    return count;
+  };
+  EXPECT_EQ(silenced_count(), 0u);
   columnar.silence(0);
   columnar.silence(63);
   columnar.silence(64);
   columnar.silence(129);
-  EXPECT_EQ(columnar.silenced_count(), 4u);
+  EXPECT_EQ(silenced_count(), 4u);
   EXPECT_TRUE(columnar.silenced(63));
   EXPECT_TRUE(columnar.silenced(64));
   EXPECT_FALSE(columnar.silenced(1));
   columnar.begin_round();
-  EXPECT_EQ(columnar.silenced_count(), 0u);
-}
-
-TEST(ColumnarTagSet, SliceMatchesSubrange) {
-  util::Rng rng(10);
-  const tag::TagSet set = messy_population(200, rng);
-  const ColumnarTagSet whole = ColumnarTagSet::from_tag_set(set);
-  // Slice offsets deliberately misaligned with the 64-bit bitmap words.
-  const ColumnarTagSet part = whole.slice(70, 90);
-  ASSERT_EQ(part.size(), 90u);
-  for (std::size_t i = 0; i < part.size(); ++i) {
-    EXPECT_EQ(part.id(i), whole.id(70 + i));
-    EXPECT_EQ(part.counter(i), whole.counter(70 + i));
-    EXPECT_EQ(part.silenced(i), whole.silenced(70 + i));
-    EXPECT_EQ(part.slot_words()[i], whole.slot_words()[70 + i]);
-  }
+  EXPECT_EQ(silenced_count(), 0u);
 }
 
 TEST(BulkKernels, TrpSlotsMatchScalarEverywhere) {
@@ -147,23 +139,6 @@ TEST(BulkKernels, UtrpReceiveSeedMatchesScalarAndSkipsSilenced) {
           ASSERT_EQ(columnar.silenced(i), scalar.at(i).silenced());
         }
       }
-    }
-  }
-}
-
-TEST(BulkKernels, FillFrameMatchesPerBitSetWithCollisions) {
-  util::Rng rng(13);
-  for (const std::uint32_t f : {1u, 2u, 64u, 65u, 1000u}) {
-    // Heavily loaded frame: n >> f forces duplicate-slot collisions, n < f
-    // leaves holes; both must OR identically to the scalar loop.
-    for (const std::size_t n : {std::size_t{3}, std::size_t{2000}}) {
-      std::vector<std::uint32_t> slots(n);
-      for (auto& s : slots) s = static_cast<std::uint32_t>(rng.below(f));
-      bits::Bitstring scalar(f);
-      for (const std::uint32_t s : slots) scalar.set(s);
-      bits::Bitstring bulk(f);
-      tag::bulk_fill_frame(slots, bulk);
-      ASSERT_EQ(bulk, scalar) << "f=" << f << " n=" << n;
     }
   }
 }

@@ -375,6 +375,62 @@ TEST(FleetOrchestrator, UtrpRetryResyncsTheMirror) {
   EXPECT_GE(result.resyncs, 1u);
 }
 
+TEST(FleetOrchestrator, UtrpTheftRetryReauditsAbsentTags) {
+  // Zone 0 both loses tags and has its reader crash mid-session on attempt
+  // 0, so the retry re-audits the zone: present tags at their advanced
+  // counters, the stolen ones rebuilt from the enrolled columnar slice.
+  const auto run_on = [](unsigned threads) {
+    util::Rng rng(106);
+    fleet::InventorySpec spec;
+    spec.name = "utrp-vault";
+    spec.protocol = fleet::Protocol::kUtrp;
+    spec.tags = tag::TagSet::make_random(90, rng);
+    spec.plan = server::plan_groups({.total_tags = 90,
+                                     .total_tolerance = 3,
+                                     .alpha = 0.95,
+                                     .max_group_size = 30});
+    for (std::uint64_t i = 0; i < 8; ++i) spec.stolen.push_back(i);  // zone 0
+    spec.comm_budget = 10;
+    spec.rounds = 1;
+    spec.session.utrp_deadline_us = 10e6;
+    spec.zone_faults.emplace_back(0,
+                                  fault::parse_fault_plan("crash 10000 never\n"));
+    spec.identify.enabled = true;
+    fleet::FleetOrchestrator orchestrator(
+        {.seed = 19, .threads = threads, .max_zone_attempts = 3});
+    orchestrator.submit(std::move(spec));
+    return orchestrator.run();
+  };
+  const fleet::FleetResult one = run_on(1);
+  const fleet::FleetResult four = run_on(4);
+
+  ASSERT_EQ(one.inventories.size(), 1u);
+  const fleet::InventoryReport& inventory = one.inventories[0];
+  EXPECT_EQ(inventory.tags, 90u);
+  const fleet::ZoneReport& zone = inventory.zones[0];
+  EXPECT_EQ(zone.status, fleet::ZoneStatus::kViolated);
+  EXPECT_TRUE(zone.resynced);
+  EXPECT_EQ(fleet::summary(one), fleet::summary(four));
+  EXPECT_EQ(fleet::summary(one),
+            "fleet verdict: violated\n"
+            "inventories: 1 monitored, 0 rejected, 0 deferred; waves: 1\n"
+            "  utrp-vault [utrp] wave 0: violated - zones 3 (intact 2, "
+            "violated 1, degraded 0, failed 0), tags 90, tolerance 3, "
+            "worst-zone detection 0.9503150557171872\n"
+            "    zone0 identified [filter_first]: 8 missing, 22 present, "
+            "0 unresolved in 1 round(s), 44 slot(s)\n"
+            "      missing urn:epc:raw:5c85f21c.9793b5a22c273791\n"
+            "      missing urn:epc:raw:a49ea7dc.e3adb59cbcaa18a3\n"
+            "      missing urn:epc:raw:75d50b9a.4a930c0ea54bd049\n"
+            "      missing urn:epc:raw:b10f5f3e.20eae20d6f61e190\n"
+            "      missing urn:epc:raw:4e669bb8.c762bada91a1a23b\n"
+            "      missing urn:epc:raw:a6062925.00450cbe90c4e306\n"
+            "      missing urn:epc:raw:7eadfa14.f83dd74dc35bcd63\n"
+            "      missing urn:epc:raw:0ab1ef1e.3ce4ff58c4cd2571\n"
+            "zones: 3; attempts: 4, requeues: 1, escalations: 0, resyncs: 1, "
+            "recovered: 0, degraded: 0, suspects: 0\n");
+}
+
 // ----------------------------------------------------------- admission ----
 
 TEST(FleetOrchestrator, SaturatedAdmissionDefersToALaterWave) {

@@ -232,8 +232,7 @@ TEST(SplitColumnarByPlan, SlicesAgreeWithRowSplit) {
                                       .alpha = 0.95,
                                       .max_group_size = 250});
   const auto row_sets = split_by_plan(tags, plan);
-  const auto col_sets = rfid::server::split_columnar_by_plan(
-      rfid::tag::ColumnarTagSet::from_tag_set(tags), plan);
+  const auto col_sets = rfid::server::split_columnar_by_plan(tags, plan);
   ASSERT_EQ(col_sets.size(), row_sets.size());
   for (std::size_t z = 0; z < col_sets.size(); ++z) {
     ASSERT_EQ(col_sets[z].size(), row_sets[z].size());
@@ -253,8 +252,7 @@ TEST(SplitColumnarByPlan, RejectsMismatchedPopulation) {
                                       .total_tolerance = 3,
                                       .alpha = 0.95,
                                       .max_group_size = 40});
-  EXPECT_THROW((void)rfid::server::split_columnar_by_plan(
-                   rfid::tag::ColumnarTagSet::from_tag_set(tags), plan),
+  EXPECT_THROW((void)rfid::server::split_columnar_by_plan(tags, plan),
                std::invalid_argument);
 }
 

@@ -3,23 +3,33 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <stdexcept>
 
 #include "obs/catalog.h"
-#include "protocol/identify.h"
+#include "protocol/identification.h"
 #include "radio/timing.h"
 #include "tag/tag_set.h"
 #include "util/random.h"
 
 namespace {
 
-using rfid::protocol::identify_missing_tags;
 using rfid::protocol::IdentifyConfig;
 using rfid::protocol::IdentifyProtocolKind;
 using rfid::protocol::make_identification_protocol;
 using rfid::protocol::to_string;
 using rfid::tag::TagId;
 using rfid::tag::TagSet;
+
+/// One campaign of the iterative family member (the paper-faithful
+/// baseline), through the identification seam.
+rfid::protocol::IdentifyResult identify_iterative(
+    std::span<const TagId> enrolled, std::span<const rfid::tag::Tag> present,
+    const rfid::hash::SlotHasher& hasher, const IdentifyConfig& config,
+    rfid::util::Rng& rng) {
+  return make_identification_protocol(IdentifyProtocolKind::kIterative, config)
+      ->identify(enrolled, present, hasher, rng);
+}
 
 std::set<std::uint64_t> words_of(const std::vector<TagId>& ids) {
   std::set<std::uint64_t> out;
@@ -33,8 +43,8 @@ TEST(Identify, ExactlyIdentifiesTheStolenTags) {
     TagSet set = TagSet::make_random(400, rng);
     const auto enrolled = set.ids();
     const TagSet stolen = set.steal_random(25, rng);
-    const auto result = identify_missing_tags(enrolled, set.tags(),
-                                              rfid::hash::SlotHasher{}, {}, rng);
+    const auto result = identify_iterative(enrolled, set.tags(),
+                                           rfid::hash::SlotHasher{}, {}, rng);
     EXPECT_TRUE(result.unresolved.empty());
     EXPECT_EQ(result.missing.size(), 25u);
     EXPECT_EQ(result.present.size(), 375u);
@@ -45,8 +55,8 @@ TEST(Identify, ExactlyIdentifiesTheStolenTags) {
 TEST(Identify, NothingMissingMeansEveryoneProvenPresent) {
   rfid::util::Rng rng(1);
   const TagSet set = TagSet::make_random(200, rng);
-  const auto result = identify_missing_tags(set.ids(), set.tags(),
-                                            rfid::hash::SlotHasher{}, {}, rng);
+  const auto result = identify_iterative(set.ids(), set.tags(),
+                                         rfid::hash::SlotHasher{}, {}, rng);
   EXPECT_TRUE(result.missing.empty());
   EXPECT_TRUE(result.unresolved.empty());
   EXPECT_EQ(result.present.size(), 200u);
@@ -55,8 +65,8 @@ TEST(Identify, NothingMissingMeansEveryoneProvenPresent) {
 TEST(Identify, EverythingMissingResolvedInOneRound) {
   rfid::util::Rng rng(2);
   const TagSet set = TagSet::make_random(100, rng);
-  const auto result = identify_missing_tags(set.ids(), {},
-                                            rfid::hash::SlotHasher{}, {}, rng);
+  const auto result = identify_iterative(set.ids(), {},
+                                         rfid::hash::SlotHasher{}, {}, rng);
   EXPECT_EQ(result.missing.size(), 100u);
   EXPECT_TRUE(result.present.empty());
   EXPECT_EQ(result.rounds, 1u);  // every slot observed empty: all proven
@@ -70,8 +80,8 @@ TEST(Identify, NoFalseAccusationsEver) {
     TagSet set = TagSet::make_random(150, rng);
     const auto enrolled = set.ids();
     (void)set.steal_random(static_cast<std::size_t>(rng.below(40)), rng);
-    const auto result = identify_missing_tags(enrolled, set.tags(),
-                                              rfid::hash::SlotHasher{}, {}, rng);
+    const auto result = identify_iterative(enrolled, set.tags(),
+                                           rfid::hash::SlotHasher{}, {}, rng);
     const auto present_words = words_of(set.ids());
     for (const TagId& accused : result.missing) {
       EXPECT_FALSE(present_words.contains(accused.slot_word()))
@@ -85,8 +95,8 @@ TEST(Identify, RoundCountIsLogarithmic) {
   TagSet set = TagSet::make_random(2000, rng);
   const auto enrolled = set.ids();
   (void)set.steal_random(100, rng);
-  const auto result = identify_missing_tags(enrolled, set.tags(),
-                                            rfid::hash::SlotHasher{}, {}, rng);
+  const auto result = identify_iterative(enrolled, set.tags(),
+                                         rfid::hash::SlotHasher{}, {}, rng);
   EXPECT_TRUE(result.unresolved.empty());
   EXPECT_LT(result.rounds, 45u);  // e^{-1}-ish resolution per round
   // Frames stay ~n wide while any tag is unknown: O(n log n) total.
@@ -102,10 +112,10 @@ TEST(Identify, LargerFramesFewerRounds) {
 
   rfid::util::Rng rng_tight(99);
   rfid::util::Rng rng_roomy(99);
-  const auto tight = identify_missing_tags(
+  const auto tight = identify_iterative(
       enrolled, proto.tags(), rfid::hash::SlotHasher{}, {.frame_load = 1.0},
       rng_tight);
-  const auto roomy = identify_missing_tags(
+  const auto roomy = identify_iterative(
       enrolled, proto.tags(), rfid::hash::SlotHasher{}, {.frame_load = 4.0},
       rng_roomy);
   EXPECT_LE(roomy.rounds, tight.rounds);
@@ -117,7 +127,7 @@ TEST(Identify, RoundCapLeavesUnresolvedNotWrong) {
   TagSet set = TagSet::make_random(300, rng);
   const auto enrolled = set.ids();
   const TagSet stolen = set.steal_random(10, rng);
-  const auto result = identify_missing_tags(
+  const auto result = identify_iterative(
       enrolled, set.tags(), rfid::hash::SlotHasher{},
       {.frame_load = 1.0, .max_rounds = 1}, rng);
   EXPECT_EQ(result.rounds, 1u);
@@ -330,16 +340,16 @@ TEST(Identify, MetricsRecordOneCampaign) {
 TEST(Identify, RejectsBadConfig) {
   rfid::util::Rng rng(7);
   const TagSet set = TagSet::make_random(5, rng);
-  EXPECT_THROW((void)identify_missing_tags({}, set.tags(),
-                                           rfid::hash::SlotHasher{}, {}, rng),
+  EXPECT_THROW((void)identify_iterative({}, set.tags(),
+                                        rfid::hash::SlotHasher{}, {}, rng),
                std::invalid_argument);
-  EXPECT_THROW((void)identify_missing_tags(set.ids(), set.tags(),
-                                           rfid::hash::SlotHasher{},
-                                           {.frame_load = 0.0}, rng),
+  EXPECT_THROW((void)identify_iterative(set.ids(), set.tags(),
+                                        rfid::hash::SlotHasher{},
+                                        {.frame_load = 0.0}, rng),
                std::invalid_argument);
   EXPECT_THROW(
-      (void)identify_missing_tags(set.ids(), set.tags(), rfid::hash::SlotHasher{},
-                                  {.frame_load = 1.0, .max_rounds = 0}, rng),
+      (void)identify_iterative(set.ids(), set.tags(), rfid::hash::SlotHasher{},
+                               {.frame_load = 1.0, .max_rounds = 0}, rng),
       std::invalid_argument);
 }
 

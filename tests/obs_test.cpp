@@ -506,7 +506,7 @@ TEST(ObsServer, VerdictAlertAndResyncCounters) {
   EXPECT_EQ(cat::alerts_total(reg, "resync").value(), 1u);
 }
 
-TEST(ObsProtocol, BulkKernelSlotCountersMoveOnlyInBulkMode) {
+TEST(ObsProtocol, BulkKernelSlotCounterCountsEveryExpectedBitstring) {
   util::Rng rng(11);
   const tag::TagSet set = tag::TagSet::make_random(100, rng);
   protocol::TrpServer server(set.ids(),
@@ -517,10 +517,6 @@ TEST(ObsProtocol, BulkKernelSlotCountersMoveOnlyInBulkMode) {
   const auto challenge = server.issue_challenge(rng);
   (void)server.expected_bitstring(challenge);
   EXPECT_EQ(cat::bulk_slots_total(reg, "trp_frame").value(), 100u);
-  (void)server.expected_bitstring(challenge);
-  EXPECT_EQ(cat::bulk_slots_total(reg, "trp_frame").value(), 200u);
-
-  server.set_bulk_mode(false);
   (void)server.expected_bitstring(challenge);
   EXPECT_EQ(cat::bulk_slots_total(reg, "trp_frame").value(), 200u);
 }

@@ -444,33 +444,6 @@ TEST(InventoryServer, ExpectedCacheEmptyAfterResyncAndSnapshotLoad) {
   EXPECT_EQ(rebuilt.expected_cache_entries(), 1u);
 }
 
-TEST(InventoryServer, BulkModeConfigReachesEngines) {
-  rfid::util::Rng rng(35);
-  InventoryServer server;
-  const TagSet tags = TagSet::make_random(64, rng);
-  GroupConfig scalar_cfg = trp_config("scalar-group", 1);
-  scalar_cfg.bulk_mode = false;
-  const GroupId g = server.enroll(tags, scalar_cfg);
-  EXPECT_FALSE(server.config(g).bulk_mode);
-
-  // Scalar and bulk groups must behave identically; run an honest round to
-  // show the scalar engine is live and correct.
-  const rfid::protocol::TrpReader reader;
-  const auto c = server.challenge_trp(g, rng);
-  EXPECT_TRUE(server.submit_trp(g, c, reader.scan(tags.tags(), c, rng)).intact);
-
-  // The knob is an execution detail, not protocol state: the persistence
-  // fingerprint of a scalar group matches a bulk group's bit for bit.
-  InventoryServer twin;
-  (void)twin.enroll(tags, trp_config("scalar-group", 1));
-  InventoryServer twin_scalar;
-  GroupConfig cfg2 = trp_config("scalar-group", 1);
-  cfg2.bulk_mode = false;
-  (void)twin_scalar.enroll(tags, cfg2);
-  EXPECT_EQ(rfid::storage::dump_state(twin),
-            rfid::storage::dump_state(twin_scalar));
-}
-
 TEST(InventoryServer, ActiveFlagSurvivesPersistenceRoundTrip) {
   rfid::util::Rng rng(22);
   InventoryServer server;

@@ -196,17 +196,15 @@ TEST(Stress, ChallengeBookNeverDoubleVerifies) {
 
 TEST(Stress, MillionTagTrpBulkSmoke) {
   // The ROADMAP's million-tag scale target, end to end: enroll 10^6 tags,
-  // run a bulk-mode TRP round honestly (must verify intact), then steal
-  // beyond tolerance and run another (must alarm). The scalar path at this
-  // size is what the columnar kernels exist to replace — only bulk mode is
-  // exercised here; bit-identity is pinned at smaller n by
+  // run a TRP round honestly through the columnar kernels (must verify
+  // intact), then steal beyond tolerance and run another (must alarm).
+  // Bit-identity against the per-tag oracle is pinned at smaller n by
   // tests/columnar_diff_test.cpp.
   constexpr std::size_t kMillion = 1000000;
   util::Rng rng(777);
   tag::TagSet set = tag::TagSet::make_random(kMillion, rng);
   const protocol::TrpServer server(
       set.ids(), {.tolerated_missing = kMillion / 100, .confidence = 0.9});
-  ASSERT_TRUE(server.bulk_mode());
 
   const auto c1 = server.issue_challenge(rng);
   const bits::Bitstring expected = server.expected_bitstring(c1);
