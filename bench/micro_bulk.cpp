@@ -1,7 +1,8 @@
 // Per-tag-vs-kernel microbenchmarks for the columnar kernels: slots/sec for
 // the TRP slot choice, frame-fill throughput for the expected-bitstring
 // path (the server's kernel against the per-tag loop written out below),
-// the expected-cache fast path, and a fleet-scale end-to-end run.
+// the expected-cache fast path, a fleet-scale end-to-end run, and the
+// filter-first identification campaign the fleet runs on a violated zone.
 // items_per_second reads as tag-slots/sec (or zones for the fleet case);
 // the acceptance bar is >= 5x bulk over scalar at n = 10^6 on the frame
 // path. Numbers are recorded in EXPERIMENTS.md.
@@ -15,6 +16,7 @@
 #include "fleet/fleet.h"
 #include "hash/slot_hash.h"
 #include "math/frame_optimizer.h"
+#include "protocol/identification.h"
 #include "protocol/trp.h"
 #include "server/group_planner.h"
 #include "server/inventory_server.h"
@@ -158,6 +160,28 @@ void BM_FleetMillionTagZones(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(zones));
 }
 
+/// One filter-first identification campaign on an n-tag zone with 0.2% of
+/// it stolen, ideal channel: the host cost of the drill-down that names the
+/// stolen tags after a violated TRP verdict.
+void BM_FilterFirstIdentify(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  util::Rng rng(5);
+  tag::TagSet set = tag::TagSet::make_random(n, rng);
+  const std::vector<tag::TagId> enrolled = set.ids();
+  (void)set.steal_random(n / 500, rng);
+  const auto identifier = protocol::make_identification_protocol(
+      protocol::IdentifyProtocolKind::kFilterFirst, {});
+  const hash::SlotHasher hasher;
+  for (auto _ : state) {
+    util::Rng campaign_rng(6);  // every iteration runs the same campaign
+    const protocol::IdentifyResult result =
+        identifier->identify(enrolled, set.tags(), hasher, campaign_rng);
+    benchmark::DoNotOptimize(result.missing.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
 }  // namespace
 
 BENCHMARK(BM_ScalarTrpSlots)->Arg(10000)->Arg(100000)->Arg(1000000)
@@ -171,3 +195,5 @@ BENCHMARK(BM_BulkExpectedBitstring)->Arg(10000)->Arg(100000)->Arg(1000000)
 BENCHMARK(BM_CachedRepeatVerify)->Arg(1000000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_FleetMillionTagZones)->Unit(benchmark::kMillisecond)
     ->Iterations(2);
+BENCHMARK(BM_FilterFirstIdentify)->Arg(100000)->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);

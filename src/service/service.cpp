@@ -41,7 +41,9 @@ struct MonitorService::Impl {
   // ------------------------------------------------------------ types ----
 
   struct Enrolled {
-    tag::TagSet tags;
+    // Immutable once enrolled: a re-Enroll swaps in a new set, and a run
+    // already launched keeps the snapshot it was handed.
+    std::shared_ptr<const tag::TagSet> tags;
     server::GroupPlan plan;
     fleet::Protocol protocol = fleet::Protocol::kTrp;
     std::uint64_t tolerance = 1;
@@ -77,6 +79,9 @@ struct MonitorService::Impl {
   struct RunWork {
     PendingRun pending;
     fleet::InventorySpec spec;       // runs only
+    // Runs only: the enrolled population, copied into spec.tags on the
+    // worker so the IO thread never pays for a population copy.
+    std::shared_ptr<const tag::TagSet> population;
     daemon::DaemonConfig dcfg;       // watches only
     daemon::WarehouseConfig dwarehouse;
   };
@@ -273,7 +278,7 @@ struct MonitorService::Impl {
     }
     if (!pending.watch) {
       for (const std::uint64_t idx : pending.run.stolen) {
-        if (idx >= it->second.tags.size()) {
+        if (idx >= it->second.tags->size()) {
           send_error(c, ErrorCode::kBadRequest, "stolen index out of range");
           return;
         }
@@ -356,7 +361,7 @@ struct MonitorService::Impl {
     if (pending.watch) {
       const StartWatchRequest& req = pending.watch_req;
       work->dwarehouse.protocol = enrolled.protocol;
-      work->dwarehouse.initial_tags = enrolled.tags.size();
+      work->dwarehouse.initial_tags = enrolled.tags->size();
       work->dwarehouse.tolerance = enrolled.tolerance;
       work->dwarehouse.zone_capacity = enrolled.zone_capacity;
       work->dwarehouse.alpha = enrolled.alpha;
@@ -383,13 +388,13 @@ struct MonitorService::Impl {
       fleet::InventorySpec spec;
       spec.name = req.inventory;
       spec.protocol = enrolled.protocol;
-      spec.tags = enrolled.tags;  // copy: the task owns its population
       spec.plan = enrolled.plan;
       spec.stolen = req.stolen;
       spec.alpha = enrolled.alpha;
       spec.rounds = enrolled.rounds;
       spec.identify.enabled = req.identify;
       work->spec = std::move(spec);
+      work->population = enrolled.tags;
     }
     work->pending = std::move(pending);
 
@@ -429,6 +434,7 @@ struct MonitorService::Impl {
         fcfg.metrics = config.metrics;
         fcfg.abort = &abort_runs;
         fleet::FleetOrchestrator orchestrator(fcfg);
+        work.spec.tags = *work.population;  // copy: the run owns its tags
         orchestrator.submit(std::move(work.spec));
         comp.fleet = orchestrator.run();
       }
@@ -706,13 +712,14 @@ struct MonitorService::Impl {
     std::vector<tag::Tag> population;
     population.reserve(req.tags.size());
     for (const tag::TagId& id : req.tags) population.emplace_back(id);
-    enrolled.tags = tag::TagSet(std::move(population));
+    enrolled.tags =
+        std::make_shared<const tag::TagSet>(std::move(population));
     enrolled.protocol = static_cast<fleet::Protocol>(req.protocol);
     enrolled.tolerance = req.tolerance;
     enrolled.alpha = req.alpha;
     enrolled.zone_capacity = req.zone_capacity;
     enrolled.rounds = std::max<std::uint64_t>(1, req.rounds);
-    EnrollOk ok{req.inventory, enrolled.tags.size(),
+    EnrollOk ok{req.inventory, enrolled.tags->size(),
                 enrolled.plan.zones.size(), enrolled.plan.total_slots};
     tenant.inventories[req.inventory] = std::move(enrolled);
     send(c, FrameType::kEnrollOk, ok);

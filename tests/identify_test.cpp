@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -351,6 +352,31 @@ TEST(Identify, RejectsBadConfig) {
       (void)identify_iterative(set.ids(), set.tags(), rfid::hash::SlotHasher{},
                                {.frame_load = 1.0, .max_rounds = 0}, rng),
       std::invalid_argument);
+  // llround(+inf) is unspecified; it must not silently become a 1-slot frame.
+  for (const auto kind : {IdentifyProtocolKind::kIterative,
+                          IdentifyProtocolKind::kFilterFirst}) {
+    EXPECT_THROW((void)make_identification_protocol(
+                     kind, {.frame_load = std::numeric_limits<double>::infinity()}),
+                 std::invalid_argument);
+  }
+}
+
+TEST(Identify, RejectsAFrameBeyondThirtyTwoBitSlots) {
+  // 1000 tags at load 10^7 ask for 10^10 slots: refused before the frame is
+  // narrowed to 32 bits or allocated, and before any challenge is drawn.
+  rfid::util::Rng rng(8);
+  const TagSet set = TagSet::make_random(1000, rng);
+  for (const auto kind : {IdentifyProtocolKind::kIterative,
+                          IdentifyProtocolKind::kFilterFirst}) {
+    const auto protocol =
+        make_identification_protocol(kind, {.frame_load = 1e7});
+    rfid::util::Rng campaign(9);
+    rfid::util::Rng untouched(9);
+    EXPECT_THROW((void)protocol->identify(set.ids(), set.tags(),
+                                          rfid::hash::SlotHasher{}, campaign),
+                 std::invalid_argument);
+    EXPECT_EQ(campaign(), untouched());
+  }
 }
 
 }  // namespace

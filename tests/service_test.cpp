@@ -177,6 +177,61 @@ TEST(ServiceSession, TheftVerdictNamesStolenTags) {
   svc.stop();
 }
 
+TEST(ServiceSession, ReEnrollLeavesAnAdmittedRunOnItsPopulation) {
+  MonitorService svc{ServiceConfig{}};
+  svc.start();
+  ServiceClient client(svc.port());
+  client.hello("acme");
+  const EnrollRequest before = small_inventory("cage", 60);
+  client.enroll(before);
+
+  StartRunRequest run;
+  run.inventory = "cage";
+  run.seed = 11;
+  run.identify = true;
+  run.stolen = {3, 7, 33, 41};
+  const service::StartOutcome outcome = client.start_run(run);
+  ASSERT_TRUE(outcome.admitted.has_value());
+  ASSERT_EQ(outcome.admitted->admission,
+            static_cast<std::uint8_t>(fleet::Admission::kAccepted));
+
+  // Same inventory name, a different population, while the run is in
+  // flight: the run must still be judged against what it was admitted with.
+  EnrollRequest after = small_inventory("cage", 90);
+  for (std::size_t i = 0; i < after.tags.size(); ++i) {
+    after.tags[i] = tag::TagId(static_cast<std::uint32_t>(i), 0x9000 + i);
+  }
+  EXPECT_EQ(client.enroll(after).tags, 90u);
+
+  const service::RunOutcome result =
+      client.await_verdict(outcome.admitted->run_id);
+  EXPECT_EQ(result.verdict.verdict,
+            static_cast<std::uint8_t>(fleet::GlobalVerdict::kViolated));
+  std::vector<tag::TagId> expected;
+  for (const std::uint64_t idx : run.stolen) {
+    expected.push_back(before.tags[idx]);
+  }
+  std::vector<tag::TagId> named = result.verdict.missing;
+  std::sort(expected.begin(), expected.end());
+  std::sort(named.begin(), named.end());
+  EXPECT_EQ(named, expected);
+
+  // A run admitted after the re-Enroll sees the new population (index 80
+  // exists only there).
+  StartRunRequest later = run;
+  later.stolen = {5, 80};
+  const service::StartOutcome second = client.start_run(later);
+  ASSERT_TRUE(second.admitted.has_value());
+  const service::RunOutcome fresh =
+      client.await_verdict(second.admitted->run_id);
+  EXPECT_EQ(fresh.verdict.verdict,
+            static_cast<std::uint8_t>(fleet::GlobalVerdict::kViolated));
+  named = fresh.verdict.missing;
+  std::sort(named.begin(), named.end());
+  EXPECT_EQ(named, (std::vector<tag::TagId>{after.tags[5], after.tags[80]}));
+  svc.stop();
+}
+
 TEST(ServiceSession, RequestLevelErrorsKeepConnectionAlive) {
   MonitorService svc{ServiceConfig{}};
   svc.start();
