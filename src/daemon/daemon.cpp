@@ -172,10 +172,14 @@ MonitorDaemon::Population MonitorDaemon::population_at(
       for (const tag::Tag& t : fresh.tags()) population.tags.push_back(t);
       population.stolen.resize(population.tags.size(), false);
     }
-    for (std::uint64_t i = 0; i < event.steal; ++i) {
-      const std::uint64_t index = event.steal_from + i;
-      if (index < population.stolen.size()) {
-        population.stolen[static_cast<std::size_t>(index)] = true;
+    // Only [steal_from, min(steal_from + steal, size)) exists; the bound is
+    // computed without overflow, so no script can wrap or spin.
+    const std::uint64_t size = population.stolen.size();
+    if (event.steal_from < size) {
+      const std::uint64_t end =
+          event.steal_from + std::min(event.steal, size - event.steal_from);
+      for (std::uint64_t i = event.steal_from; i < end; ++i) {
+        population.stolen[static_cast<std::size_t>(i)] = true;
       }
     }
   }

@@ -114,9 +114,14 @@ std::string_view to_string(AlertKind kind) noexcept {
 }
 
 struct FleetOrchestrator::ZoneState {
-  tag::ColumnarTagSet enrolled;    // zone slice as enrolled: the server state
+  // Zone slice as enrolled: the server state, borrowed from the population.
+  std::shared_ptr<const tag::ColumnarTagSet> enrolled;
   std::vector<bool> absent;        // zone-local: true = stolen
-  std::vector<tag::Tag> present;   // physical tag state across attempts
+  // Physical tags the reader sees: a subspan of the shared population, or
+  // `owned` when the run changes them — a theft filters them, a UTRP scan
+  // advances their counters across attempts.
+  std::span<const tag::Tag> present;
+  std::vector<tag::Tag> owned;
   math::UtrpPlan utrp_plan;        // solved once at submit (UTRP only)
   double deadline_us = std::numeric_limits<double>::infinity();
   std::vector<wire::SessionOutcome> attempts_log;
@@ -144,6 +149,7 @@ struct FleetOrchestrator::ZoneState {
 
 struct FleetOrchestrator::Inventory {
   InventorySpec spec;
+  std::shared_ptr<const PreparedPopulation> population;
   std::uint64_t wave = 0;
   std::uint64_t name_hash = 0;
   std::vector<ZoneState> zones;
@@ -158,17 +164,40 @@ FleetOrchestrator::FleetOrchestrator(FleetConfig config)
 
 FleetOrchestrator::~FleetOrchestrator() = default;
 
+std::shared_ptr<const PreparedPopulation> PreparedPopulation::prepare(
+    tag::TagSet tags, server::GroupPlan plan) {
+  RFID_EXPECT(!plan.zones.empty(), "inventory plan has no zones");
+  // make_shared cannot reach the private constructor.
+  std::shared_ptr<PreparedPopulation> population(new PreparedPopulation());
+  // Validates that the population matches the plan.
+  population->zones_ = server::split_columnar_by_plan(tags, plan);
+  population->tags_ = std::move(tags);
+  population->plan_ = std::move(plan);
+  return population;
+}
+
 Admission FleetOrchestrator::submit(InventorySpec spec) {
+  std::shared_ptr<const PreparedPopulation> population =
+      PreparedPopulation::prepare(std::exchange(spec.tags, {}),
+                                  std::exchange(spec.plan, {}));
+  return submit(std::move(spec), std::move(population));
+}
+
+Admission FleetOrchestrator::submit(
+    InventorySpec spec, std::shared_ptr<const PreparedPopulation> population) {
   RFID_EXPECT(!ran_, "submit() after run()");
+  RFID_EXPECT(population != nullptr, "submit() needs a population");
+  RFID_EXPECT(spec.tags.empty() && spec.plan.zones.empty(),
+              "a prepared population carries the tags and the plan");
   RFID_EXPECT(!spec.name.empty(), "inventory needs a name");
-  RFID_EXPECT(!spec.plan.zones.empty(), "inventory plan has no zones");
   RFID_EXPECT(spec.rounds >= 1, "inventory needs at least one round");
   for (const auto& existing : inventories_) {
     RFID_EXPECT(existing->spec.name != spec.name,
                 "inventory names must be unique (they key the journal)");
   }
+  const tag::TagSet& tags = population->tags();
   for (const std::uint64_t idx : spec.stolen) {
-    RFID_EXPECT(idx < spec.tags.size(), "stolen index out of range");
+    RFID_EXPECT(idx < tags.size(), "stolen index out of range");
   }
   spec.fusion.validate();
   if (spec.fusion.readers > 1) {
@@ -181,7 +210,7 @@ Admission FleetOrchestrator::submit(InventorySpec spec) {
   // Admission: bin zones into waves of at most admission_capacity each.
   // An inventory is never split — one too large for the capacity gets an
   // (oversized) wave of its own rather than being refused outright.
-  const std::uint64_t zone_count = spec.plan.zones.size();
+  const std::uint64_t zone_count = population->plan().zones.size();
   Admission admission = Admission::kAccepted;
   std::uint64_t wave = 0;
   if (config_.admission_capacity == 0) {
@@ -205,47 +234,61 @@ Admission FleetOrchestrator::submit(InventorySpec spec) {
     wave_zones_[wave] += zone_count;
   }
 
-  // The population is consumed here: each zone keeps it once as server
-  // state (columnar, slot words derived once for every server and retry)
-  // and once as physical state (`present`), and the spec keeps neither.
-  const tag::TagSet population = std::exchange(spec.tags, {});
   auto inventory = std::make_unique<Inventory>();
   inventory->spec = std::move(spec);
+  inventory->population = std::move(population);
   inventory->wave = wave;
   const InventorySpec& s = inventory->spec;
   inventory->name_hash = name_hash_of(s.name);
 
-  // Zone slices (validates that the population matches the plan).
-  std::vector<tag::ColumnarTagSet> slices =
-      server::split_columnar_by_plan(population, s.plan);
-
-  std::vector<bool> absent(population.size(), false);
+  // Zone-local absent masks, from the zones' first population indices.
+  const std::span<const tag::ColumnarTagSet> slices =
+      inventory->population->zones();
+  std::vector<std::size_t> firsts(slices.size());
+  inventory->zones.resize(slices.size());
+  for (std::size_t z = 0, first = 0; z < slices.size(); ++z) {
+    firsts[z] = first;
+    first += slices[z].size();
+    inventory->zones[z].absent.assign(slices[z].size(), false);
+  }
+  std::vector<std::size_t> stolen_in_zone(slices.size(), 0);
   for (const std::uint64_t idx : s.stolen) {
-    absent[static_cast<std::size_t>(idx)] = true;
+    const std::size_t z = static_cast<std::size_t>(
+        std::upper_bound(firsts.begin(), firsts.end(), idx) -
+        firsts.begin() - 1);
+    std::vector<bool>& absent = inventory->zones[z].absent;
+    const std::size_t j = static_cast<std::size_t>(idx) - firsts[z];
+    if (!absent[j]) {
+      absent[j] = true;
+      ++stolen_in_zone[z];
+    }
   }
 
   // UTRP and fused zones are sized here, before any worker runs, so an
   // unsatisfiable spec throws from submit() rather than from a worker
   // thread. The optimizers are memoized: a repeated shape is a lookup.
   const std::uint32_t k = s.fusion.readers;
-  inventory->zones.resize(slices.size());
-  std::size_t offset = 0;
   for (std::size_t z = 0; z < slices.size(); ++z) {
     ZoneState& state = inventory->zones[z];
-    state.enrolled = std::move(slices[z]);
-    const std::size_t n = state.enrolled.size();
-    state.absent.assign(n, false);
-    state.present.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (absent[offset + j]) {
-        state.absent[j] = true;
-      } else {
-        state.present.push_back(population.at(offset + j));
+    // An aliasing pointer: the zone server borrows its slice and keeps the
+    // whole population alive.
+    state.enrolled = std::shared_ptr<const tag::ColumnarTagSet>(
+        inventory->population, &slices[z]);
+    const std::size_t n = slices[z].size();
+    const std::span<const tag::Tag> zone_tags =
+        tags.tags().subspan(firsts[z], n);
+    if (s.protocol == Protocol::kUtrp || stolen_in_zone[z] > 0) {
+      state.owned.reserve(n - stolen_in_zone[z]);
+      for (std::size_t j = 0; j < n; ++j) {
+        if (!state.absent[j]) state.owned.push_back(zone_tags[j]);
       }
+      state.present = state.owned;
+    } else {
+      state.present = zone_tags;
     }
-    offset += n;
 
-    const std::uint64_t tolerance = s.plan.zones[z].tolerance;
+    const std::uint64_t tolerance =
+        inventory->population->plan().zones[z].tolerance;
     if (s.protocol == Protocol::kUtrp) {
       state.utrp_plan = math::optimize_utrp_frame(
           n, tolerance, s.alpha, s.comm_budget, s.slack_slots, s.model);
@@ -337,9 +380,9 @@ std::uint64_t FleetOrchestrator::config_fingerprint() const {
   // distinguishable from the "unknown" sentinel 0.
   std::uint64_t h = 0x666c656574636667ULL;  // "fleetcfg"
   for (const auto& inventory : inventories_) {
-    h = util::derive_seed(h, inventory->name_hash,
-                          inventory->spec.plan.zones.size());
-    for (const server::ZonePlan& zone : inventory->spec.plan.zones) {
+    const server::GroupPlan& plan = inventory->population->plan();
+    h = util::derive_seed(h, inventory->name_hash, plan.zones.size());
+    for (const server::ZonePlan& zone : plan.zones) {
       h = util::derive_seed(h, zone.tags, zone.tolerance);
     }
   }
@@ -350,12 +393,12 @@ tag::TagSet FleetOrchestrator::audit_set(const ZoneState& state) const {
   // The zone as a physical audit would re-enroll it: present tags at their
   // current counters, stolen tags frozen at the last value the server saw
   // (they are out of range and never hear a broadcast).
+  const tag::ColumnarTagSet& enrolled = *state.enrolled;
   std::vector<tag::Tag> tags;
-  tags.reserve(state.enrolled.size());
+  tags.reserve(enrolled.size());
   std::size_t cursor = 0;
-  for (std::size_t j = 0; j < state.enrolled.size(); ++j) {
-    tags.push_back(state.absent[j] ? state.enrolled.tag(j)
-                                   : state.present[cursor++]);
+  for (std::size_t j = 0; j < enrolled.size(); ++j) {
+    tags.push_back(state.absent[j] ? enrolled.tag(j) : state.owned[cursor++]);
   }
   return tag::TagSet(std::move(tags));
 }
@@ -416,8 +459,8 @@ void FleetOrchestrator::run_zone_attempt_body(std::size_t inv,
                        ? &state.reader_fault_plans[0]
                        : nullptr;
 
-  const protocol::MonitoringPolicy policy{s.plan.zones[zone].tolerance,
-                                          s.alpha, s.model};
+  const protocol::MonitoringPolicy policy{
+      inventory.population->plan().zones[zone].tolerance, s.alpha, s.model};
   wire::SessionOutcome outcome;
   if (s.protocol == Protocol::kTrp) {
     protocol::TrpServer server(state.enrolled, policy);
@@ -428,9 +471,8 @@ void FleetOrchestrator::run_zone_attempt_body(std::size_t inv,
         return server.expected_bitstring(c);
       };
     }
-    outcome = wire::run_trp_session(
-        queue, server, std::span<const tag::Tag>(state.present), s.rounds,
-        session, rng);
+    outcome = wire::run_trp_session(queue, server, state.present, s.rounds,
+                                    session, rng);
   } else {
     // Every attempt re-enrolls the mirror from a fresh audit; on a retry
     // this is exactly the divergence healing resync() performs after a
@@ -439,7 +481,7 @@ void FleetOrchestrator::run_zone_attempt_body(std::size_t inv,
     protocol::UtrpServer server(audited, policy, s.comm_budget,
                                 state.utrp_plan);
     outcome = wire::run_utrp_session(queue, server,
-                                     std::span<tag::Tag>(state.present),
+                                     std::span<tag::Tag>(state.owned),
                                      s.rounds, session, rng);
   }
   state.attempts_log.push_back(std::move(outcome));
@@ -578,8 +620,8 @@ void FleetOrchestrator::run_reader_attempt_body(std::size_t inv,
                        ? &state.reader_fault_plans[reader]
                        : nullptr;
 
-  const protocol::MonitoringPolicy policy{s.plan.zones[zone].tolerance,
-                                          s.alpha, s.model};
+  const protocol::MonitoringPolicy policy{
+      inventory.population->plan().zones[zone].tolerance, s.alpha, s.model};
   protocol::TrpServer server(state.enrolled, policy);
   if (state.reader_dishonest[reader]) {
     session.trp_forge = [&server](const protocol::TrpChallenge& c) {
@@ -587,8 +629,7 @@ void FleetOrchestrator::run_reader_attempt_body(std::size_t inv,
     };
   }
   wire::SessionOutcome outcome = wire::run_trp_session(
-      queue, server, std::span<const tag::Tag>(state.present), s.rounds,
-      session, rng);
+      queue, server, state.present, s.rounds, session, rng);
   std::vector<wire::SessionOutcome>& log = state.reader_attempts[reader];
   log.push_back(std::move(outcome));
 
@@ -618,8 +659,8 @@ void FleetOrchestrator::finalize_fused_zone(std::size_t inv,
   const std::uint32_t quorum = s.fusion.effective_quorum();
   state.finalized = true;
 
-  const protocol::MonitoringPolicy policy{s.plan.zones[zone].tolerance,
-                                          s.alpha, s.model};
+  const protocol::MonitoringPolicy policy{
+      inventory.population->plan().zones[zone].tolerance, s.alpha, s.model};
   protocol::TrpServer server(state.enrolled, policy);
   fusion::TrustTracker tracker(s.fusion);
 
@@ -886,8 +927,7 @@ FleetResult FleetOrchestrator::run() {
           util::derive_seed(config_.seed, inventory->name_hash, z),
           kIdentifySalt));
       protocol::IdentifyResult campaign = identifier->identify(
-          state.enrolled.ids(), std::span<const tag::Tag>(state.present),
-          hasher, rng);
+          state.enrolled->ids(), state.present, hasher, rng);
       ZoneIdentification& id = state.report.identification;
       id.ran = true;
       id.protocol = std::string(identifier->name());
@@ -919,12 +959,10 @@ FleetResult FleetOrchestrator::run() {
     inv_report.name = inventory->spec.name;
     inv_report.protocol = inventory->spec.protocol;
     inv_report.wave = inventory->wave;
-    for (const ZoneState& state : inventory->zones) {
-      inv_report.tags += state.enrolled.size();
-    }
-    inv_report.worst_zone_detection =
-        inventory->spec.plan.worst_zone_detection;
-    for (const server::ZonePlan& zone : inventory->spec.plan.zones) {
+    const server::GroupPlan& plan = inventory->population->plan();
+    inv_report.tags = inventory->population->tags().size();
+    inv_report.worst_zone_detection = plan.worst_zone_detection;
+    for (const server::ZonePlan& zone : plan.zones) {
       inv_report.tolerance += zone.tolerance;
     }
     GlobalVerdict verdict = GlobalVerdict::kIntact;

@@ -51,6 +51,7 @@
 #include <map>
 #include <mutex>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -162,20 +163,50 @@ struct IdentifyDrillConfig {
   protocol::IdentifyConfig config;
 };
 
-/// One inventory: a planned population plus everything needed to run its
-/// zones. The spec owns its tags and fault plans; the orchestrator keeps
-/// the spec alive for the whole run, less the tags, which submit() consumes.
+/// An inventory's immutable run state, built once and shared read-only by
+/// every run over it: the enrolled population in zone order, its plan, and
+/// each zone's columnar server state (slot words derived once, here). The
+/// paper's server owns a static T* and only the challenge is fresh per
+/// round; likewise a run borrows its zones from here instead of copying
+/// them (see FleetOrchestrator::submit).
+class PreparedPopulation {
+ public:
+  /// Columnarizes `tags` zone by zone: zone i covers the next
+  /// plan.zones[i].tags tags (split_by_plan's slicing). Requires a plan
+  /// with zones whose sizes sum to the population size.
+  [[nodiscard]] static std::shared_ptr<const PreparedPopulation> prepare(
+      tag::TagSet tags, server::GroupPlan plan);
+
+  [[nodiscard]] const tag::TagSet& tags() const noexcept { return tags_; }
+  [[nodiscard]] const server::GroupPlan& plan() const noexcept {
+    return plan_;
+  }
+  /// Zone i's slice as server state: ids, slot words, counters at enrollment.
+  [[nodiscard]] std::span<const tag::ColumnarTagSet> zones() const noexcept {
+    return zones_;
+  }
+
+ private:
+  PreparedPopulation() = default;
+
+  tag::TagSet tags_;
+  server::GroupPlan plan_;
+  std::vector<tag::ColumnarTagSet> zones_;
+};
+
+/// One inventory: everything needed to run its zones over a population.
+/// The spec owns its fault plans; the orchestrator keeps the spec alive for
+/// the whole run.
 struct InventorySpec {
   std::string name;  // stable across restarts (keys the journal)
   Protocol protocol = Protocol::kTrp;
-  /// The enrolled population, in zone order: zone i covers the next
-  /// plan.zones[i].tags tags (split_by_plan's slicing). Consumed by
-  /// FleetOrchestrator::submit(), which moves it out of the spec and keeps
-  /// each zone once as columnar server state and once as the physically
-  /// present tags.
+  /// Input of the one-shot submit(InventorySpec) only, which moves both
+  /// into a fresh PreparedPopulation: the enrolled population, in zone
+  /// order, and its plan. A spec submitted with a prepared population
+  /// leaves both empty; the population carries them.
   tag::TagSet tags;
   server::GroupPlan plan;
-  /// Global indices into `tags` that are physically absent (stolen).
+  /// Global indices into the population that are physically absent (stolen).
   std::vector<std::uint64_t> stolen;
   double alpha = 0.95;
   math::EmptySlotModel model = math::EmptySlotModel::kPoissonApprox;
@@ -225,6 +256,8 @@ struct ReaderReport {
   bool suspect = false;   // persistently outvoted or phantom evidence
   double trust = 1.0;     // final fusion weight
   std::uint64_t votes_overruled = 0;
+
+  bool operator==(const ReaderReport&) const = default;
 };
 
 /// Outcome of the post-verdict identification drill-down on one violated
@@ -242,6 +275,8 @@ struct ZoneIdentification {
   std::uint64_t filter_bits = 0;
   double estimated_missing = 0.0;   // zero-estimator after the first frame
   double duration_us = 0.0;         // honest air time of the campaign
+
+  bool operator==(const ZoneIdentification&) const = default;
 };
 
 struct ZoneReport {
@@ -268,6 +303,8 @@ struct ZoneReport {
   std::uint64_t missed_votes = 0;     // empty votes the fusion overruled
   /// Post-verdict identification drill-down (violated zones only).
   ZoneIdentification identification;
+
+  bool operator==(const ZoneReport&) const = default;
 };
 
 struct InventoryReport {
@@ -327,9 +364,19 @@ class FleetOrchestrator {
   FleetOrchestrator(const FleetOrchestrator&) = delete;
   FleetOrchestrator& operator=(const FleetOrchestrator&) = delete;
 
-  /// Admits an inventory (or defers/rejects it under saturation). UTRP
-  /// and fused zones are sized here, so an unsatisfiable spec throws before
-  /// any worker runs. Must not be called after run().
+  /// Admits an inventory over a prepared population (or defers/rejects it
+  /// under saturation). UTRP and fused zones are sized here, so an
+  /// unsatisfiable spec throws before any worker runs. Zones borrow the
+  /// population: each zone server shares its columnar slice, and a TRP zone
+  /// with nothing stolen reads its present tags straight from the shared
+  /// population. Only a zone with stolen tags (a filtered copy) or a UTRP
+  /// zone (whose counters advance) owns per-run tags. `spec.tags` and
+  /// `spec.plan` must be empty. Must not be called after run().
+  Admission submit(InventorySpec spec,
+                   std::shared_ptr<const PreparedPopulation> population);
+
+  /// One-shot adapter: prepares a population from `spec.tags` and
+  /// `spec.plan`, then submits it as above.
   Admission submit(InventorySpec spec);
 
   /// Executes every admitted zone and aggregates. Call once.

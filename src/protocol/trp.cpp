@@ -11,11 +11,17 @@ TrpServer::TrpServer(std::vector<tag::TagId> ids, MonitoringPolicy policy,
 
 TrpServer::TrpServer(tag::ColumnarTagSet enrolled, MonitoringPolicy policy,
                      hash::SlotHasher hasher)
+    : TrpServer(std::make_shared<const tag::ColumnarTagSet>(std::move(enrolled)),
+                policy, hasher) {}
+
+TrpServer::TrpServer(std::shared_ptr<const tag::ColumnarTagSet> enrolled,
+                     MonitoringPolicy policy, hash::SlotHasher hasher)
     : tags_(std::move(enrolled)), policy_(policy), hasher_(hasher) {
-  RFID_EXPECT(!tags_.empty(), "cannot monitor an empty group");
-  RFID_EXPECT(policy_.tolerated_missing + 1 <= tags_.size(),
+  RFID_EXPECT(tags_ != nullptr && !tags_->empty(),
+              "cannot monitor an empty group");
+  RFID_EXPECT(policy_.tolerated_missing + 1 <= tags_->size(),
               "tolerance m must satisfy m + 1 <= n");
-  plan_ = math::optimize_trp_frame(tags_.size(), policy_.tolerated_missing,
+  plan_ = math::optimize_trp_frame(tags_->size(), policy_.tolerated_missing,
                                    policy_.confidence, policy_.model);
 }
 
@@ -46,9 +52,9 @@ TrpChallenge TrpServer::issue_challenge(util::Rng& rng) const {
 bits::Bitstring TrpServer::expected_bitstring(const TrpChallenge& challenge) const {
   RFID_EXPECT(challenge.frame_size >= 1, "challenge has no slots");
   if (instruments_.bulk_slots != nullptr) {
-    instruments_.bulk_slots->inc(tags_.size());
+    instruments_.bulk_slots->inc(tags_->size());
   }
-  return tag::bulk_trp_frame(hasher_, tags_.slot_words(), challenge.r,
+  return tag::bulk_trp_frame(hasher_, tags_->slot_words(), challenge.r,
                              challenge.frame_size);
 }
 

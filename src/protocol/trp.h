@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -48,16 +49,23 @@ class TrpServer {
             hash::SlotHasher hasher = hash::SlotHasher{});
 
   /// Enrolls from an already-columnarized population (slot words reused, not
-  /// re-derived) — the handoff the fleet uses when it slices one warehouse
-  /// population into many zone servers.
+  /// re-derived), taking it over.
   TrpServer(tag::ColumnarTagSet enrolled, MonitoringPolicy policy,
             hash::SlotHasher hasher = hash::SlotHasher{});
 
-  [[nodiscard]] std::uint64_t group_size() const noexcept { return tags_.size(); }
+  /// Enrolls a shared, read-only columnar population: the server borrows it
+  /// instead of copying. The fleet hands every zone attempt an aliasing
+  /// pointer into its inventory's prepared population, so a server over a
+  /// 10^6-tag zone costs a reference count, not a 32 MB copy.
+  TrpServer(std::shared_ptr<const tag::ColumnarTagSet> enrolled,
+            MonitoringPolicy policy,
+            hash::SlotHasher hasher = hash::SlotHasher{});
+
+  [[nodiscard]] std::uint64_t group_size() const noexcept { return tags_->size(); }
   /// The enrolled IDs, in enrollment order (persistence reads these back
   /// when snapshotting a running server).
   [[nodiscard]] std::span<const tag::TagId> ids() const noexcept {
-    return tags_.ids();
+    return tags_->ids();
   }
   [[nodiscard]] const MonitoringPolicy& policy() const noexcept { return policy_; }
   /// The Eq. (2) frame size used by every challenge from this server.
@@ -110,7 +118,8 @@ class TrpServer {
                                        const bits::Bitstring& expected,
                                        const bits::Bitstring& reported) const;
 
-  tag::ColumnarTagSet tags_;  // ids + precomputed slot words
+  // ids + precomputed slot words; never null, shared and never mutated
+  std::shared_ptr<const tag::ColumnarTagSet> tags_;
   MonitoringPolicy policy_;
   hash::SlotHasher hasher_;
   math::TrpPlan plan_;

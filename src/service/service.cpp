@@ -41,10 +41,10 @@ struct MonitorService::Impl {
   // ------------------------------------------------------------ types ----
 
   struct Enrolled {
-    // Immutable once enrolled: a re-Enroll swaps in a new set, and a run
-    // already launched keeps the snapshot it was handed.
-    std::shared_ptr<const tag::TagSet> tags;
-    server::GroupPlan plan;
+    // Immutable once enrolled, prepared once and borrowed by every run: a
+    // re-Enroll swaps in a new population, and a run already launched keeps
+    // the snapshot it was handed.
+    std::shared_ptr<const fleet::PreparedPopulation> population;
     fleet::Protocol protocol = fleet::Protocol::kTrp;
     std::uint64_t tolerance = 1;
     double alpha = 0.95;
@@ -79,17 +79,17 @@ struct MonitorService::Impl {
   struct RunWork {
     PendingRun pending;
     fleet::InventorySpec spec;       // runs only
-    // Runs only: the enrolled population, copied into spec.tags on the
-    // worker so the IO thread never pays for a population copy.
-    std::shared_ptr<const tag::TagSet> population;
+    // Runs only: the enrolled population the run borrows.
+    std::shared_ptr<const fleet::PreparedPopulation> population;
     daemon::DaemonConfig dcfg;       // watches only
     daemon::WarehouseConfig dwarehouse;
   };
 
   struct Completion {
     PendingRun pending;
-    bool failed = false;  // non-crash exception escaped the run
-    std::string failure;
+    bool failed = false;  // refused at launch, or an exception escaped
+    ErrorCode error = ErrorCode::kInternal;
+    std::string failure;  // the error message sent to the client
     fleet::FleetResult fleet;  // runs
     std::vector<daemon::DaemonAlert> daemon_alerts;  // watches
     std::uint64_t epochs_completed = 0;
@@ -262,6 +262,26 @@ struct MonitorService::Impl {
          Backpressure{retry_after_ms, std::move(reason)});
   }
 
+  /// Why `pending` cannot run over a population of `size` tags, or null.
+  /// Checked at admission and again at launch, because a deferred run
+  /// takes the population enrolled when it launches.
+  [[nodiscard]] static const char* population_error(const PendingRun& pending,
+                                                    std::uint64_t size) {
+    if (pending.watch) {
+      // steal_from + steal <= size, computed without overflow.
+      const StartWatchRequest& req = pending.watch_req;
+      if (req.steal > 0 &&
+          (req.steal > size || req.steal_from > size - req.steal)) {
+        return "steal range beyond the enrolled population";
+      }
+      return nullptr;
+    }
+    for (const std::uint64_t idx : pending.run.stolen) {
+      if (idx >= size) return "stolen index out of range";
+    }
+    return nullptr;
+  }
+
   void handle_start(Conn& c, PendingRun pending) {
     Tenant& tenant = tenants[c.tenant];
     const std::string& inventory_name =
@@ -276,13 +296,10 @@ struct MonitorService::Impl {
       send_error(c, ErrorCode::kBadRequest, "watch epochs over limit");
       return;
     }
-    if (!pending.watch) {
-      for (const std::uint64_t idx : pending.run.stolen) {
-        if (idx >= it->second.tags->size()) {
-          send_error(c, ErrorCode::kBadRequest, "stolen index out of range");
-          return;
-        }
-      }
+    if (const char* error = population_error(
+            pending, it->second.population->tags().size())) {
+      send_error(c, ErrorCode::kBadRequest, error);
+      return;
     }
     if (draining.load(std::memory_order_relaxed)) {
       reject(c, static_cast<std::uint64_t>(config.drain_timeout.count()),
@@ -354,14 +371,26 @@ struct MonitorService::Impl {
     ++tenant.inflight;
     inflight.fetch_add(1, std::memory_order_relaxed);
 
-    auto work = std::make_shared<RunWork>();
     const Enrolled& enrolled =
         tenant.inventories.at(pending.watch ? pending.watch_req.inventory
                                             : pending.run.inventory);
+    if (const char* error =
+            population_error(pending, enrolled.population->tags().size())) {
+      // A re-Enroll shrank the population since admission: fail the run
+      // like any other, which also balances the in-flight counts above.
+      Completion comp;
+      comp.pending = std::move(pending);
+      comp.failed = true;
+      comp.error = ErrorCode::kBadRequest;
+      comp.failure = error;
+      finish(comp);
+      return;
+    }
+    auto work = std::make_shared<RunWork>();
     if (pending.watch) {
       const StartWatchRequest& req = pending.watch_req;
       work->dwarehouse.protocol = enrolled.protocol;
-      work->dwarehouse.initial_tags = enrolled.tags->size();
+      work->dwarehouse.initial_tags = enrolled.population->tags().size();
       work->dwarehouse.tolerance = enrolled.tolerance;
       work->dwarehouse.zone_capacity = enrolled.zone_capacity;
       work->dwarehouse.alpha = enrolled.alpha;
@@ -388,13 +417,12 @@ struct MonitorService::Impl {
       fleet::InventorySpec spec;
       spec.name = req.inventory;
       spec.protocol = enrolled.protocol;
-      spec.plan = enrolled.plan;
       spec.stolen = req.stolen;
       spec.alpha = enrolled.alpha;
       spec.rounds = enrolled.rounds;
       spec.identify.enabled = req.identify;
       work->spec = std::move(spec);
-      work->population = enrolled.tags;
+      work->population = enrolled.population;
     }
     work->pending = std::move(pending);
 
@@ -434,13 +462,12 @@ struct MonitorService::Impl {
         fcfg.metrics = config.metrics;
         fcfg.abort = &abort_runs;
         fleet::FleetOrchestrator orchestrator(fcfg);
-        work.spec.tags = *work.population;  // copy: the run owns its tags
-        orchestrator.submit(std::move(work.spec));
+        orchestrator.submit(std::move(work.spec), std::move(work.population));
         comp.fleet = orchestrator.run();
       }
     } catch (const std::exception& e) {
       comp.failed = true;
-      comp.failure = e.what();
+      comp.failure = std::string("run failed: ") + e.what();
     }
     {
       // The increment must land before the completion becomes swappable:
@@ -486,10 +513,7 @@ struct MonitorService::Impl {
       if (metrics() != nullptr) {
         obs::catalog::service_runs_total(*metrics(), "aborted").inc();
       }
-      if (conn != nullptr) {
-        send_error(*conn, ErrorCode::kInternal,
-                   "run failed: " + comp.failure);
-      }
+      if (conn != nullptr) send_error(*conn, comp.error, comp.failure);
       return;
     }
 
@@ -697,9 +721,9 @@ struct MonitorService::Impl {
       send_error(c, ErrorCode::kBadRequest, "inventory quota exhausted");
       return;
     }
-    Enrolled enrolled;
+    server::GroupPlan plan;
     try {
-      enrolled.plan = server::plan_groups(
+      plan = server::plan_groups(
           {.total_tags = req.tags.size(),
            .total_tolerance = req.tolerance,
            .alpha = req.alpha,
@@ -709,18 +733,22 @@ struct MonitorService::Impl {
       send_error(c, ErrorCode::kBadRequest, e.what());
       return;
     }
-    std::vector<tag::Tag> population;
-    population.reserve(req.tags.size());
-    for (const tag::TagId& id : req.tags) population.emplace_back(id);
-    enrolled.tags =
-        std::make_shared<const tag::TagSet>(std::move(population));
+    std::vector<tag::Tag> tags;
+    tags.reserve(req.tags.size());
+    for (const tag::TagId& id : req.tags) tags.emplace_back(id);
+    // Enroll once, run many: the zone split and each zone's columnar server
+    // state are built here, and every run over this inventory borrows them.
+    Enrolled enrolled;
+    enrolled.population = fleet::PreparedPopulation::prepare(
+        tag::TagSet(std::move(tags)), std::move(plan));
     enrolled.protocol = static_cast<fleet::Protocol>(req.protocol);
     enrolled.tolerance = req.tolerance;
     enrolled.alpha = req.alpha;
     enrolled.zone_capacity = req.zone_capacity;
     enrolled.rounds = std::max<std::uint64_t>(1, req.rounds);
-    EnrollOk ok{req.inventory, enrolled.tags->size(),
-                enrolled.plan.zones.size(), enrolled.plan.total_slots};
+    const fleet::PreparedPopulation& population = *enrolled.population;
+    EnrollOk ok{req.inventory, population.tags().size(),
+                population.plan().zones.size(), population.plan().total_slots};
     tenant.inventories[req.inventory] = std::move(enrolled);
     send(c, FrameType::kEnrollOk, ok);
   }
@@ -1032,13 +1060,16 @@ struct MonitorService::Impl {
     const bool clean = quiesced();
     if (!clean) {
       // Budget blown: flip the fleet abort switch so in-flight runs bail
-      // cooperatively, then abandon whatever never started.
+      // cooperatively. Runs still queued on the pool are drained, not
+      // dropped: each starts, sees the switch before its first zone or
+      // epoch and reports itself aborted, so every launched run completes
+      // and is counted, and the drain stays prompt.
       abort_runs.store(true, std::memory_order_relaxed);
     }
-    pool->stop(clean);
+    pool->stop(/*drain=*/true);
     if (!clean) {
-      // In-flight tasks finished (aborted); give the IO thread a moment to
-      // deliver their completions before tearing it down.
+      // Every launched task finished (aborted); give the IO thread a moment
+      // to deliver their completions before tearing it down.
       const auto flush_by =
           std::chrono::steady_clock::now() + std::chrono::seconds(2);
       while (done_pending.load(std::memory_order_acquire) != 0 &&

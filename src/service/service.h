@@ -37,11 +37,13 @@
 //      clients receive a Shutdown frame naming the drain budget;
 //   2. in-flight AND already-admitted deferred runs drain through
 //      FleetScheduler — their verdicts still stream out;
-//   3. if the drain budget expires, the shared abort switch flips and the
-//      pool stops without draining (FleetScheduler::stop(false)) — fleet
+//   3. if the drain budget expires, the shared abort switch flips — fleet
 //      runs report themselves aborted, and in-flight watches observe the
 //      same switch via DaemonConfig::abort and give up (their checkpointed
-//      epochs stay durable), exactly like a daemon watchdog kill;
+//      epochs stay durable), exactly like a daemon watchdog kill. Runs
+//      still queued on the pool start, see the switch at once and abort
+//      too, so the pool drains promptly and no launched run goes
+//      unreported;
 //   4. outboxes are flushed best-effort, sockets close, stats come back.
 #pragma once
 

@@ -744,6 +744,38 @@ TEST(MonitorDaemon, ResumesALegacyFormat2JournalAndRewritesIt) {
   EXPECT_EQ(scan.dropped_bytes, 0u);
 }
 
+std::string history_with_theft(std::uint64_t steal, std::uint64_t steal_from) {
+  storage::MemoryBackend backend;
+  daemon::WarehouseConfig warehouse = small_warehouse();
+  warehouse.churn.push_back(daemon::ChurnEvent{.epoch = 1,
+                                               .enroll = 0,
+                                               .decommission = 0,
+                                               .steal = steal,
+                                               .steal_from = steal_from});
+  daemon::MonitorDaemon d(base_config(backend), warehouse);
+  const daemon::DaemonResult result = d.run();
+  EXPECT_EQ(result.epochs_completed, 3u);
+  return daemon::render_alert_history(result.alerts);
+}
+
+TEST(MonitorDaemon, UnboundedStealStopsAtThePopulationEnd) {
+  // The walk covers [steal_from, min(steal_from + steal, n)) only: a
+  // steal of 2^64 - 1 ending past the population is the same theft as the
+  // two tags that exist, not 2^64 loop iterations.
+  const std::uint64_t n = small_warehouse().initial_tags;
+  const std::string two = history_with_theft(2, n - 2);
+  EXPECT_NE(two.find("zone_violated"), std::string::npos);
+  EXPECT_EQ(history_with_theft(UINT64_MAX, n - 2), two);
+}
+
+TEST(MonitorDaemon, StealRangePastTheIndexSpaceStealsNothing) {
+  // steal_from + steal wraps: nothing at or after steal_from exists, so
+  // nothing is stolen (the wrapped indices 0..3 must not be).
+  EXPECT_EQ(history_with_theft(10, UINT64_MAX - 5), history_with_theft(0, 0));
+  EXPECT_EQ(history_with_theft(0, 0).find("zone_violated"),
+            std::string::npos);
+}
+
 TEST(MonitorDaemon, MetricsCountEpochsAlertsAndRestarts) {
   fault::DaemonFaultPlan plan;
   plan.crashes.push_back({1, fault::DaemonCrashPoint::kBeforeCheckpoint});

@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "fleet/fleet.h"
+#include "obs/catalog.h"
 #include "obs/metrics.h"
 #include "service/client.h"
 #include "service/service.h"
@@ -373,6 +375,103 @@ TEST(ServiceAdmission, SaturationDefersThenRejects) {
   EXPECT_EQ(stats.runs_completed, 2u);
 }
 
+TEST(ServiceAdmission, DeferredRunIsRecheckedAgainstAShrunkenPopulation) {
+  // Admission checks stolen indices against the population enrolled then,
+  // but a deferred run takes the population enrolled when it launches. A
+  // re-Enroll in between must fail the run as a bad request (no internal
+  // error, no source path) and leave the in-flight counts balanced.
+  obs::MetricsRegistry metrics;
+  ServiceConfig config;
+  config.workers = 1;
+  config.max_inflight_per_tenant = 1;
+  config.metrics = &metrics;
+  MonitorService svc{config};
+  svc.start();
+  // The WatchDone frame comes only at the watch's end, which takes seconds
+  // in a sanitizer build: wait longer than the default 5 s per frame.
+  ServiceClient client(svc.port(), std::chrono::seconds(60));
+  client.hello("tenant");
+  // A long watch (16 epochs over 100 zones) holds the tenant's only slot
+  // well past the re-Enroll below.
+  EnrollRequest inv = small_inventory("inv", 2000);
+  inv.zone_capacity = 20;
+  client.enroll(inv);
+  StartWatchRequest watch;
+  watch.inventory = "inv";
+  watch.epochs = 16;
+  const service::StartOutcome first = client.start_watch(watch);
+  ASSERT_TRUE(first.admitted.has_value());
+
+  StartRunRequest run;
+  run.inventory = "inv";
+  run.stolen = {1500};
+  const service::StartOutcome second = client.start_run(run);
+  ASSERT_TRUE(second.admitted.has_value());
+  EXPECT_EQ(second.admitted->admission,
+            static_cast<std::uint8_t>(fleet::Admission::kDeferred));
+
+  EXPECT_EQ(client.enroll(small_inventory("inv", 100)).tags, 100u);
+
+  // The watch frees the slot; the deferred run launches and is refused.
+  client.await_watch_done(first.admitted->run_id);
+  const service::Frame frame = client.read_frame();
+  ASSERT_EQ(static_cast<service::FrameType>(frame.type),
+            service::FrameType::kError);
+  const service::ErrorMsg error = service::decode_error(frame.payload);
+  EXPECT_EQ(error.code, service::ErrorCode::kBadRequest);
+  EXPECT_EQ(error.message, "stolen index out of range");
+
+  // The slot is free again: the next run is admitted, not deferred.
+  run.stolen = {50};
+  const service::StartOutcome third = client.start_run(run);
+  ASSERT_TRUE(third.admitted.has_value());
+  EXPECT_EQ(third.admitted->admission,
+            static_cast<std::uint8_t>(fleet::Admission::kAccepted));
+  client.await_verdict(third.admitted->run_id);
+
+  const service::ServiceStats stats = svc.stop();
+  EXPECT_EQ(stats.runs_aborted, 1u);
+  EXPECT_EQ(stats.runs_completed, 2u);
+  EXPECT_EQ(obs::catalog::service_runs_total(metrics, "aborted").value(), 1u);
+}
+
+TEST(ServiceAdmission, WatchStealRangeMustFitTheEnrolledPopulation) {
+  MonitorService svc{ServiceConfig{}};
+  svc.start();
+  ServiceClient client(svc.port());
+  client.hello("acme");
+  client.enroll(small_inventory("floor", 60));
+
+  const auto refused = [&client](std::uint64_t steal,
+                                 std::uint64_t steal_from) {
+    StartWatchRequest watch;
+    watch.inventory = "floor";
+    watch.steal = steal;
+    watch.steal_from = steal_from;
+    client.send_frame(service::FrameType::kStartWatch, encode(watch));
+    const service::Frame frame = client.read_frame();
+    return static_cast<service::FrameType>(frame.type) ==
+               service::FrameType::kError &&
+           service::decode_error(frame.payload).code ==
+               service::ErrorCode::kBadRequest;
+  };
+  EXPECT_TRUE(refused(UINT64_MAX, 0));
+  EXPECT_TRUE(refused(10, UINT64_MAX - 5));  // steal_from + steal wraps
+  EXPECT_TRUE(refused(3, 58));
+
+  // A range ending exactly at the population's end runs.
+  StartWatchRequest watch;
+  watch.inventory = "floor";
+  watch.epochs = 2;
+  watch.steal = 2;
+  watch.steal_from = 58;
+  const service::StartOutcome outcome = client.start_watch(watch);
+  ASSERT_TRUE(outcome.admitted.has_value());
+  EXPECT_EQ(client.await_watch_done(outcome.admitted->run_id).epochs_completed,
+            2u);
+  svc.stop();
+}
+
 TEST(ServiceAlerts, WatchPublishesFeedAndSubscriberReplaysBacklog) {
   MonitorService svc{ServiceConfig{}};
   svc.start();
@@ -593,6 +692,40 @@ TEST(ServiceShutdown, DrainTimeoutAbortsInFlightWatch) {
   // minutes.
   const service::ServiceStats stats = svc.stop();
   EXPECT_FALSE(stats.drained_cleanly);
+}
+
+TEST(ServiceShutdown, DrainTimeoutReportsRunsStillQueuedOnThePool) {
+  // One worker, held by a long watch: a run launched behind it is still
+  // queued on the pool when the 1 ms budget expires. It must be drained
+  // as an aborted run (counted, in-flight balanced), not dropped unseen.
+  ServiceConfig config;
+  config.workers = 1;
+  config.drain_timeout = std::chrono::milliseconds(1);
+  config.max_watch_epochs = 100000;
+  MonitorService svc{config};
+  svc.start();
+  ServiceClient client(svc.port());
+  client.hello("tenant");
+  EnrollRequest inv = small_inventory("floor", 2000);
+  inv.zone_capacity = 40;
+  inv.tolerance = 20;
+  client.enroll(inv);
+
+  StartWatchRequest watch;
+  watch.inventory = "floor";
+  watch.epochs = 100000;
+  ASSERT_TRUE(client.start_watch(watch).admitted.has_value());
+  StartRunRequest run;
+  run.inventory = "floor";
+  const service::StartOutcome queued = client.start_run(run);
+  ASSERT_TRUE(queued.admitted.has_value());
+  EXPECT_EQ(queued.admitted->admission,
+            static_cast<std::uint8_t>(fleet::Admission::kAccepted));
+
+  const service::ServiceStats stats = svc.stop();
+  EXPECT_FALSE(stats.drained_cleanly);
+  EXPECT_EQ(stats.runs_aborted, 1u);
+  EXPECT_EQ(stats.runs_completed, 2u);  // the watch gave up, the run aborted
 }
 
 TEST(ServiceHttp, ScrapeEndpointsRenderRegistry) {
