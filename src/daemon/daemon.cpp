@@ -95,6 +95,10 @@ MonitorDaemon::MonitorDaemon(DaemonConfig config, WarehouseConfig warehouse)
   RFID_EXPECT(config_.quarantine_cooldown_epochs >= 1,
               "quarantine_cooldown_epochs must be >= 1");
   RFID_EXPECT(warehouse_.initial_tags >= 1, "warehouse needs tags");
+  // population_at replays the script in list order, so a later-listed
+  // event of an earlier epoch would land after events it must precede.
+  RFID_EXPECT(std::ranges::is_sorted(warehouse_.churn, {}, &ChurnEvent::epoch),
+              "churn events must be in epoch order");
   RFID_EXPECT(!config_.name.empty(), "daemon needs a name");
 }
 
@@ -241,34 +245,6 @@ void MonitorDaemon::resume_from_journal(DaemonResult& result) {
   }
 }
 
-void MonitorDaemon::sync_registry(const tag::TagSet& tags,
-                                  const server::GroupPlan& plan) {
-  const std::vector<tag::TagSet> slices = server::split_by_plan(tags, plan);
-  for (std::size_t z = 0; z < slices.size(); ++z) {
-    server::GroupConfig cfg;
-    cfg.name = config_.name + "/zone-" + std::to_string(z);
-    cfg.policy = protocol::MonitoringPolicy{plan.zones[z].tolerance,
-                                            warehouse_.alpha, warehouse_.model};
-    cfg.protocol = warehouse_.protocol == fleet::Protocol::kUtrp
-                       ? server::ProtocolKind::kUtrp
-                       : server::ProtocolKind::kTrp;
-    cfg.comm_budget = warehouse_.comm_budget;
-    cfg.slack_slots = warehouse_.slack_slots;
-    if (z < registry_zones_.size()) {
-      // Same zone identity, fresh membership — re-enrollment in place, the
-      // whole point of not rebuilding the server across re-plans.
-      registry_.re_enroll(registry_zones_[z], slices[z], std::move(cfg));
-    } else {
-      registry_zones_.push_back(registry_.enroll(slices[z], std::move(cfg)));
-    }
-  }
-  for (std::size_t z = slices.size(); z < registry_zones_.size(); ++z) {
-    if (registry_.active(registry_zones_[z])) {
-      registry_.decommission(registry_zones_[z]);
-    }
-  }
-}
-
 void MonitorDaemon::run_epoch(std::uint64_t epoch) {
   if (abort_.load(std::memory_order_acquire) ||
       (config_.abort != nullptr &&
@@ -303,9 +279,6 @@ void MonitorDaemon::run_epoch(std::uint64_t epoch) {
                            .max_group_size = warehouse_.zone_capacity,
                            .model = warehouse_.model});
   const std::size_t zone_count = plan.zones.size();
-
-  tag::TagSet tags(std::move(population.tags));
-  sync_registry(tags, plan);
 
   fleet::InventorySpec spec;
   spec.name = "warehouse";
@@ -346,7 +319,7 @@ void MonitorDaemon::run_epoch(std::uint64_t epoch) {
       }
     }
   }
-  spec.tags = std::move(tags);
+  spec.tags = tag::TagSet(std::move(population.tags));
 
   fleet::FleetConfig fleet_config;
   fleet_config.seed = util::derive_seed(config_.seed, epoch + 1, kEpochSalt);

@@ -43,10 +43,11 @@
 //     (kZoneRecovered). Every transition is a typed, sequenced DaemonAlert.
 //
 //   * Churn. The warehouse script enrolls, decommissions, and steals tags
-//     between epochs. The daemon re-plans each epoch and mirrors the zone
-//     layout into a server::InventoryServer registry via re_enroll /
-//     decommission — group identities survive re-planning instead of
-//     being rebuilt from scratch.
+//     between epochs, in epoch order. The daemon re-plans each epoch from
+//     the current population, and that epoch's fleet run holds the only
+//     zone state: nothing about the zone layout outlives the epoch except
+//     the per-zone health machines, which reset when the zone count
+//     changes.
 #pragma once
 
 #include <atomic>
@@ -65,7 +66,6 @@
 #include "fault/daemon_fault.h"
 #include "fleet/fleet.h"
 #include "obs/metrics.h"
-#include "server/inventory_server.h"
 #include "storage/backend.h"
 #include "storage/daemon_journal.h"
 
@@ -116,7 +116,9 @@ struct DaemonAlert {
     std::span<const DaemonAlert> alerts);
 
 /// Scripted population change, applied at the start of its epoch (before
-/// planning). Deterministic: a resumed daemon re-derives the same tags.
+/// planning). Deterministic: a resumed daemon re-derives the same tags. A
+/// script lists its events in epoch order; events of one epoch apply in
+/// list order.
 struct ChurnEvent {
   std::uint64_t epoch = 0;
   std::uint64_t enroll = 0;        // fresh tags appended to the population
@@ -257,13 +259,6 @@ class MonitorDaemon {
   /// escapes a zone (rethrown). Call once.
   [[nodiscard]] DaemonResult run();
 
-  /// The server-side zone registry the daemon maintains through churn:
-  /// one group per zone, re-enrolled in place on re-plans, decommissioned
-  /// when the zone count shrinks. Valid after run().
-  [[nodiscard]] const server::InventoryServer& registry() const noexcept {
-    return registry_;
-  }
-
  private:
   struct Population {
     std::vector<tag::Tag> tags;
@@ -273,7 +268,6 @@ class MonitorDaemon {
   [[nodiscard]] std::uint64_t config_fingerprint() const;
   [[nodiscard]] Population population_at(std::uint64_t epoch) const;
   void resume_from_journal(DaemonResult& result);
-  void sync_registry(const tag::TagSet& tags, const server::GroupPlan& plan);
   void run_epoch(std::uint64_t epoch);
   void monitor_main();
   void supervise();
@@ -292,9 +286,6 @@ class MonitorDaemon {
   std::vector<storage::DaemonAlertRecord> pending_alerts_;  // next checkpoint
   std::vector<EpochVerdict> verdicts_;
   std::uint64_t next_alert_sequence_ = 0;
-
-  server::InventoryServer registry_;
-  std::vector<server::GroupId> registry_zones_;
 
   // Supervision plumbing.
   std::atomic<std::uint64_t> epochs_committed_{0};

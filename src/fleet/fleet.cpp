@@ -318,10 +318,7 @@ Admission FleetOrchestrator::submit(
     state.reader_dishonest.assign(k, false);
     state.reader_excluded.assign(k, false);
 
-    if (s.deadline_us > 0.0) {
-      state.deadline_us = s.deadline_us;
-    } else if (s.protocol == Protocol::kUtrp &&
-               s.session.utrp_deadline_us > 0.0) {
+    if (s.protocol == Protocol::kUtrp && s.session.utrp_deadline_us > 0.0) {
       // EDF key: the Alg. 5 budget — zones closest to expiry run first.
       state.deadline_us = s.session.utrp_deadline_us;
     }

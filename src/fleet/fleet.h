@@ -218,10 +218,6 @@ struct InventorySpec {
   /// overridden per zone; everything else (links, retry policy, timing,
   /// UTRP deadline) applies to every zone of this inventory.
   wire::SessionConfig session;
-  /// Scheduling deadline (absolute, microseconds): earliest first. 0
-  /// derives it from session.utrp_deadline_us (UTRP zones closest to
-  /// Alg. 5 budget expiry run first); TRP zones default to "whenever".
-  double deadline_us = 0.0;
   /// Sparse per-zone fault scripts, applied on attempt 0 (and on retries
   /// iff FleetConfig::faults_on_retries). A plain FaultPlan converts
   /// implicitly ("same script for every reader"); multi-reader scripts can

@@ -61,8 +61,8 @@ struct GroupPlan {
 /// Partitions a population into per-zone TagSets matching `plan` — zone i
 /// receives the next plan.zones[i].tags tags, in set order (tag state,
 /// counters included, is copied unchanged). Requires the population size to
-/// equal the plan's total. This is the handoff from planning to execution:
-/// the fleet orchestrator scans each returned set with its zone's reader.
+/// equal the plan's total. group_planner_test uses it as the row-oriented
+/// reference for split_columnar_by_plan.
 [[nodiscard]] std::vector<tag::TagSet> split_by_plan(const tag::TagSet& tags,
                                                      const GroupPlan& plan);
 

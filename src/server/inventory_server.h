@@ -83,8 +83,7 @@ class InventoryServer {
   /// audit: same GroupId, same alert history (sequences keep counting), new
   /// membership and config. Rounds and the resync flag reset — the new
   /// engine has verified nothing yet. Re-enrolling a decommissioned group
-  /// reactivates it. This is how a long-running daemon applies tag churn
-  /// (enrollments, migrations) without rebuilding the whole server.
+  /// reactivates it.
   void re_enroll(GroupId id, const tag::TagSet& tags, GroupConfig config);
 
   /// Tombstones a group: challenging or submitting against it becomes API

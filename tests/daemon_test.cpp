@@ -1,12 +1,15 @@
 // MonitorDaemon tests: epoch scheduling, tag churn and re-planning, alert
 // debounce/escalation/quarantine/recovery, supervised crash and hang
-// restarts with journal-replay resume, and stale-journal quarantine.
+// restarts with journal-replay resume, stale-journal quarantine, UTRP
+// watches, and one scripted warehouse whose epoch output is pinned.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -22,6 +25,7 @@
 #include "obs/metrics.h"
 #include "storage/backend.h"
 #include "storage/daemon_journal.h"
+#include "storage/fleet_journal.h"
 
 namespace {
 
@@ -64,6 +68,22 @@ std::vector<daemon::DaemonAlertKind> kinds_of(
   return kinds;
 }
 
+// Zone indices of the terminal records in the fleet journal, which holds
+// the most recent epoch's fleet run; sorted, since workers race to append.
+std::vector<std::uint64_t> fleet_journal_zones(
+    const storage::MemoryBackend& backend) {
+  std::vector<std::uint64_t> zones;
+  const storage::FleetJournalScan scan = storage::scan_fleet_journal(
+      backend.read(daemon::DaemonConfig{}.fleet_journal_name));
+  for (const storage::FleetJournalRecord& record : scan.records) {
+    if (const auto* zone = std::get_if<storage::FleetZoneRecord>(&record)) {
+      zones.push_back(zone->zone);
+    }
+  }
+  std::sort(zones.begin(), zones.end());
+  return zones;
+}
+
 void expect_monotonic_sequences(
     const std::vector<daemon::DaemonAlert>& alerts) {
   for (std::size_t i = 0; i < alerts.size(); ++i) {
@@ -87,11 +107,10 @@ TEST(MonitorDaemon, QuietWarehouseStaysIntact) {
   EXPECT_EQ(result.replayed_alerts, 0u);
   EXPECT_EQ(result.journal_append_failures, 0u);
 
-  // The registry mirrors the plan: one active group per zone.
-  EXPECT_EQ(d.registry().group_count(), 3u);
-  for (std::size_t z = 0; z < 3; ++z) {
-    EXPECT_TRUE(d.registry().active(server::GroupId{z}));
-  }
+  // The last epoch's fleet run journaled one terminal record per planned
+  // zone, and no other.
+  EXPECT_EQ(fleet_journal_zones(backend),
+            (std::vector<std::uint64_t>{0, 1, 2}));
 }
 
 TEST(MonitorDaemon, TheftLatchesOneViolationAlert) {
@@ -125,11 +144,11 @@ TEST(MonitorDaemon, TheftLatchesOneViolationAlert) {
   expect_monotonic_sequences(result.alerts);
 }
 
-TEST(MonitorDaemon, ChurnReplansAndResyncsRegistry) {
+TEST(MonitorDaemon, ChurnReplansZones) {
   storage::MemoryBackend backend;
   daemon::WarehouseConfig warehouse = small_warehouse();
   // Epoch 1: +20 tags -> 50 tags -> 5 zones. Epoch 2: retire 20 -> 30 tags
-  // -> back to 3 zones; the two extra registry groups are decommissioned.
+  // -> back to 3 zones.
   warehouse.churn.push_back(daemon::ChurnEvent{.epoch = 1, .enroll = 20});
   warehouse.churn.push_back(
       daemon::ChurnEvent{.epoch = 2, .decommission = 20});
@@ -138,21 +157,23 @@ TEST(MonitorDaemon, ChurnReplansAndResyncsRegistry) {
   const daemon::DaemonResult result = d.run();
 
   EXPECT_EQ(result.epochs_completed, 3u);
-  std::vector<daemon::DaemonAlertKind> replans;
+  std::vector<const daemon::DaemonAlert*> replans;
   for (const daemon::DaemonAlert& alert : result.alerts) {
     if (alert.kind == daemon::DaemonAlertKind::kReplanned) {
-      replans.push_back(alert.kind);
+      replans.push_back(&alert);
     }
   }
-  EXPECT_EQ(replans.size(), 2u);  // 3 -> 5 zones, then 5 -> 3
+  ASSERT_EQ(replans.size(), 2u);
+  EXPECT_EQ(replans[0]->epoch, 1u);
+  EXPECT_NE(replans[0]->detail.find("zone count changed from 3 to 5"),
+            std::string::npos);
+  EXPECT_EQ(replans[1]->epoch, 2u);
+  EXPECT_NE(replans[1]->detail.find("from 5 to 3"), std::string::npos);
 
-  // GroupIds never shift: the registry grew to 5 groups and tombstoned the
-  // last two when the zone count shrank back.
-  EXPECT_EQ(d.registry().group_count(), 5u);
-  EXPECT_TRUE(d.registry().active(server::GroupId{0}));
-  EXPECT_TRUE(d.registry().active(server::GroupId{2}));
-  EXPECT_FALSE(d.registry().active(server::GroupId{3}));
-  EXPECT_FALSE(d.registry().active(server::GroupId{4}));
+  // The last epoch ran the shrunken plan: three zones, nothing left over
+  // from the five-zone layout.
+  EXPECT_EQ(fleet_journal_zones(backend),
+            (std::vector<std::uint64_t>{0, 1, 2}));
 }
 
 TEST(MonitorDaemon, DebounceEscalatesOnConsecutiveMisses) {
@@ -805,6 +826,119 @@ TEST(MonitorDaemon, MetricsCountEpochsAlertsAndRestarts) {
   // Replayed alerts are counted separately, never re-counted as raised.
   EXPECT_EQ(obs::catalog::daemon_replayed_alerts_total(metrics).value(),
             result.replayed_alerts);
+}
+
+TEST(MonitorDaemon, RejectsChurnOutOfEpochOrder) {
+  // A script listed out of epoch order would be replayed out of order: the
+  // epoch-1 decommission would run after the epoch-2 theft and retire the
+  // stolen tags before any epoch saw them missing.
+  storage::MemoryBackend backend;
+  daemon::WarehouseConfig warehouse = small_warehouse();
+  warehouse.churn.push_back(
+      daemon::ChurnEvent{.epoch = 2, .steal = 3, .steal_from = 0});
+  warehouse.churn.push_back(daemon::ChurnEvent{.epoch = 1, .decommission = 3});
+  EXPECT_THROW(daemon::MonitorDaemon(base_config(backend), warehouse),
+               std::invalid_argument);
+
+  // In epoch order the theft is seen. Events may share an epoch.
+  std::swap(warehouse.churn[0], warehouse.churn[1]);
+  warehouse.churn.push_back(daemon::ChurnEvent{.epoch = 2});
+  daemon::MonitorDaemon d(base_config(backend), warehouse);
+  const daemon::DaemonResult result = d.run();
+  const std::vector<daemon::EpochVerdict> expected = {
+      daemon::EpochVerdict::kIntact, daemon::EpochVerdict::kIntact,
+      daemon::EpochVerdict::kViolated};
+  EXPECT_EQ(result.epoch_verdicts, expected);
+  EXPECT_EQ(kinds_of(result.alerts),
+            std::vector<daemon::DaemonAlertKind>{
+                daemon::DaemonAlertKind::kZoneViolated});
+}
+
+std::uint64_t fnv_of(std::string_view bytes) {
+  return hash::fnv1a64(std::as_bytes(std::span(bytes.data(), bytes.size())));
+}
+
+TEST(MonitorDaemon, ScriptedWarehouseMatchesPinnedOutput) {
+  // Every epoch stage in one script: a re-plan up (enroll) and back down
+  // (decommission), a theft named by the drill-down, and a zone whose
+  // reader stays dead through its retries. The pins hash what the daemon
+  // exposes: alert history, verdicts, and both journals' final bytes. A
+  // change to how an epoch is computed must leave all four as they are.
+  storage::MemoryBackend backend;
+  daemon::WarehouseConfig warehouse = small_warehouse();
+  warehouse.churn.push_back(daemon::ChurnEvent{.epoch = 1, .enroll = 20});
+  warehouse.churn.push_back(
+      daemon::ChurnEvent{.epoch = 2, .steal = 6, .steal_from = 0});
+  warehouse.churn.push_back(
+      daemon::ChurnEvent{.epoch = 4, .decommission = 20});
+  for (std::uint64_t epoch = 4; epoch < 6; ++epoch) {
+    warehouse.zone_faults.push_back(
+        {.epoch = epoch, .zone = 1, .plan = dead_reader()});
+  }
+  warehouse.identify.enabled = true;
+  daemon::DaemonConfig config = base_config(backend);
+  config.epochs = 6;
+  config.faults_on_retries = true;
+
+  daemon::MonitorDaemon d(config, warehouse);
+  const daemon::DaemonResult result = d.run();
+  ASSERT_EQ(result.epochs_completed, 6u);
+
+  std::string verdicts;
+  for (const daemon::EpochVerdict verdict : result.epoch_verdicts) {
+    verdicts.push_back(static_cast<char>(verdict));
+  }
+  const std::string history = daemon::render_alert_history(result.alerts);
+  EXPECT_EQ(fnv_of(history), 0x4942303030905f7bULL) << history;
+  EXPECT_EQ(fnv_of(verdicts), 0x408cfdf1d849e99fULL);
+  EXPECT_EQ(fnv_of(backend.read(config.journal_name)),
+            0xc6e589f4b37dc71aULL);
+  EXPECT_EQ(fnv_of(backend.read(config.fleet_journal_name)),
+            0x51011961cc3518a4ULL);
+}
+
+TEST(MonitorDaemon, UtrpWarehouseLatchesTheft) {
+  storage::MemoryBackend backend;
+  daemon::WarehouseConfig warehouse = small_warehouse();
+  warehouse.protocol = fleet::Protocol::kUtrp;
+  warehouse.churn.push_back(
+      daemon::ChurnEvent{.epoch = 1, .steal = 6, .steal_from = 0});
+
+  daemon::MonitorDaemon d(base_config(backend), warehouse);
+  const daemon::DaemonResult result = d.run();
+
+  const std::vector<daemon::EpochVerdict> verdicts = {
+      daemon::EpochVerdict::kIntact, daemon::EpochVerdict::kViolated,
+      daemon::EpochVerdict::kViolated};
+  EXPECT_EQ(result.epoch_verdicts, verdicts);
+  const std::vector<daemon::DaemonAlertKind> kinds = {
+      daemon::DaemonAlertKind::kZoneViolated,
+      daemon::DaemonAlertKind::kZoneEscalated};
+  EXPECT_EQ(kinds_of(result.alerts), kinds);
+  for (const daemon::DaemonAlert& alert : result.alerts) {
+    EXPECT_EQ(alert.zone, 0u);
+  }
+}
+
+TEST(MonitorDaemon, UnsatisfiableUtrpShapeFailsTheRun) {
+  // No UTRP frame meets alpha against a budget this large. That is a bad
+  // configuration, not a crash: run() rethrows it instead of restarting.
+  storage::MemoryBackend backend;
+  daemon::WarehouseConfig warehouse = small_warehouse();
+  warehouse.protocol = fleet::Protocol::kUtrp;
+  warehouse.comm_budget = 1'000'000'000;
+  warehouse.alpha = 0.999999;
+
+  daemon::MonitorDaemon d(base_config(backend), warehouse);
+  try {
+    (void)d.run();
+    FAIL() << "run() must throw";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string_view(error.what())
+                  .find("frame optimization: no frame size up to 2^24"),
+              0u)
+        << error.what();
+  }
 }
 
 }  // namespace
