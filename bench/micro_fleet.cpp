@@ -6,16 +6,27 @@
 // observability is recorded post-run, throughput should scale near-linearly
 // until the machine runs out of cores — the PR's acceptance bar is >2x at
 // 4 threads over 1.
+//
+// BM_DaemonWatch times one whole MonitorDaemon watch, end to end: every
+// epoch's churn, fleet run, decision and checkpoint into memory journals.
+// Two shapes: the benchmark suite's svc_watch request (2000 TRP tags in
+// zones of 250, M = 16, 16 epochs, an 18-tag theft at epoch 8, one fleet
+// thread, the service's abort switch wired) and a watch at warehouse scale
+// (10^6 TRP tags in one zone, 4 epochs, a 2000-tag theft at epoch 2). Both
+// run the identification drill-down.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "daemon/daemon.h"
 #include "fleet/fleet.h"
 #include "server/group_planner.h"
+#include "storage/backend.h"
 #include "tag/tag_set.h"
 #include "util/random.h"
 
@@ -75,5 +86,68 @@ void ThreadArgs(benchmark::internal::Benchmark* bench) {
 }
 
 BENCHMARK(BM_FleetSessionsPerSecond)->Apply(ThreadArgs)->UseRealTime();
+
+struct WatchShape {
+  std::uint64_t tags;
+  std::uint64_t zone_capacity;  // 0 = one zone
+  std::uint64_t tolerance;
+  std::uint64_t epochs;
+  std::uint64_t steal_epoch;
+  std::uint64_t steal;
+  std::uint64_t steal_from;
+};
+
+constexpr WatchShape kSvcWatch{.tags = 2000,
+                               .zone_capacity = 250,
+                               .tolerance = 16,
+                               .epochs = 16,
+                               .steal_epoch = 8,
+                               .steal = 18,
+                               .steal_from = 760};
+constexpr WatchShape kMillionTagWatch{.tags = 1000000,
+                                      .zone_capacity = 0,
+                                      .tolerance = 500,
+                                      .epochs = 4,
+                                      .steal_epoch = 2,
+                                      .steal = 2000,
+                                      .steal_from = 400000};
+
+void BM_DaemonWatch(benchmark::State& state, WatchShape shape) {
+  daemon::WarehouseConfig warehouse;
+  warehouse.initial_tags = shape.tags;
+  warehouse.zone_capacity = shape.zone_capacity;
+  warehouse.tolerance = shape.tolerance;
+  warehouse.rounds = 1;
+  warehouse.identify.enabled = true;
+  warehouse.churn.push_back(daemon::ChurnEvent{.epoch = shape.steal_epoch,
+                                               .steal = shape.steal,
+                                               .steal_from = shape.steal_from});
+  std::atomic<bool> abort{false};
+  for (auto _ : state) {
+    storage::MemoryBackend backend;
+    daemon::DaemonConfig config;
+    config.seed = 20080617;
+    config.epochs = shape.epochs;
+    config.threads = 1;
+    config.backend = &backend;
+    config.abort = &abort;
+    daemon::MonitorDaemon watch(config, warehouse);
+    daemon::DaemonResult result = watch.run();
+    benchmark::DoNotOptimize(result);
+    if (result.epochs_completed != shape.epochs || result.alerts.empty()) {
+      state.SkipWithError("the watch did not complete or missed the theft");
+      break;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(shape.epochs));
+}
+
+BENCHMARK_CAPTURE(BM_DaemonWatch, svc_watch, kSvcWatch)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_DaemonWatch, million_tags, kMillionTagWatch)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <iterator>
+#include <optional>
+#include <ranges>
 #include <utility>
 
 #include "obs/catalog.h"
@@ -95,8 +98,9 @@ MonitorDaemon::MonitorDaemon(DaemonConfig config, WarehouseConfig warehouse)
   RFID_EXPECT(config_.quarantine_cooldown_epochs >= 1,
               "quarantine_cooldown_epochs must be >= 1");
   RFID_EXPECT(warehouse_.initial_tags >= 1, "warehouse needs tags");
-  // population_at replays the script in list order, so a later-listed
-  // event of an earlier epoch would land after events it must precede.
+  // The population advances through the script in list order, so a
+  // later-listed event of an earlier epoch would land after events it must
+  // precede.
   RFID_EXPECT(std::ranges::is_sorted(warehouse_.churn, {}, &ChurnEvent::epoch),
               "churn events must be in epoch order");
   RFID_EXPECT(!config_.name.empty(), "daemon needs a name");
@@ -144,50 +148,104 @@ std::uint64_t MonitorDaemon::config_fingerprint() const {
   return h | 1;
 }
 
-MonitorDaemon::Population MonitorDaemon::population_at(
-    std::uint64_t epoch) const {
+void MonitorDaemon::advance_population(std::uint64_t epoch) {
   // The population is a pure function of (seed, churn script, epoch): the
   // initial audit and every enrollment draw from seeds derived here, so a
   // resumed daemon re-derives tag-for-tag the population the crashed one
-  // was monitoring.
-  Population population;
-  {
+  // was monitoring. The first epoch of a monitor life draws the initial
+  // audit and catches up on every earlier event; later epochs apply only
+  // their own events to the tags they carry over.
+  tag::TagSet initial;
+  if (population_ == nullptr) {
     util::Rng rng(util::derive_seed(config_.seed, 0, kPopulationSalt));
-    tag::TagSet initial =
-        tag::TagSet::make_random(warehouse_.initial_tags, rng);
-    population.tags.assign(initial.tags().begin(), initial.tags().end());
+    initial = tag::TagSet::make_random(warehouse_.initial_tags, rng);
+    stolen_.clear();
+    churn_applied_ = 0;
   }
-  population.stolen.assign(population.tags.size(), false);
+  const tag::TagSet& current =
+      population_ != nullptr ? population_->tags() : initial;
 
-  for (const ChurnEvent& event : warehouse_.churn) {
-    if (event.epoch > epoch) continue;
-    const std::uint64_t retire = std::min<std::uint64_t>(
-        event.decommission, population.tags.size());
-    population.tags.erase(
-        population.tags.begin(),
-        population.tags.begin() + static_cast<std::ptrdiff_t>(retire));
-    population.stolen.erase(
-        population.stolen.begin(),
-        population.stolen.begin() + static_cast<std::ptrdiff_t>(retire));
+  // The next tag list, copied from the current one by the first event that
+  // enrolls or retires tags. A theft changes only the stolen list.
+  std::optional<std::vector<tag::Tag>> next;
+  const auto size = [&] { return next ? next->size() : current.size(); };
+  const auto edit = [&]() -> std::vector<tag::Tag>& {
+    if (!next) next.emplace(current.tags().begin(), current.tags().end());
+    return *next;
+  };
+  // All of one epoch's enrollments draw from that epoch's one stream, in
+  // list order, so two enrollments of one epoch enroll different tags.
+  std::optional<std::uint64_t> stream_epoch;
+  util::Rng stream;
+  const std::span<const ChurnEvent> churn = warehouse_.churn;
+  for (; churn_applied_ < churn.size() && churn[churn_applied_].epoch <= epoch;
+       ++churn_applied_) {
+    const ChurnEvent& event = churn[churn_applied_];
+    const std::uint64_t retire =
+        std::min<std::uint64_t>(event.decommission, size());
+    if (retire > 0) {
+      std::vector<tag::Tag>& tags = edit();
+      tags.erase(tags.begin(),
+                 tags.begin() + static_cast<std::ptrdiff_t>(retire));
+      stolen_.erase(stolen_.begin(), std::ranges::lower_bound(stolen_, retire));
+      for (std::uint64_t& index : stolen_) index -= retire;
+    }
     if (event.enroll > 0) {
-      util::Rng rng(util::derive_seed(config_.seed, event.epoch, kChurnSalt));
-      tag::TagSet fresh = tag::TagSet::make_random(
-          static_cast<std::size_t>(event.enroll), rng);
-      for (const tag::Tag& t : fresh.tags()) population.tags.push_back(t);
-      population.stolen.resize(population.tags.size(), false);
+      if (stream_epoch != event.epoch) {
+        stream = util::Rng(
+            util::derive_seed(config_.seed, event.epoch, kChurnSalt));
+        stream_epoch = event.epoch;
+      }
+      const tag::TagSet fresh = tag::TagSet::make_random(
+          static_cast<std::size_t>(event.enroll), stream);
+      std::vector<tag::Tag>& tags = edit();
+      tags.insert(tags.end(), fresh.tags().begin(), fresh.tags().end());
     }
     // Only [steal_from, min(steal_from + steal, size)) exists; the bound is
     // computed without overflow, so no script can wrap or spin.
-    const std::uint64_t size = population.stolen.size();
-    if (event.steal_from < size) {
+    const std::uint64_t n = size();
+    if (event.steal_from < n) {
       const std::uint64_t end =
-          event.steal_from + std::min(event.steal, size - event.steal_from);
-      for (std::uint64_t i = event.steal_from; i < end; ++i) {
-        population.stolen[static_cast<std::size_t>(i)] = true;
-      }
+          event.steal_from + std::min(event.steal, n - event.steal_from);
+      std::vector<std::uint64_t> merged;
+      merged.reserve(stolen_.size() + (end - event.steal_from));
+      std::ranges::set_union(stolen_, std::views::iota(event.steal_from, end),
+                             std::back_inserter(merged));
+      stolen_ = std::move(merged);
     }
   }
-  return population;
+
+  // Any enrollment or retirement moves zone membership, even when the
+  // population size (and so the plan) stays: re-plan and re-prepare.
+  if (next) {
+    population_.reset();  // the tags are held once: by the prepared zones
+    prepare_zones(tag::TagSet(std::move(*next)));
+  } else if (population_ == nullptr) {
+    prepare_zones(std::move(initial));
+  }
+}
+
+void MonitorDaemon::prepare_zones(tag::TagSet tags) {
+  // Re-plan so Σ m_i = M still covers whatever the population has become.
+  // The tolerance clamps to keep the planner's M + zones <= N invariant
+  // alive through heavy decommissioning.
+  const std::uint64_t n = tags.size();
+  RFID_EXPECT(n > 0, "churn script emptied the population");
+  const std::uint64_t zones_estimate =
+      warehouse_.zone_capacity == 0
+          ? 1
+          : (n + warehouse_.zone_capacity - 1) / warehouse_.zone_capacity;
+  std::uint64_t tolerance = warehouse_.tolerance;
+  if (tolerance + zones_estimate > n) {
+    tolerance = n > zones_estimate ? n - zones_estimate : 0;
+  }
+  population_ = fleet::PreparedPopulation::prepare(
+      std::move(tags),
+      server::plan_groups({.total_tags = n,
+                           .total_tolerance = tolerance,
+                           .alpha = warehouse_.alpha,
+                           .max_group_size = warehouse_.zone_capacity,
+                           .model = warehouse_.model}));
 }
 
 void MonitorDaemon::resume_from_journal(DaemonResult& result) {
@@ -258,41 +316,21 @@ void MonitorDaemon::run_epoch(std::uint64_t epoch) {
     faults->maybe_hang(epoch);
   }
 
-  // Re-audit: apply churn and re-plan so Σ m_i = M still covers whatever
-  // the population has become. The tolerance clamps to keep the planner's
-  // M + zones <= N invariant alive through heavy decommissioning.
-  Population population = population_at(epoch);
-  const std::uint64_t n = population.tags.size();
-  RFID_EXPECT(n > 0, "churn script emptied the population");
-  const std::uint64_t zones_estimate =
-      warehouse_.zone_capacity == 0
-          ? 1
-          : (n + warehouse_.zone_capacity - 1) / warehouse_.zone_capacity;
-  std::uint64_t tolerance = warehouse_.tolerance;
-  if (tolerance + zones_estimate > n) {
-    tolerance = n > zones_estimate ? n - zones_estimate : 0;
-  }
-  const server::GroupPlan plan =
-      server::plan_groups({.total_tags = n,
-                           .total_tolerance = tolerance,
-                           .alpha = warehouse_.alpha,
-                           .max_group_size = warehouse_.zone_capacity,
-                           .model = warehouse_.model});
-  const std::size_t zone_count = plan.zones.size();
+  // Re-audit: apply this epoch's churn, re-preparing the zones only if it
+  // moved membership.
+  advance_population(epoch);
+  const std::size_t zone_count = population_->zones().size();
 
   fleet::InventorySpec spec;
   spec.name = "warehouse";
   spec.protocol = warehouse_.protocol;
-  spec.plan = plan;
+  spec.stolen = stolen_;
   spec.alpha = warehouse_.alpha;
   spec.model = warehouse_.model;
   spec.comm_budget = warehouse_.comm_budget;
   spec.slack_slots = warehouse_.slack_slots;
   spec.rounds = warehouse_.rounds;
   spec.session = warehouse_.session;
-  for (std::size_t i = 0; i < population.stolen.size(); ++i) {
-    if (population.stolen[i]) spec.stolen.push_back(i);
-  }
   for (const WarehouseConfig::ZoneFault& zf : warehouse_.zone_faults) {
     if (zf.epoch == epoch && zf.zone < zone_count) {
       spec.zone_faults.emplace_back(zf.zone, zf.plan);
@@ -300,6 +338,15 @@ void MonitorDaemon::run_epoch(std::uint64_t epoch) {
   }
   spec.fusion = warehouse_.fusion;
   spec.identify = warehouse_.identify;
+  // A zone whose violated latch is set raises no alert this epoch, so its
+  // campaign's names would be discarded. A replan resets the latches, so
+  // the list holds only while the zones still match the health machines.
+  spec.identify.skip_zones.clear();
+  if (healths_.size() == zone_count) {
+    for (std::size_t z = 0; z < zone_count; ++z) {
+      if (healths_[z].violated) spec.identify.skip_zones.push_back(z);
+    }
+  }
   const std::uint32_t k = warehouse_.fusion.readers;
   for (const auto& [zone, reader] : warehouse_.dishonest_readers) {
     if (zone < zone_count && reader < k) {
@@ -319,7 +366,6 @@ void MonitorDaemon::run_epoch(std::uint64_t epoch) {
       }
     }
   }
-  spec.tags = tag::TagSet(std::move(population.tags));
 
   fleet::FleetConfig fleet_config;
   fleet_config.seed = util::derive_seed(config_.seed, epoch + 1, kEpochSalt);
@@ -332,7 +378,7 @@ void MonitorDaemon::run_epoch(std::uint64_t epoch) {
   fleet_config.abort = &abort_;
 
   fleet::FleetOrchestrator orchestrator(std::move(fleet_config));
-  orchestrator.submit(std::move(spec));
+  orchestrator.submit(std::move(spec), population_);
   fleet::FleetResult fleet_result = orchestrator.run();
 
   if (faults != nullptr) {
@@ -571,6 +617,9 @@ void MonitorDaemon::monitor_main() {
   } catch (...) {
     monitor_error_ = std::current_exception();
   }
+  // The warehouse lives as long as this monitor life: the next life
+  // derives it afresh, from the first epoch its journal has not proven.
+  population_.reset();
   {
     const std::lock_guard<std::mutex> lock(wd_mu_);
     monitor_done_ = true;

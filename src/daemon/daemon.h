@@ -8,11 +8,11 @@
 // that loop:
 //
 //   * Epochs. Monitoring proceeds in numbered epochs. Each epoch derives a
-//     fresh fleet seed from (daemon seed, epoch), re-audits the population
-//     (tag churn applied), re-plans zones so Σ m_i = M still holds, and
-//     executes one FleetOrchestrator run. Epoch results are therefore pure
-//     functions of (daemon seed, warehouse script, epoch) — the property
-//     every resume guarantee below leans on.
+//     fresh fleet seed from (daemon seed, epoch), applies that epoch's tag
+//     churn to the population it carries over, and executes one
+//     FleetOrchestrator run over the prepared zones. Epoch results are
+//     therefore pure functions of (daemon seed, warehouse script, epoch) —
+//     the property every resume guarantee below leans on.
 //
 //   * Supervision. The epoch loop runs on a monitor thread; the caller's
 //     thread is the supervisor. A scripted crash (fault::CrashInjected —
@@ -43,11 +43,14 @@
 //     (kZoneRecovered). Every transition is a typed, sequenced DaemonAlert.
 //
 //   * Churn. The warehouse script enrolls, decommissions, and steals tags
-//     between epochs, in epoch order. The daemon re-plans each epoch from
-//     the current population, and that epoch's fleet run holds the only
-//     zone state: nothing about the zone layout outlives the epoch except
-//     the per-zone health machines, which reset when the zone count
-//     changes.
+//     between epochs, in epoch order. Each monitor life draws the
+//     population once, at its first epoch; later epochs apply their events
+//     as a delta. The prepared zones (fleet::PreparedPopulation) outlive
+//     epochs until an event enrolls or retires tags, which re-plans so
+//     Σ m_i = M still holds and re-prepares; a theft changes only the
+//     stolen list. The per-zone health machines reset when the zone count
+//     changes, and a zone whose theft alert is already raised is not
+//     drilled down again.
 #pragma once
 
 #include <atomic>
@@ -118,7 +121,7 @@ struct DaemonAlert {
 /// Scripted population change, applied at the start of its epoch (before
 /// planning). Deterministic: a resumed daemon re-derives the same tags. A
 /// script lists its events in epoch order; events of one epoch apply in
-/// list order.
+/// list order, and their enrollments draw from that epoch's one stream.
 struct ChurnEvent {
   std::uint64_t epoch = 0;
   std::uint64_t enroll = 0;        // fresh tags appended to the population
@@ -167,7 +170,9 @@ struct WarehouseConfig {
   /// stolen tags (DaemonAlert::missing_tags), durably, through the
   /// checkpoint. Deliberately OUTSIDE the config fingerprint: it enriches
   /// future alerts without changing what any replayed health state means,
-  /// so flipping it across a restart must not quarantine the journal.
+  /// so flipping it across a restart must not quarantine the journal. The
+  /// daemon sets skip_zones itself each epoch; a value given here is
+  /// ignored.
   fleet::IdentifyDrillConfig identify;
 };
 
@@ -260,13 +265,9 @@ class MonitorDaemon {
   [[nodiscard]] DaemonResult run();
 
  private:
-  struct Population {
-    std::vector<tag::Tag> tags;
-    std::vector<bool> stolen;
-  };
-
   [[nodiscard]] std::uint64_t config_fingerprint() const;
-  [[nodiscard]] Population population_at(std::uint64_t epoch) const;
+  void advance_population(std::uint64_t epoch);
+  void prepare_zones(tag::TagSet tags);
   void resume_from_journal(DaemonResult& result);
   void run_epoch(std::uint64_t epoch);
   void monitor_main();
@@ -286,6 +287,14 @@ class MonitorDaemon {
   std::vector<storage::DaemonAlertRecord> pending_alerts_;  // next checkpoint
   std::vector<EpochVerdict> verdicts_;
   std::uint64_t next_alert_sequence_ = 0;
+
+  // The watched population, owned by the monitor thread for one life and
+  // derived afresh by each life's first epoch: the prepared zones, whose
+  // TagSet is the daemon's only tag list; the sorted population indices of
+  // stolen tags; and how many churn events have been applied.
+  std::shared_ptr<const fleet::PreparedPopulation> population_;
+  std::vector<std::uint64_t> stolen_;
+  std::size_t churn_applied_ = 0;
 
   // Supervision plumbing.
   std::atomic<std::uint64_t> epochs_committed_{0};

@@ -347,6 +347,10 @@ Admission FleetOrchestrator::submit(
     inventory->zones[static_cast<std::size_t>(zone)]
         .reader_excluded[reader] = true;
   }
+  for (const std::uint64_t zone : s.identify.skip_zones) {
+    RFID_EXPECT(zone < inventory->zones.size(),
+                "drill-down skip zone out of range");
+  }
   if (k > 1) {
     for (ZoneState& state : inventory->zones) {
       std::uint32_t active = 0;
@@ -904,12 +908,13 @@ FleetResult FleetOrchestrator::run() {
   }
 
   // Identification drill-down: for every violated zone of an inventory that
-  // opted in, run a missing-tag identification campaign so the escalation
-  // names the stolen tags instead of just flagging the zone. This is a
-  // sequential post-pass over quiescent zone state with an RNG derived from
-  // (seed, inventory, zone): a pure function of the fleet seed, so it
-  // produces identical output on 1 or 64 threads and on zones recovered
-  // from an interrupted run's journal.
+  // opted in, bar the zones on its skip list, run a missing-tag
+  // identification campaign so the escalation names the stolen tags instead
+  // of just flagging the zone. This is a sequential post-pass over quiescent
+  // zone state with an RNG derived from (seed, inventory, zone): a pure
+  // function of the fleet seed, so it produces identical output on 1 or 64
+  // threads and on zones recovered from an interrupted run's journal, and
+  // skipping one zone changes no other zone's campaign.
   for (const auto& inventory : inventories_) {
     const InventorySpec& s = inventory->spec;
     if (!s.identify.enabled) continue;
@@ -919,7 +924,11 @@ FleetResult FleetOrchestrator::run() {
     const hash::SlotHasher hasher{};
     for (std::size_t z = 0; z < inventory->zones.size(); ++z) {
       ZoneState& state = inventory->zones[z];
-      if (state.report.status != ZoneStatus::kViolated) continue;
+      if (state.report.status != ZoneStatus::kViolated ||
+          std::ranges::find(s.identify.skip_zones, z) !=
+              s.identify.skip_zones.end()) {
+        continue;
+      }
       util::Rng rng(util::derive_seed(
           util::derive_seed(config_.seed, inventory->name_hash, z),
           kIdentifySalt));

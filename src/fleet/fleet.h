@@ -161,6 +161,12 @@ struct IdentifyDrillConfig {
   protocol::IdentifyProtocolKind protocol =
       protocol::IdentifyProtocolKind::kFilterFirst;
   protocol::IdentifyConfig config;
+  /// Zones whose violated verdict needs no campaign: their report keeps
+  /// identification.ran == false and every other field. Each index must be
+  /// below the zone count. The daemon fills it each epoch with the zones
+  /// whose theft alert it already raised, since it would discard their
+  /// names.
+  std::vector<std::uint64_t> skip_zones;
 };
 
 /// An inventory's immutable run state, built once and shared read-only by

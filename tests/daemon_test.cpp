@@ -1,7 +1,8 @@
 // MonitorDaemon tests: epoch scheduling, tag churn and re-planning, alert
 // debounce/escalation/quarantine/recovery, supervised crash and hang
 // restarts with journal-replay resume, stale-journal quarantine, UTRP
-// watches, and one scripted warehouse whose epoch output is pinned.
+// watches, and three scripted warehouses (TRP, UTRP, fused) whose epoch
+// output is pinned.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -895,6 +896,112 @@ TEST(MonitorDaemon, ScriptedWarehouseMatchesPinnedOutput) {
             0xc6e589f4b37dc71aULL);
   EXPECT_EQ(fnv_of(backend.read(config.fleet_journal_name)),
             0x51011961cc3518a4ULL);
+}
+
+TEST(MonitorDaemon, UtrpWarehouseMatchesPinnedOutput) {
+  // The UTRP side of the pin above: a theft named by the drill-down and
+  // still open next epoch; a re-plan up (enroll) under the open theft,
+  // which resets the health machines, so the same zone is named again; then
+  // a decommission that re-plans down and shifts the stolen tags into
+  // another zone.
+  storage::MemoryBackend backend;
+  daemon::WarehouseConfig warehouse = small_warehouse();
+  warehouse.protocol = fleet::Protocol::kUtrp;
+  warehouse.churn.push_back(
+      daemon::ChurnEvent{.epoch = 1, .steal = 6, .steal_from = 12});
+  warehouse.churn.push_back(daemon::ChurnEvent{.epoch = 3, .enroll = 10});
+  warehouse.churn.push_back(
+      daemon::ChurnEvent{.epoch = 5, .decommission = 10});
+  warehouse.identify.enabled = true;
+  daemon::DaemonConfig config = base_config(backend);
+  config.epochs = 7;
+
+  daemon::MonitorDaemon d(config, warehouse);
+  const daemon::DaemonResult result = d.run();
+  ASSERT_EQ(result.epochs_completed, 7u);
+
+  std::string verdicts;
+  for (const daemon::EpochVerdict verdict : result.epoch_verdicts) {
+    verdicts.push_back(static_cast<char>(verdict));
+  }
+  const std::string history = daemon::render_alert_history(result.alerts);
+  EXPECT_EQ(fnv_of(history), 0x5c21cf6dc170b471ULL) << history;
+  EXPECT_EQ(fnv_of(verdicts), 0x104f0303f4946f75ULL);
+  EXPECT_EQ(fnv_of(backend.read(config.journal_name)),
+            0x5afa349d552fc828ULL);
+  EXPECT_EQ(fnv_of(backend.read(config.fleet_journal_name)),
+            0xb672fc3933c66becULL);
+}
+
+TEST(MonitorDaemon, FusedWarehouseMatchesPinnedOutput) {
+  // k = 3 readers per zone, zone 0's reader 1 forging "all present" over a
+  // theft: benched, paroled and benched again. Epoch 3 retires 5 tags and
+  // enrolls 5: the population size, plan and health machines stay, but
+  // every zone's membership moves and the stolen tags shift to indices 0-4.
+  // The epoch-4 theft in zone 2 is named from the moved membership.
+  storage::MemoryBackend backend;
+  daemon::WarehouseConfig warehouse = small_warehouse();
+  warehouse.fusion.readers = 3;
+  warehouse.dishonest_readers.emplace_back(0, 1);
+  warehouse.churn.push_back(
+      daemon::ChurnEvent{.epoch = 0, .steal = 5, .steal_from = 5});
+  warehouse.churn.push_back(
+      daemon::ChurnEvent{.epoch = 3, .enroll = 5, .decommission = 5});
+  warehouse.churn.push_back(
+      daemon::ChurnEvent{.epoch = 4, .steal = 5, .steal_from = 20});
+  warehouse.identify.enabled = true;
+  daemon::DaemonConfig config = base_config(backend);
+  config.epochs = 7;
+  config.debounce_epochs = 1;
+  config.quarantine_after_epochs = 2;
+  config.quarantine_cooldown_epochs = 2;
+
+  daemon::MonitorDaemon d(config, warehouse);
+  const daemon::DaemonResult result = d.run();
+  ASSERT_EQ(result.epochs_completed, 7u);
+
+  std::string verdicts;
+  for (const daemon::EpochVerdict verdict : result.epoch_verdicts) {
+    verdicts.push_back(static_cast<char>(verdict));
+  }
+  const std::string history = daemon::render_alert_history(result.alerts);
+  EXPECT_EQ(fnv_of(history), 0xe4d58d8ecdba2534ULL) << history;
+  EXPECT_EQ(fnv_of(verdicts), 0x1974b59b26a692feULL);
+  EXPECT_EQ(fnv_of(backend.read(config.journal_name)),
+            0xf8d4436040859451ULL);
+  EXPECT_EQ(fnv_of(backend.read(config.fleet_journal_name)),
+            0x471db38bf698a13bULL);
+}
+
+TEST(MonitorDaemon, TwoEnrollmentsInOneEpochDrawDistinctTags) {
+  // Both enrollments of epoch 1 draw from that epoch's one stream, so the
+  // ten tags they add are ten different tags, and stealing all ten names
+  // ten distinct IDs.
+  storage::MemoryBackend backend;
+  daemon::WarehouseConfig warehouse;
+  warehouse.initial_tags = 40;
+  warehouse.tolerance = 1;
+  warehouse.zone_capacity = 0;
+  warehouse.churn.push_back(daemon::ChurnEvent{.epoch = 1, .enroll = 5});
+  warehouse.churn.push_back(daemon::ChurnEvent{.epoch = 1, .enroll = 5});
+  warehouse.churn.push_back(
+      daemon::ChurnEvent{.epoch = 2, .steal = 10, .steal_from = 40});
+  warehouse.identify.enabled = true;
+
+  daemon::MonitorDaemon d(base_config(backend), warehouse);
+  const daemon::DaemonResult result = d.run();
+
+  const daemon::DaemonAlert* violated = nullptr;
+  for (const daemon::DaemonAlert& alert : result.alerts) {
+    if (alert.kind == daemon::DaemonAlertKind::kZoneViolated) violated = &alert;
+  }
+  ASSERT_NE(violated, nullptr);
+  EXPECT_EQ(violated->epoch, 2u);
+  EXPECT_NE(violated->detail.find("identified 10 missing tag(s)"),
+            std::string::npos);
+  std::vector<tag::TagId> named = violated->missing_tags;
+  std::sort(named.begin(), named.end());
+  EXPECT_EQ(std::unique(named.begin(), named.end()) - named.begin(), 10);
 }
 
 TEST(MonitorDaemon, UtrpWarehouseLatchesTheft) {

@@ -5,7 +5,8 @@
 // tags), on 1 and 4 threads, repeated and concurrent; and no run — a TRP
 // zone reading the shared span, a theft zone, a UTRP zone advancing its
 // counters through a resync retry, a fused zone with a forging reader —
-// changes a single bit of the population it borrowed.
+// changes a single bit of the population it borrowed. A drill-down skip list
+// drops the listed zones' campaigns and changes nothing else.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -22,6 +23,7 @@
 #include "fleet/fleet.h"
 #include "hash/fnv.h"
 #include "server/group_planner.h"
+#include "storage/backend.h"
 #include "tag/columnar.h"
 #include "tag/tag_set.h"
 #include "util/random.h"
@@ -249,6 +251,57 @@ TEST(PreparedPopulation, ConcurrentOrchestratorsShareOnePopulation) {
   expect_same_run(got_theft, want_theft, "concurrent theft");
   expect_same_run(got_utrp, want_utrp, "concurrent utrp");
   EXPECT_EQ(fingerprint(*population), before);
+}
+
+TEST(PreparedPopulation, DrillDownSkipsOnlyTheListedZones) {
+  // Both zones are violated; listing zone 0 drops its campaign and nothing
+  // else: zone 1 names the same tags, every other report field and the
+  // fleet journal's bytes stay as they are.
+  const auto population =
+      fleet::PreparedPopulation::prepare(make_tags(), make_plan());
+  const auto run = [&](std::vector<std::uint64_t> skip,
+                       storage::MemoryBackend& backend) {
+    // One worker, so zone records reach the journal in zone order.
+    fleet::FleetConfig config = fleet_config(1);
+    config.journal_backend = &backend;
+    fleet::FleetOrchestrator orchestrator(config);
+    fleet::InventorySpec spec = make_spec(scenarios()[0]);
+    for (std::uint64_t t = 0; t < 9; ++t) {
+      spec.stolen.push_back(7 * t);
+      spec.stolen.push_back(kZoneTags + 7 * t);
+    }
+    spec.identify.enabled = true;
+    spec.identify.skip_zones = std::move(skip);
+    orchestrator.submit(std::move(spec), population);
+    return orchestrator.run().inventories.at(0).zones;
+  };
+  storage::MemoryBackend all_backend;
+  storage::MemoryBackend skip_backend;
+  const std::vector<fleet::ZoneReport> all = run({}, all_backend);
+  const std::vector<fleet::ZoneReport> skipped = run({0}, skip_backend);
+
+  ASSERT_EQ(all.size(), 2u);
+  ASSERT_EQ(skipped.size(), 2u);
+  for (std::size_t z = 0; z < 2; ++z) {
+    EXPECT_EQ(all[z].status, fleet::ZoneStatus::kViolated) << "zone " << z;
+    EXPECT_TRUE(all[z].identification.ran) << "zone " << z;
+  }
+  EXPECT_FALSE(skipped[0].identification.ran);
+  EXPECT_TRUE(skipped[0].identification == fleet::ZoneIdentification{});
+  EXPECT_TRUE(skipped[1] == all[1]);
+  EXPECT_EQ(skipped[1].identification.missing.size(), 9u);
+  fleet::ZoneReport without_campaign = all[0];
+  without_campaign.identification = {};
+  EXPECT_TRUE(skipped[0] == without_campaign);
+  const std::string journal = fleet::FleetConfig{}.journal_name;
+  EXPECT_FALSE(all_backend.read(journal).empty());
+  EXPECT_EQ(skip_backend.read(journal), all_backend.read(journal));
+
+  fleet::FleetOrchestrator orchestrator(fleet_config(1));
+  fleet::InventorySpec out_of_range = make_spec(scenarios()[0]);
+  out_of_range.identify.skip_zones = {2};
+  EXPECT_THROW(orchestrator.submit(std::move(out_of_range), population),
+               std::invalid_argument);
 }
 
 TEST(PreparedPopulation, PreparedSubmitRejectsASpecThatCarriesTags) {
