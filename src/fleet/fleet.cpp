@@ -33,8 +33,8 @@ namespace {
 /// zone) but NOT the attempt, so a reader retrying answers the same
 /// challenges its peers saw (a TRP re-scan of one (f, r) is idempotent).
 inline constexpr std::uint64_t kChallengeSalt = 0x6368616cULL;  // "chal"
-/// Salt separating a fused reader's RNG stream from the legacy zone stream
-/// (reader 0 of a k = 1 zone keeps the legacy derivation bit for bit).
+/// Salt separating a fused reader's RNG stream, derived with (reader + 1),
+/// from the k = 1 zone stream, which reader 0 would otherwise collide with.
 inline constexpr std::uint64_t kReaderSalt = 0x72647273ULL;  // "rdrs"
 /// Salt for a violated zone's identification drill-down: derived from
 /// (seed, inventory, zone) only, so the campaign replays identically on a
@@ -124,27 +124,27 @@ struct FleetOrchestrator::ZoneState {
   std::vector<tag::Tag> owned;
   math::UtrpPlan utrp_plan;        // solved once at submit (UTRP only)
   double deadline_us = std::numeric_limits<double>::infinity();
-  std::vector<wire::SessionOutcome> attempts_log;
   ZoneReport report;
-  bool finalized = false;  // report filled (terminal or abort-synthesized)
 
-  // Per-reader fault plans, materialized from the zone's (possibly
-  // multi-reader) script at submit; empty when the zone has no faults.
+  // One entry per reader (k of them; a plain zone is reader 0 of k = 1):
+  // the fault plan materialized from the zone's script (the vector is empty
+  // when the zone has no faults), the behavior flags, and every attempt's
+  // outcome in attempt order. An excluded reader never runs.
   std::vector<fault::FaultPlan> reader_fault_plans;
-  // Per-reader behavior flags, always sized to the zone's k (k = 1 zones
-  // consult reader 0 for the forge hook).
   std::vector<bool> reader_dishonest;
   std::vector<bool> reader_excluded;
+  std::vector<std::vector<wire::SessionOutcome>> attempts;
+  // Fan-in: the active readers not yet terminal. The reader task that takes
+  // it to zero runs finalize_zone — deterministic because the verdict
+  // depends only on terminal per-reader state, never on finishing order. A
+  // zone whose counter is still above zero after the pool stops was never
+  // finalized.
+  std::unique_ptr<std::atomic<std::uint32_t>> readers_pending;
 
-  // Fusion (k > 1) only: the fixed challenge schedule every reader answers,
-  // the generalized-Theorem-1 alarm threshold, per-reader attempt logs, and
-  // the completion fan-in counter. The LAST reader task to reach a terminal
-  // state runs the fused finalize — deterministic because the fused verdict
-  // depends only on terminal per-reader state, never on finishing order.
+  // Fused zones (k > 1) only: the fixed challenge schedule every reader
+  // answers and the generalized-Theorem-1 alarm threshold.
   std::vector<protocol::TrpChallenge> challenges;
   std::uint64_t fused_threshold = 1;
-  std::vector<std::vector<wire::SessionOutcome>> reader_attempts;
-  std::unique_ptr<std::atomic<std::uint32_t>> readers_pending;
 };
 
 struct FleetOrchestrator::Inventory {
@@ -313,10 +313,10 @@ Admission FleetOrchestrator::submit(
         state.challenges.push_back(
             protocol::TrpChallenge{frame_size, crng()});
       }
-      state.reader_attempts.resize(k);
     }
     state.reader_dishonest.assign(k, false);
     state.reader_excluded.assign(k, false);
+    state.attempts.resize(k);
 
     if (s.protocol == Protocol::kUtrp && s.session.utrp_deadline_us > 0.0) {
       // EDF key: the Alg. 5 budget — zones closest to expiry run first.
@@ -351,17 +351,13 @@ Admission FleetOrchestrator::submit(
     RFID_EXPECT(zone < inventory->zones.size(),
                 "drill-down skip zone out of range");
   }
-  if (k > 1) {
-    for (ZoneState& state : inventory->zones) {
-      std::uint32_t active = 0;
-      for (std::uint32_t r = 0; r < k; ++r) {
-        if (!state.reader_excluded[r]) ++active;
-      }
-      RFID_EXPECT(active >= 1,
-                  "every reader of a zone is excluded; nothing can scan it");
-      state.readers_pending =
-          std::make_unique<std::atomic<std::uint32_t>>(active);
-    }
+  for (ZoneState& state : inventory->zones) {
+    const auto active = static_cast<std::uint32_t>(
+        std::ranges::count(state.reader_excluded, false));
+    RFID_EXPECT(active >= 1,
+                "every reader of a zone is excluded; nothing can scan it");
+    state.readers_pending =
+        std::make_unique<std::atomic<std::uint32_t>>(active);
   }
 
   inventories_.push_back(std::move(inventory));
@@ -404,27 +400,18 @@ tag::TagSet FleetOrchestrator::audit_set(const ZoneState& state) const {
   return tag::TagSet(std::move(tags));
 }
 
-void FleetOrchestrator::run_zone_attempt(std::size_t inv, std::size_t zone,
-                                         std::uint32_t attempt) {
-  ZoneState& state = inventories_[inv]->zones[zone];
-
-  if (should_abort()) {
-    // Killed before this attempt started: report the zone as crashed but
-    // journal nothing — a journaled "failed" would be reused on resume as
-    // if the zone had genuinely exhausted its attempts.
-    state.report.zone = zone;
-    state.report.status = ZoneStatus::kFailed;
-    state.report.last_failure = wire::FailureReason::kCrashed;
-    state.report.attempts = static_cast<std::uint32_t>(
-        state.attempts_log.size());
-    state.finalized = true;
-    return;
-  }
-
+void FleetOrchestrator::run_attempt(std::size_t inv, std::size_t zone,
+                                    std::uint32_t reader,
+                                    std::uint32_t attempt) {
+  // Killed before this attempt started: return WITHOUT decrementing the
+  // zone's fan-in counter, so the zone never finalizes on partial evidence
+  // and journals nothing (a journaled "failed" would be reused on resume as
+  // if the zone had exhausted its attempts). run() reports it crashed.
+  if (should_abort()) return;
   try {
-    run_zone_attempt_body(inv, zone, attempt);
+    run_attempt_body(inv, zone, reader, attempt);
   } catch (...) {
-    // A throwing zone (sick journal disk delivering a scripted crash, a
+    // A throwing attempt (sick journal disk delivering a scripted crash, a
     // bug in a protocol engine) must not terminate the worker thread: park
     // the exception, flip the kill switch so the rest of the run drains
     // fast, and let run() rethrow on the caller's thread.
@@ -436,18 +423,22 @@ void FleetOrchestrator::run_zone_attempt(std::size_t inv, std::size_t zone,
   }
 }
 
-void FleetOrchestrator::run_zone_attempt_body(std::size_t inv,
-                                              std::size_t zone,
-                                              std::uint32_t attempt) {
+void FleetOrchestrator::run_attempt_body(std::size_t inv, std::size_t zone,
+                                         std::uint32_t reader,
+                                         std::uint32_t attempt) {
   Inventory& inventory = *inventories_[inv];
   ZoneState& state = inventory.zones[zone];
   const InventorySpec& s = inventory.spec;
+  const bool fused = s.fusion.readers > 1;
 
   // The determinism contract: everything random about this attempt flows
-  // from (fleet seed, inventory name, zone, attempt). Thread identity and
+  // from (fleet seed, inventory name, zone, attempt), and for a fused
+  // reader from (reader + 1, kReaderSalt) on top. Thread identity and
   // execution order never enter.
-  util::Rng rng(util::derive_seed(
-      util::derive_seed(config_.seed, inventory.name_hash, zone), attempt));
+  std::uint64_t seed = util::derive_seed(
+      util::derive_seed(config_.seed, inventory.name_hash, zone), attempt);
+  if (fused) seed = util::derive_seed(seed, reader + 1, kReaderSalt);
+  util::Rng rng(seed);
   sim::EventQueue queue;
 
   wire::SessionConfig session = s.session;
@@ -455,9 +446,10 @@ void FleetOrchestrator::run_zone_attempt_body(std::size_t inv,
   session.tracer = nullptr;
   session.session_log = nullptr;
   session.group_name = s.name + "/zone" + std::to_string(zone);
+  if (fused) session.trp_challenges = &state.challenges;
   session.faults = (attempt == 0 || config_.faults_on_retries) &&
                            !state.reader_fault_plans.empty()
-                       ? &state.reader_fault_plans[0]
+                       ? &state.reader_fault_plans[reader]
                        : nullptr;
 
   const protocol::MonitoringPolicy policy{
@@ -465,7 +457,7 @@ void FleetOrchestrator::run_zone_attempt_body(std::size_t inv,
   wire::SessionOutcome outcome;
   if (s.protocol == Protocol::kTrp) {
     protocol::TrpServer server(state.enrolled, policy);
-    if (state.reader_dishonest[0]) {
+    if (state.reader_dishonest[reader]) {
       // The split-attack reader: forge the expected bitstring of the FULL
       // enrolled set — "nothing missing" — instead of scanning.
       session.trp_forge = [&server](const protocol::TrpChallenge& c) {
@@ -475,9 +467,10 @@ void FleetOrchestrator::run_zone_attempt_body(std::size_t inv,
     outcome = wire::run_trp_session(queue, server, state.present, s.rounds,
                                     session, rng);
   } else {
-    // Every attempt re-enrolls the mirror from a fresh audit; on a retry
-    // this is exactly the divergence healing resync() performs after a
-    // crashed session left mirror and reality out of step.
+    // UTRP zones have one reader. Every attempt re-enrolls the mirror from
+    // a fresh audit; on a retry this is exactly the divergence healing
+    // resync() performs after a crashed session left mirror and reality
+    // out of step.
     const tag::TagSet audited = audit_set(state);
     protocol::UtrpServer server(audited, policy, s.comm_budget,
                                 state.utrp_plan);
@@ -485,65 +478,161 @@ void FleetOrchestrator::run_zone_attempt_body(std::size_t inv,
                                      std::span<tag::Tag>(state.owned),
                                      s.rounds, session, rng);
   }
-  state.attempts_log.push_back(std::move(outcome));
+  std::vector<wire::SessionOutcome>& log = state.attempts[reader];
+  log.push_back(std::move(outcome));
 
-  const wire::SessionOutcome& last = state.attempts_log.back();
+  const wire::SessionOutcome& last = log.back();
   if (!last.completed && is_retryable(last.failure) &&
       attempt + 1 < config_.max_zone_attempts) {
     // Requeue onto healthy capacity: the submitting worker keeps it local,
     // an idle worker may steal it — either way the result is the same.
     scheduler_->submit(state.deadline_us,
-                       [this, inv, zone, next = attempt + 1] {
-                         run_zone_attempt(inv, zone, next);
+                       [this, inv, zone, reader, next = attempt + 1] {
+                         run_attempt(inv, zone, reader, next);
                        });
     return;
   }
-  finalize_zone(inv, zone, /*aborted=*/false);
+  // This reader is terminal; the last one to get here finalizes the zone.
+  if (state.readers_pending->fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    finalize_zone(inv, zone);
+  }
 }
 
-void FleetOrchestrator::finalize_zone(std::size_t inv, std::size_t zone,
-                                      bool aborted) {
+void FleetOrchestrator::finalize_zone(std::size_t inv, std::size_t zone) {
   Inventory& inventory = *inventories_[inv];
   ZoneState& state = inventory.zones[zone];
-  const wire::SessionOutcome& last = state.attempts_log.back();
-  state.finalized = true;
+  const InventorySpec& s = inventory.spec;
+  const std::uint32_t k = s.fusion.readers;
 
+  // Bookkeeping every zone shares. Every active reader ran at least one
+  // attempt and an excluded one none. Frames and retransmissions sum over
+  // every attempt (the zone's backhaul cost), the duration is the slowest
+  // reader's final attempt, and the last failure is the first active
+  // reader's.
   ZoneReport& report = state.report;
   report.zone = zone;
-  report.attempts = static_cast<std::uint32_t>(state.attempts_log.size());
-  report.last_failure = last.failure;
-  report.resynced = inventory.spec.protocol == Protocol::kUtrp &&
-                    state.attempts_log.size() > 1;
-  report.rounds_completed = last.rounds_completed;
-  for (const protocol::Verdict& verdict : last.verdicts) {
-    if (!verdict.deadline_met) {
-      ++report.deadline_missed_rounds;
-    } else if (verdict.intact) {
-      ++report.intact_rounds;
-    } else {
-      ++report.mismatched_rounds;
+  for (std::uint32_t r = 0; r < k; ++r) {
+    const std::vector<wire::SessionOutcome>& log = state.attempts[r];
+    RFID_DEBUG_EXPECT(log.empty() == state.reader_excluded[r],
+                      "a zone finalized before all its readers ran");
+    if (log.empty()) continue;
+    if (report.attempts == 0) report.last_failure = log.back().failure;
+    report.attempts += static_cast<std::uint32_t>(log.size());
+    report.duration_us =
+        std::max(report.duration_us, log.back().finished_at_us);
+    for (const wire::SessionOutcome& a : log) {
+      report.frames_sent += a.frames_sent;
+      report.retransmissions += a.retransmissions;
     }
   }
-  for (const wire::SessionOutcome& a : state.attempts_log) {
-    report.frames_sent += a.frames_sent;
-    report.retransmissions += a.retransmissions;
-  }
-  report.duration_us = last.finished_at_us;
+  report.resynced = s.protocol == Protocol::kUtrp && report.attempts > 1;
 
-  // Theft evidence outranks infrastructure failure: a non-intact verdict in
-  // ANY attempt marks the zone violated even if a later (or the same)
-  // session died mid-way.
+  // The verdict rule, the one place k = 1 and k > 1 differ.
   bool violated = false;
-  for (const wire::SessionOutcome& a : state.attempts_log) {
-    for (const protocol::Verdict& verdict : a.verdicts) {
-      if (!verdict.intact) violated = true;
+  if (k == 1) {
+    // The reader's own per-session verdicts decide. Round accounting comes
+    // from the final attempt, but theft evidence outranks infrastructure
+    // failure: a non-intact verdict in ANY attempt marks the zone violated
+    // even if a later (or the same) session died mid-way.
+    const std::vector<wire::SessionOutcome>& log = state.attempts[0];
+    const wire::SessionOutcome& last = log.back();
+    report.rounds_completed = last.rounds_completed;
+    for (const protocol::Verdict& verdict : last.verdicts) {
+      if (!verdict.deadline_met) {
+        ++report.deadline_missed_rounds;
+      } else if (verdict.intact) {
+        ++report.intact_rounds;
+      } else {
+        ++report.mismatched_rounds;
+      }
     }
-  }
-  report.status = violated           ? ZoneStatus::kViolated
-                  : last.completed   ? ZoneStatus::kIntact
+    for (const wire::SessionOutcome& a : log) {
+      for (const protocol::Verdict& verdict : a.verdicts) {
+        if (!verdict.intact) violated = true;
+      }
+    }
+    report.status = violated         ? ZoneStatus::kViolated
+                    : last.completed ? ZoneStatus::kIntact
                                      : ZoneStatus::kFailed;
+  } else {
+    // Fused: per-session verdicts are NOT authoritative here — an honest
+    // reader's reply loss produces false per-session mismatches by design.
+    // Only the fused evidence, judged against the generalized-Theorem-1
+    // threshold, decides the zone.
+    const std::uint32_t quorum = s.fusion.effective_quorum();
+    const protocol::MonitoringPolicy policy{
+        inventory.population->plan().zones[zone].tolerance, s.alpha, s.model};
+    protocol::TrpServer server(state.enrolled, policy);
+    fusion::TrustTracker tracker(s.fusion);
+    std::uint64_t committed = 0;
+    for (std::uint64_t round = 0; round < s.rounds; ++round) {
+      // Each reader's freshest scan of this round: retries answer the same
+      // challenge stream, so the last attempt supersedes earlier ones.
+      std::vector<const bits::Bitstring*> observed(k, nullptr);
+      std::uint32_t valid = 0;
+      for (std::uint32_t r = 0; r < k; ++r) {
+        const std::vector<wire::SessionOutcome>& log = state.attempts[r];
+        if (log.empty() || log.back().reported.size() <= round) continue;
+        observed[r] = &log.back().reported[round];
+        ++valid;
+      }
+      if (valid == 0) continue;  // no reader reached this round
+      const fusion::FusedRound fused = fusion::fuse_round(
+          std::span<const bits::Bitstring* const>(observed.data(),
+                                                  observed.size()),
+          tracker.trust());
+      report.fused_slots += fused.slots_fused;
+      for (std::uint32_t r = 0; r < k; ++r) {
+        report.phantom_votes += fused.phantom_busy[r];
+        report.missed_votes += fused.missed_busy[r];
+      }
+      tracker.observe_round(fused);
+      if (valid < quorum) {
+        // Below quorum the majority-masking guarantee is void (a lone
+        // adversary could frame or whitewash the zone): no verdict, the
+        // round is surfaced as degraded instead.
+        ++report.degraded_rounds;
+        continue;
+      }
+      ++committed;
+      const bits::Bitstring expected =
+          server.expected_bitstring(state.challenges[round]);
+      std::uint64_t mismatches = 0;
+      for (std::uint64_t slot = 0; slot < state.challenges[round].frame_size;
+           ++slot) {
+        if (expected.test(slot) && !fused.fused.test(slot)) ++mismatches;
+      }
+      if (mismatches >= state.fused_threshold) {
+        violated = true;
+        ++report.mismatched_rounds;
+      } else {
+        ++report.intact_rounds;
+      }
+    }
+    report.rounds_completed = committed;
 
-  if (!aborted) journal_zone(inv, zone);
+    report.readers.resize(k);
+    for (std::uint32_t r = 0; r < k; ++r) {
+      ReaderReport& rr = report.readers[r];
+      const std::vector<wire::SessionOutcome>& log = state.attempts[r];
+      rr.reader = r;
+      rr.excluded = state.reader_excluded[r];
+      rr.suspect = tracker.suspect(r);
+      rr.trust = tracker.trust()[r];
+      rr.votes_overruled = tracker.overruled_votes(r);
+      rr.attempts = static_cast<std::uint32_t>(log.size());
+      if (!log.empty()) {
+        rr.completed = log.back().completed;
+        rr.last_failure = log.back().failure;
+      }
+    }
+
+    report.status = violated                ? ZoneStatus::kViolated
+                    : committed == s.rounds ? ZoneStatus::kIntact
+                    : committed > 0         ? ZoneStatus::kDegraded
+                                            : ZoneStatus::kFailed;
+  }
+  journal_zone(inv, zone);
 }
 
 void FleetOrchestrator::journal_zone(std::size_t inv, std::size_t zone) {
@@ -571,195 +660,6 @@ void FleetOrchestrator::journal_zone(std::size_t inv, std::size_t zone) {
     if (reader.suspect) ++record.suspected_readers;
   }
   journal_->append(record);
-}
-
-void FleetOrchestrator::run_reader_attempt(std::size_t inv, std::size_t zone,
-                                           std::uint32_t reader,
-                                           std::uint32_t attempt) {
-  // Killed before this attempt started: return WITHOUT decrementing the
-  // zone's fan-in counter, so the fused finalize never runs on partial
-  // evidence — run() synthesizes a crashed report for unfinalized zones.
-  if (should_abort()) return;
-  try {
-    run_reader_attempt_body(inv, zone, reader, attempt);
-  } catch (...) {
-    {
-      const std::lock_guard<std::mutex> lock(error_mu_);
-      if (first_error_ == nullptr) first_error_ = std::current_exception();
-    }
-    task_failed_.store(true, std::memory_order_release);
-  }
-}
-
-void FleetOrchestrator::run_reader_attempt_body(std::size_t inv,
-                                                std::size_t zone,
-                                                std::uint32_t reader,
-                                                std::uint32_t attempt) {
-  Inventory& inventory = *inventories_[inv];
-  ZoneState& state = inventory.zones[zone];
-  const InventorySpec& s = inventory.spec;
-
-  // The fused determinism contract extends the zone derivation with the
-  // reader index: (fleet seed, inventory, zone, attempt, reader). The +1
-  // and salt keep every reader stream disjoint from the k = 1 legacy
-  // stream, which reader 0 would otherwise collide with.
-  util::Rng rng(util::derive_seed(
-      util::derive_seed(
-          util::derive_seed(config_.seed, inventory.name_hash, zone),
-          attempt),
-      reader + 1, kReaderSalt));
-  sim::EventQueue queue;
-
-  wire::SessionConfig session = s.session;
-  session.metrics = nullptr;  // recorded post-run, in deterministic order
-  session.tracer = nullptr;
-  session.session_log = nullptr;
-  session.group_name = s.name + "/zone" + std::to_string(zone);
-  session.trp_challenges = &state.challenges;
-  session.faults = (attempt == 0 || config_.faults_on_retries) &&
-                           !state.reader_fault_plans.empty()
-                       ? &state.reader_fault_plans[reader]
-                       : nullptr;
-
-  const protocol::MonitoringPolicy policy{
-      inventory.population->plan().zones[zone].tolerance, s.alpha, s.model};
-  protocol::TrpServer server(state.enrolled, policy);
-  if (state.reader_dishonest[reader]) {
-    session.trp_forge = [&server](const protocol::TrpChallenge& c) {
-      return server.expected_bitstring(c);
-    };
-  }
-  wire::SessionOutcome outcome = wire::run_trp_session(
-      queue, server, state.present, s.rounds, session, rng);
-  std::vector<wire::SessionOutcome>& log = state.reader_attempts[reader];
-  log.push_back(std::move(outcome));
-
-  const wire::SessionOutcome& last = log.back();
-  if (!last.completed && is_retryable(last.failure) &&
-      attempt + 1 < config_.max_zone_attempts) {
-    scheduler_->submit(state.deadline_us,
-                       [this, inv, zone, reader, next = attempt + 1] {
-                         run_reader_attempt(inv, zone, reader, next);
-                       });
-    return;
-  }
-  // This reader is terminal. The LAST reader to arrive owns the fused
-  // finalize; fusion consumes only terminal per-reader state, so the
-  // verdict is independent of which reader that happens to be.
-  if (state.readers_pending->fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    finalize_fused_zone(inv, zone);
-  }
-}
-
-void FleetOrchestrator::finalize_fused_zone(std::size_t inv,
-                                            std::size_t zone) {
-  Inventory& inventory = *inventories_[inv];
-  ZoneState& state = inventory.zones[zone];
-  const InventorySpec& s = inventory.spec;
-  const std::uint32_t k = s.fusion.readers;
-  const std::uint32_t quorum = s.fusion.effective_quorum();
-  state.finalized = true;
-
-  const protocol::MonitoringPolicy policy{
-      inventory.population->plan().zones[zone].tolerance, s.alpha, s.model};
-  protocol::TrpServer server(state.enrolled, policy);
-  fusion::TrustTracker tracker(s.fusion);
-
-  ZoneReport& report = state.report;
-  report.zone = zone;
-
-  // Per-session verdicts are NOT authoritative here: an honest reader's
-  // reply loss produces false per-session mismatches by design. Only the
-  // fused evidence, judged against the generalized-Theorem-1 threshold,
-  // decides the zone.
-  bool violated = false;
-  std::uint64_t committed = 0;
-  for (std::uint64_t round = 0; round < s.rounds; ++round) {
-    // Each reader's freshest scan of this round: retries answer the same
-    // challenge stream, so the last attempt supersedes earlier ones.
-    std::vector<const bits::Bitstring*> observed(k, nullptr);
-    for (std::uint32_t r = 0; r < k; ++r) {
-      if (state.reader_excluded[r]) continue;
-      const auto& log = state.reader_attempts[r];
-      if (log.empty()) continue;
-      const wire::SessionOutcome& last = log.back();
-      if (last.reported.size() <= round) continue;
-      observed[r] = &last.reported[round];
-    }
-    std::uint32_t valid = 0;
-    for (const bits::Bitstring* b : observed) {
-      if (b != nullptr) ++valid;
-    }
-    if (valid == 0) continue;  // no reader reached this round
-    const fusion::FusedRound fused = fusion::fuse_round(
-        std::span<const bits::Bitstring* const>(observed.data(),
-                                                observed.size()),
-        tracker.trust());
-    report.fused_slots += fused.slots_fused;
-    for (std::uint32_t r = 0; r < k; ++r) {
-      report.phantom_votes += fused.phantom_busy[r];
-      report.missed_votes += fused.missed_busy[r];
-    }
-    tracker.observe_round(fused);
-    if (valid < quorum) {
-      // Below quorum the majority-masking guarantee is void (a lone
-      // adversary could frame or whitewash the zone): no verdict, the
-      // round is surfaced as degraded instead.
-      ++report.degraded_rounds;
-      continue;
-    }
-    ++committed;
-    const bits::Bitstring expected =
-        server.expected_bitstring(state.challenges[round]);
-    std::uint64_t mismatches = 0;
-    for (std::uint64_t slot = 0; slot < state.challenges[round].frame_size;
-         ++slot) {
-      if (expected.test(slot) && !fused.fused.test(slot)) ++mismatches;
-    }
-    if (mismatches >= state.fused_threshold) {
-      violated = true;
-      ++report.mismatched_rounds;
-    } else {
-      ++report.intact_rounds;
-    }
-  }
-  report.rounds_completed = committed;
-
-  report.readers.resize(k);
-  bool failure_set = false;
-  for (std::uint32_t r = 0; r < k; ++r) {
-    ReaderReport& rr = report.readers[r];
-    rr.reader = r;
-    rr.excluded = state.reader_excluded[r];
-    rr.suspect = tracker.suspect(r);
-    rr.trust = tracker.trust()[r];
-    rr.votes_overruled = tracker.overruled_votes(r);
-    const auto& log = state.reader_attempts[r];
-    rr.attempts = static_cast<std::uint32_t>(log.size());
-    report.attempts += rr.attempts;
-    if (!log.empty()) {
-      const wire::SessionOutcome& last = log.back();
-      rr.completed = last.completed;
-      rr.last_failure = last.failure;
-      report.duration_us = std::max(report.duration_us, last.finished_at_us);
-      for (const wire::SessionOutcome& a : log) {
-        report.frames_sent += a.frames_sent;
-        report.retransmissions += a.retransmissions;
-      }
-    } else if (!rr.excluded) {
-      rr.last_failure = wire::FailureReason::kCrashed;
-    }
-    if (!rr.excluded && !failure_set) {
-      report.last_failure = rr.last_failure;
-      failure_set = true;
-    }
-  }
-
-  report.status = violated                ? ZoneStatus::kViolated
-                  : committed == s.rounds ? ZoneStatus::kIntact
-                  : committed > 0         ? ZoneStatus::kDegraded
-                                          : ZoneStatus::kFailed;
-  journal_zone(inv, zone);
 }
 
 FleetResult FleetOrchestrator::run() {
@@ -839,19 +739,11 @@ FleetResult FleetOrchestrator::run() {
           }
           continue;
         }
-        ZoneState& state = inventory.zones[z];
-        const std::uint32_t k = inventory.spec.fusion.readers;
-        if (k > 1) {
-          for (std::uint32_t r = 0; r < k; ++r) {
-            if (state.reader_excluded[r]) continue;
-            scheduler_->submit(state.deadline_us, [this, i, z, r] {
-              run_reader_attempt(i, z, r, 0);
-            });
-          }
-        } else {
-          scheduler_->submit(state.deadline_us, [this, i, z] {
-            run_zone_attempt(i, z, 0);
-          });
+        const ZoneState& state = inventory.zones[z];
+        for (std::uint32_t r = 0; r < state.attempts.size(); ++r) {
+          if (state.reader_excluded[r]) continue;
+          scheduler_->submit(state.deadline_us,
+                             [this, i, z, r] { run_attempt(i, z, r, 0); });
         }
       }
     }
@@ -884,16 +776,16 @@ FleetResult FleetOrchestrator::run() {
     for (const auto& inventory : inventories_) {
       for (std::size_t z = 0; z < inventory->zones.size(); ++z) {
         ZoneState& state = inventory->zones[z];
-        if (state.finalized || state.report.recovered) continue;
+        if (state.readers_pending->load(std::memory_order_relaxed) == 0 ||
+            state.report.recovered) {
+          continue;
+        }
         state.report.zone = z;
         state.report.status = ZoneStatus::kFailed;
         state.report.last_failure = wire::FailureReason::kCrashed;
-        std::uint32_t attempts =
-            static_cast<std::uint32_t>(state.attempts_log.size());
-        for (const auto& log : state.reader_attempts) {
-          attempts += static_cast<std::uint32_t>(log.size());
+        for (const auto& log : state.attempts) {
+          state.report.attempts += static_cast<std::uint32_t>(log.size());
         }
-        state.report.attempts = attempts;
       }
     }
   }
@@ -977,11 +869,7 @@ FleetResult FleetOrchestrator::run() {
       const ZoneReport& report = state.report;
       inv_report.zones.push_back(report);
       ++result.zones;
-      result.attempts += state.attempts_log.size();
-      if (state.attempts_log.size() > 1) {
-        result.requeues += state.attempts_log.size() - 1;
-      }
-      for (const auto& log : state.reader_attempts) {
+      for (const auto& log : state.attempts) {
         result.attempts += log.size();
         if (log.size() > 1) result.requeues += log.size() - 1;
       }
@@ -1168,25 +1056,14 @@ void FleetOrchestrator::record_observability(const FleetResult& result) {
           tracer.annotate(zone_span, "recovered", "true");
         } else {
           const ZoneState& state = inventories_[i]->zones[z];
-          for (std::size_t a = 0; a < state.attempts_log.size(); ++a) {
-            const wire::SessionOutcome& outcome = state.attempts_log[a];
-            const std::uint64_t session_span =
-                tracer.begin_span("session", zone_span);
-            tracer.annotate(session_span, "attempt", std::to_string(a));
-            tracer.annotate(session_span, "outcome",
-                            outcome.completed
-                                ? std::string_view("completed")
-                                : wire::to_string(outcome.failure));
-            tracer.end_span(session_span);
-          }
-          for (std::size_t r = 0; r < state.reader_attempts.size(); ++r) {
-            for (std::size_t a = 0; a < state.reader_attempts[r].size();
-                 ++a) {
-              const wire::SessionOutcome& outcome =
-                  state.reader_attempts[r][a];
+          for (std::size_t r = 0; r < state.attempts.size(); ++r) {
+            for (std::size_t a = 0; a < state.attempts[r].size(); ++a) {
+              const wire::SessionOutcome& outcome = state.attempts[r][a];
               const std::uint64_t session_span =
                   tracer.begin_span("session", zone_span);
-              tracer.annotate(session_span, "reader", std::to_string(r));
+              if (state.attempts.size() > 1) {
+                tracer.annotate(session_span, "reader", std::to_string(r));
+              }
               tracer.annotate(session_span, "attempt", std::to_string(a));
               tracer.annotate(session_span, "outcome",
                               outcome.completed
@@ -1207,30 +1084,10 @@ void FleetOrchestrator::record_observability(const FleetResult& result) {
     for (const auto& inventory : inventories_) {
       for (std::size_t z = 0; z < inventory->zones.size(); ++z) {
         const ZoneState& state = inventory->zones[z];
-        for (std::size_t a = 0; a < state.attempts_log.size(); ++a) {
-          const wire::SessionOutcome& outcome = state.attempts_log[a];
-          obs::SessionSummary summary;
-          summary.protocol = std::string(to_string(inventory->spec.protocol));
-          summary.group =
-              inventory->spec.name + "/zone" + std::to_string(z);
-          summary.fleet = config_.fleet_name;
-          summary.attempt = a;
-          summary.completed = outcome.completed;
-          summary.outcome = outcome.completed
-                                ? "completed"
-                                : std::string(wire::to_string(outcome.failure));
-          summary.rounds_completed = outcome.rounds_completed;
-          summary.round_failures = outcome.round_failures.size();
-          summary.frames_sent = outcome.frames_sent;
-          summary.retransmissions = outcome.retransmissions;
-          summary.duration_us = outcome.finished_at_us;
-          config_.session_log->record(std::move(summary));
-        }
-        const std::uint32_t k =
-            static_cast<std::uint32_t>(state.reader_attempts.size());
+        const auto k = static_cast<std::uint32_t>(state.attempts.size());
         for (std::uint32_t r = 0; r < k; ++r) {
-          for (std::size_t a = 0; a < state.reader_attempts[r].size(); ++a) {
-            const wire::SessionOutcome& outcome = state.reader_attempts[r][a];
+          for (std::size_t a = 0; a < state.attempts[r].size(); ++a) {
+            const wire::SessionOutcome& outcome = state.attempts[r][a];
             obs::SessionSummary summary;
             summary.protocol =
                 std::string(to_string(inventory->spec.protocol));
@@ -1238,7 +1095,7 @@ void FleetOrchestrator::record_observability(const FleetResult& result) {
                 inventory->spec.name + "/zone" + std::to_string(z);
             summary.fleet = config_.fleet_name;
             summary.attempt = a;
-            summary.reader = r;
+            summary.reader = r;  // labels render only at k > 1
             summary.readers = k;
             summary.completed = outcome.completed;
             summary.outcome =

@@ -28,14 +28,17 @@
 // alerts, never silently dropped.
 //
 // Determinism contract (the TrialRunner discipline): every zone attempt
-// derives its RNG and its private virtual-time EventQueue from
+// gets a private virtual-time EventQueue and derives its RNG from
 // (fleet seed, inventory name, zone, attempt) — never from thread identity
-// or wall-clock order. Zone sessions run with all observability hooks
-// detached; the orchestrator re-records metrics, spans
+// or wall-clock order. A fused reader (k > 1) derives its RNG from that
+// seed and (reader + 1, a reader salt); the fused challenge stream every
+// reader answers derives from (fleet seed, inventory name, zone) and a
+// challenge salt, without the attempt. Zone sessions run with all
+// observability hooks detached; the orchestrator re-records metrics, spans
 // (fleet -> inventory -> zone -> session), and SessionLog entries after the
-// pool drains, single-threaded, in (inventory, zone, attempt) order. A
-// seeded fleet is therefore bit-identical — aggregated verdicts, metric
-// exposition, session logs, summary() text — on 1 thread or 64
+// pool drains, single-threaded, in (inventory, zone, reader, attempt)
+// order. A seeded fleet is therefore bit-identical — aggregated verdicts,
+// metric exposition, session logs, summary() text — on 1 thread or 64
 // (tests/fleet_determinism_test.cpp pins this down).
 //
 // Durability: with a journal backend attached, every terminal zone outcome
@@ -388,16 +391,12 @@ class FleetOrchestrator {
   struct ZoneState;
   struct Inventory;
 
-  void run_zone_attempt(std::size_t inv, std::size_t zone,
-                        std::uint32_t attempt);
-  void run_zone_attempt_body(std::size_t inv, std::size_t zone,
-                             std::uint32_t attempt);
-  void finalize_zone(std::size_t inv, std::size_t zone, bool aborted);
-  void run_reader_attempt(std::size_t inv, std::size_t zone,
-                          std::uint32_t reader, std::uint32_t attempt);
-  void run_reader_attempt_body(std::size_t inv, std::size_t zone,
-                               std::uint32_t reader, std::uint32_t attempt);
-  void finalize_fused_zone(std::size_t inv, std::size_t zone);
+  // One attempt of one zone reader (a plain zone is reader 0 of k = 1).
+  void run_attempt(std::size_t inv, std::size_t zone, std::uint32_t reader,
+                   std::uint32_t attempt);
+  void run_attempt_body(std::size_t inv, std::size_t zone,
+                        std::uint32_t reader, std::uint32_t attempt);
+  void finalize_zone(std::size_t inv, std::size_t zone);
   void journal_zone(std::size_t inv, std::size_t zone);
   [[nodiscard]] tag::TagSet audit_set(const ZoneState& state) const;
   [[nodiscard]] bool should_abort() const noexcept;

@@ -18,9 +18,9 @@
 //
 // Determinism contract: the pool promises nothing about which thread runs a
 // task or in what wall-clock order — fleet results must be derived from task
-// *identity* (inventory, zone, attempt), never from scheduling. That is why
-// FleetOrchestrator seeds every session from (fleet seed, inventory, zone,
-// attempt) and aggregates in index order: bit-identical on 1 or 64 threads.
+// *identity* (inventory, zone, reader, attempt), never from scheduling. That
+// is why FleetOrchestrator seeds every session from its task identity and
+// aggregates in index order: bit-identical on 1 or 64 threads.
 #pragma once
 
 #include <atomic>

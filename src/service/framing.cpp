@@ -1,8 +1,9 @@
 #include "service/framing.h"
 
-#include <cstring>
+#include <utility>
 
 #include "hash/fnv.h"
+#include "util/codec.h"
 
 namespace rfid::service {
 
@@ -10,12 +11,6 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 5;    // type:u8 + length:u32
 constexpr std::size_t kChecksumBytes = 4;  // fnv1a32
-
-std::uint32_t read_u32le(const std::byte* p) noexcept {
-  std::uint32_t v = 0;
-  std::memcpy(&v, p, sizeof(v));
-  return v;  // little-endian hosts only, like wire/codec.cpp
-}
 
 }  // namespace
 
@@ -64,19 +59,14 @@ std::string_view to_string(ErrorCode code) noexcept {
 
 std::vector<std::byte> encode_frame(FrameType type,
                                     std::span<const std::byte> payload) {
-  std::vector<std::byte> frame;
+  util::Encoder frame;
   frame.reserve(kHeaderBytes + payload.size() + kChecksumBytes);
-  frame.push_back(static_cast<std::byte>(type));
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  frame.resize(kHeaderBytes);
-  std::memcpy(frame.data() + 1, &len, sizeof(len));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  const std::uint32_t checksum = hash::fnv1a32(
-      std::span<const std::byte>(frame.data(), kHeaderBytes + payload.size()));
-  const std::size_t tail = frame.size();
-  frame.resize(tail + kChecksumBytes);
-  std::memcpy(frame.data() + tail, &checksum, sizeof(checksum));
-  return frame;
+  // A length-prefixed byte string after the type byte is exactly the
+  // type:u8 length:u32 payload layout.
+  frame.put_u8(static_cast<std::uint8_t>(type));
+  frame.put_bytes(payload);
+  frame.put_u32(hash::fnv1a32(frame.bytes()));
+  return std::move(frame).take();
 }
 
 ErrorCode FrameReader::feed(std::span<const std::byte> data,
@@ -88,7 +78,7 @@ ErrorCode FrameReader::feed(std::span<const std::byte> data,
     const std::size_t available = buffer_.size() - consumed_;
     if (available < kHeaderBytes) break;
     const std::byte* head = buffer_.data() + consumed_;
-    const std::uint32_t length = read_u32le(head + 1);
+    const std::uint32_t length = util::Decoder({head + 1, 4}).get_u32();
     // Reject a hostile length prefix before reserving a single byte for it.
     if (length > max_payload_) {
       poisoned_ = true;
@@ -96,7 +86,9 @@ ErrorCode FrameReader::feed(std::span<const std::byte> data,
     }
     const std::size_t total = kHeaderBytes + length + kChecksumBytes;
     if (available < total) break;  // truncated tail: wait for more bytes
-    const std::uint32_t declared = read_u32le(head + kHeaderBytes + length);
+    const std::uint32_t declared =
+        util::Decoder({head + kHeaderBytes + length, kChecksumBytes})
+            .get_u32();
     const std::uint32_t actual = hash::fnv1a32(
         std::span<const std::byte>(head, kHeaderBytes + length));
     if (declared != actual) {

@@ -1,6 +1,7 @@
 // The service frame: the unit of exchange on a client connection.
 //
-// Grammar (all integers little-endian, mirroring util/codec.h):
+// Grammar (integers little-endian on any host: both ends read and write them
+// with util/codec.h):
 //
 //   frame    := type:u8  length:u32  payload:length  checksum:u32
 //   checksum := fnv1a32(type || length || payload)

@@ -31,6 +31,7 @@ class Encoder {
   /// Length-prefixed (u32) byte string.
   void put_bytes(std::span<const std::byte> data);
   void put_string(std::string_view s);
+  void reserve(std::size_t bytes) { bytes_.reserve(bytes); }
 
   [[nodiscard]] const std::vector<std::byte>& bytes() const noexcept {
     return bytes_;

@@ -9,11 +9,15 @@
 // drift with the thread count.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "fault/fault.h"
 #include "fleet/fleet.h"
+#include "hash/fnv.h"
 #include "obs/expose.h"
 #include "obs/metrics.h"
 #include "obs/session_log.h"
@@ -35,6 +39,32 @@ struct Rendered {
   std::string trace;
   std::string journal;
 };
+
+std::uint64_t fnv_of(std::string_view bytes) {
+  return hash::fnv1a64(std::as_bytes(std::span(bytes.data(), bytes.size())));
+}
+
+// fnv1a64 of every rendering at threads = 1. Comparing 1 thread with 8
+// catches only drift with scheduling; a change that alters both runs alike
+// (a lost `reader` trace annotation, a relabelled session-log entry, a
+// reordered journal record) fails here. One worker takes the tasks in
+// submission order, so even the journal's record order is fixed. The pins
+// were taken once and are never regenerated to make a change pass.
+struct Pins {
+  std::uint64_t summary;
+  std::uint64_t prometheus;
+  std::uint64_t json;
+  std::uint64_t trace;
+  std::uint64_t journal;
+};
+
+void expect_pinned(const Rendered& r, const Pins& pins) {
+  EXPECT_EQ(fnv_of(r.summary), pins.summary) << r.summary;
+  EXPECT_EQ(fnv_of(r.prometheus), pins.prometheus);
+  EXPECT_EQ(fnv_of(r.json), pins.json);
+  EXPECT_EQ(fnv_of(r.trace), pins.trace);
+  EXPECT_EQ(fnv_of(r.journal), pins.journal);
+}
 
 // A fleet that exercises every code path whose ordering could leak thread
 // identity: clean TRP zones, a theft (violated verdict), a crash-then-retry
@@ -144,6 +174,11 @@ TEST(FleetDeterminism, MixedFleetIsBitIdenticalAcrossThreadCounts) {
   const auto scan_one = storage::scan_fleet_journal(one.journal);
   const auto scan_eight = storage::scan_fleet_journal(eight.journal);
   EXPECT_EQ(scan_one.records.size(), scan_eight.records.size());
+  expect_pinned(one, {.summary = 0x4bdfa24139b7fbaaULL,
+                      .prometheus = 0x222e507d249e7410ULL,
+                      .json = 0xca2f676212d8828dULL,
+                      .trace = 0x809f5d8fa4538f64ULL,
+                      .journal = 0x70028575d4c596e0ULL});
 
   // The interesting paths really ran.
   EXPECT_NE(one.summary.find("requeues: "), std::string::npos);
@@ -164,13 +199,15 @@ Rendered run_big_fleet(unsigned threads) {
   double clock = 0.0;
   obs::Tracer tracer([&clock] { return clock += 1.0; });
   obs::SessionLog log(256);
+  storage::MemoryBackend backend;
 
   fleet::FleetOrchestrator orchestrator({.seed = 777,
                                          .threads = threads,
                                          .fleet_name = "big-fleet",
                                          .metrics = &metrics,
                                          .tracer = &tracer,
-                                         .session_log = &log});
+                                         .session_log = &log,
+                                         .journal_backend = &backend});
   util::Rng rng(555);
   for (int i = 0; i < 4; ++i) {
     fleet::InventorySpec spec;
@@ -193,7 +230,7 @@ Rendered run_big_fleet(unsigned threads) {
                   obs::render_prometheus(metrics.snapshot()),
                   obs::render_json(metrics.snapshot(), &log),
                   tracer.render(),
-                  {}};
+                  backend.read("fleet.journal")};
 }
 
 TEST(FleetDeterminism, SixtyFourZoneFleetIsBitIdenticalAcrossThreadCounts) {
@@ -205,6 +242,11 @@ TEST(FleetDeterminism, SixtyFourZoneFleetIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.prometheus, eight.prometheus);
   EXPECT_EQ(one.json, eight.json);
   EXPECT_EQ(one.trace, eight.trace);
+  expect_pinned(one, {.summary = 0xba8b5f427e21257eULL,
+                      .prometheus = 0xa4377102f002c588ULL,
+                      .json = 0x0f838a0d7384b2d2ULL,
+                      .trace = 0xb47dd2df48153b7aULL,
+                      .journal = 0x54cf850e44ffd3fbULL});
 }
 
 // A fused fleet (k = 3 readers per zone): per-reader sessions fan out to
@@ -271,6 +313,11 @@ TEST(FleetDeterminism, FusedFleetIsBitIdenticalAcrossThreadCounts) {
   const auto scan_one = storage::scan_fleet_journal(one.journal);
   const auto scan_eight = storage::scan_fleet_journal(eight.journal);
   EXPECT_EQ(scan_one.records.size(), scan_eight.records.size());
+  expect_pinned(one, {.summary = 0xf6bd8081e0219e55ULL,
+                      .prometheus = 0x71520f36d8ac8c3cULL,
+                      .json = 0x05ab00ffdc610914ULL,
+                      .trace = 0x1940985fd0cc266dULL,
+                      .journal = 0x1bf84747ca40127bULL});
 
   // The fused paths really ran and really rendered.
   EXPECT_NE(one.prometheus.find("rfidmon_fusion_slots_fused_total"),

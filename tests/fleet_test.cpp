@@ -819,38 +819,50 @@ TEST(FleetScheduler, StopWithoutDrainAbandonsQueuedTasks) {
 }
 
 TEST(FleetOrchestrator, AbortSwitchAbandonsRunWithoutEndRecord) {
-  storage::MemoryBackend backend;
-  const std::atomic<bool> abort{true};  // killed before any zone starts
-  {
+  // A single-reader and a fused (k = 3) inventory abort alike: no zone
+  // starts, so each reports crashed with no attempts and no reader reports.
+  for (const std::uint32_t readers : {1u, 3u}) {
+    SCOPED_TRACE("readers = " + std::to_string(readers));
+    storage::MemoryBackend backend;
+    const std::atomic<bool> abort{true};  // killed before any zone starts
+    {
+      util::Rng rng(114);
+      fleet::FleetConfig config{.seed = 53, .threads = 2};
+      config.journal_backend = &backend;
+      config.abort = &abort;
+      fleet::FleetOrchestrator orchestrator(std::move(config));
+      fleet::InventorySpec spec = make_trp_spec("ware", 90, 3, 30, rng);
+      spec.fusion.readers = readers;
+      orchestrator.submit(std::move(spec));
+      const fleet::FleetResult result = orchestrator.run();
+
+      EXPECT_TRUE(result.aborted);
+      EXPECT_EQ(result.verdict, fleet::GlobalVerdict::kInconclusive);
+      for (const fleet::ZoneReport& zone : result.inventories[0].zones) {
+        EXPECT_EQ(zone.status, fleet::ZoneStatus::kFailed);
+        EXPECT_EQ(zone.last_failure, wire::FailureReason::kCrashed);
+        EXPECT_EQ(zone.attempts, 0u);
+        EXPECT_TRUE(zone.readers.empty());
+      }
+    }
+    // No end record was journaled, so a restart treats the run as
+    // interrupted and completes it.
+    const auto scan =
+        storage::scan_fleet_journal(backend.read("fleet.journal"));
+    EXPECT_FALSE(std::holds_alternative<storage::FleetRunEndRecord>(
+        scan.records.back()));
+
     util::Rng rng(114);
     fleet::FleetConfig config{.seed = 53, .threads = 2};
     config.journal_backend = &backend;
-    config.abort = &abort;
     fleet::FleetOrchestrator orchestrator(std::move(config));
-    orchestrator.submit(make_trp_spec("ware", 90, 3, 30, rng));
+    fleet::InventorySpec spec = make_trp_spec("ware", 90, 3, 30, rng);
+    spec.fusion.readers = readers;
+    orchestrator.submit(std::move(spec));
     const fleet::FleetResult result = orchestrator.run();
-
-    EXPECT_TRUE(result.aborted);
-    EXPECT_EQ(result.verdict, fleet::GlobalVerdict::kInconclusive);
-    for (const fleet::ZoneReport& zone : result.inventories[0].zones) {
-      EXPECT_EQ(zone.status, fleet::ZoneStatus::kFailed);
-      EXPECT_EQ(zone.last_failure, wire::FailureReason::kCrashed);
-    }
+    EXPECT_FALSE(result.aborted);
+    EXPECT_EQ(result.verdict, fleet::GlobalVerdict::kIntact);
   }
-  // No end record was journaled, so a restart treats the run as
-  // interrupted and completes it.
-  const auto scan = storage::scan_fleet_journal(backend.read("fleet.journal"));
-  EXPECT_FALSE(std::holds_alternative<storage::FleetRunEndRecord>(
-      scan.records.back()));
-
-  util::Rng rng(114);
-  fleet::FleetConfig config{.seed = 53, .threads = 2};
-  config.journal_backend = &backend;
-  fleet::FleetOrchestrator orchestrator(std::move(config));
-  orchestrator.submit(make_trp_spec("ware", 90, 3, 30, rng));
-  const fleet::FleetResult result = orchestrator.run();
-  EXPECT_FALSE(result.aborted);
-  EXPECT_EQ(result.verdict, fleet::GlobalVerdict::kIntact);
 }
 
 TEST(FleetOrchestrator, RecoveredRunWithChangedPlanIsQuarantined) {

@@ -11,6 +11,7 @@
 #include <random>
 #include <vector>
 
+#include "decoder_battery.h"
 #include "service/client.h"
 #include "service/framing.h"
 #include "service/messages.h"
@@ -157,6 +158,124 @@ TEST(Messages, TrailingGarbageRejected) {
   payload.push_back(std::byte{0});
   EXPECT_THROW((void)decode_ping(payload), std::invalid_argument);
   EXPECT_THROW((void)decode_hello({}), std::invalid_argument);  // truncated
+}
+
+TEST(Messages, EveryServiceDecoderSurvivesGarbage) {
+  using rfid::tag::TagId;
+  using rfid::test::expect_decoder_survives_garbage;
+  expect_decoder_survives_garbage(
+      "decode_hello", encode(HelloRequest{kProtocolVersion, "tenant-a"}),
+      decode_hello);
+  expect_decoder_survives_garbage(
+      "decode_hello_ok",
+      encode(HelloOk{.session_id = 77,
+                     .max_frame_bytes = 1 << 20,
+                     .token_capacity = 64,
+                     .max_inflight_per_tenant = 8}),
+      decode_hello_ok);
+  expect_decoder_survives_garbage(
+      "decode_enroll",
+      encode(EnrollRequest{.inventory = "aisle",
+                           .tolerance = 3,
+                           .zone_capacity = 40,
+                           .rounds = 2,
+                           .tags = {TagId(1, 2), TagId(3, 4), TagId(5, 6)}}),
+      decode_enroll);
+  expect_decoder_survives_garbage(
+      "decode_enroll_ok",
+      encode(EnrollOk{
+          .inventory = "aisle", .tags = 120, .zones = 3, .total_slots = 4096}),
+      decode_enroll_ok);
+  expect_decoder_survives_garbage(
+      "decode_start_run",
+      encode(StartRunRequest{.inventory = "aisle",
+                             .seed = 9,
+                             .identify = true,
+                             .stolen = {1, 5, 7}}),
+      decode_start_run);
+  expect_decoder_survives_garbage(
+      "decode_start_watch",
+      encode(StartWatchRequest{.inventory = "aisle",
+                               .seed = 9,
+                               .epochs = 6,
+                               .identify = true,
+                               .steal_epoch = 2,
+                               .steal = 4,
+                               .steal_from = 10}),
+      decode_start_watch);
+  expect_decoder_survives_garbage(
+      "decode_run_admitted",
+      encode(RunAdmitted{.run_id = 11, .admission = 1, .queue_depth = 3}),
+      decode_run_admitted);
+  expect_decoder_survives_garbage(
+      "decode_backpressure",
+      encode(Backpressure{.retry_after_ms = 250, .reason = "saturated"}),
+      decode_backpressure);
+  expect_decoder_survives_garbage(
+      "decode_run_verdict",
+      encode(RunVerdictMsg{.run_id = 11,
+                           .inventory = "aisle",
+                           .verdict = 1,
+                           .zones = 4,
+                           .zones_violated = 1,
+                           .attempts = 4,
+                           .tags_named = 2,
+                           .missing = {TagId(7, 8), TagId(9, 10)}}),
+      decode_run_verdict);
+  expect_decoder_survives_garbage(
+      "decode_run_alert",
+      encode(RunAlertMsg{.run_id = 11,
+                         .kind = "zone_escalated",
+                         .inventory = "aisle",
+                         .zone = 2,
+                         .detail = "crashed after 3 attempt(s)"}),
+      decode_run_alert);
+  expect_decoder_survives_garbage(
+      "decode_watch_done",
+      encode(WatchDone{.run_id = 11, .epochs_completed = 6, .alerts = 2}),
+      decode_watch_done);
+  expect_decoder_survives_garbage(
+      "decode_subscribe_ok", encode(SubscribeOk{.backlog = 5}),
+      decode_subscribe_ok);
+  expect_decoder_survives_garbage(
+      "decode_tenant_alert",
+      encode(TenantAlert{.sequence = 1,
+                         .kind = "zone_violated",
+                         .run_id = 11,
+                         .epoch = 3,
+                         .zone = 2,
+                         .detail = "theft",
+                         .missing = {TagId(1, 2)}}),
+      decode_tenant_alert);
+  expect_decoder_survives_garbage("decode_ping", encode(PingMsg{.nonce = 42}),
+                                  decode_ping);
+  expect_decoder_survives_garbage(
+      "decode_error",
+      encode(ErrorMsg{.code = ErrorCode::kBadRequest, .message = "bad"}),
+      decode_error);
+  expect_decoder_survives_garbage(
+      "decode_shutdown", encode(ShutdownMsg{.drain_ms = 1500}),
+      decode_shutdown);
+}
+
+TEST(FrameCodec, EncodedFrameIsPinnedLittleEndian) {
+  // type, then the payload length, payload and fnv1a32 checksum, each
+  // integer little-endian whatever the host's byte order.
+  const std::vector<std::byte> frame =
+      encode_frame(FrameType::kPing, encode(PingMsg{0x0102030405060708ULL}));
+  std::string hex;
+  for (const std::byte b : frame) {
+    constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[std::to_integer<unsigned>(b) >> 4];
+    hex += kDigits[std::to_integer<unsigned>(b) & 0xf];
+  }
+  EXPECT_EQ(hex, "06" "08000000" "0807060504030201" "b10e43f3");
+
+  FrameReader reader(1 << 16);
+  std::vector<Frame> out;
+  ASSERT_EQ(reader.feed(frame, out), ErrorCode::kNone);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(decode_ping(out[0].payload).nonce, 0x0102030405060708ULL);
 }
 
 // ---- the same attacks against a live service over loopback ----

@@ -1,8 +1,13 @@
 // Tests for the wire layer: codec, messages, links, and full sessions.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
 
+#include "decoder_battery.h"
 #include "protocol/trp.h"
 #include "tag/tag_set.h"
 #include "util/random.h"
@@ -147,6 +152,46 @@ TEST(Messages, ForgedSeedCountRejectedBeforeAllocating) {
   EXPECT_THROW(
       (void)wire::decode_utrp_challenge(wire::frame_payload(enc.bytes())),
       std::invalid_argument);
+}
+
+TEST(Messages, EveryWireDecoderSurvivesGarbage) {
+  // A frame is checksummed, so garbage fed to it dies in unframe_payload.
+  // Each decoder also gets its payload's garbage inside a valid frame,
+  // which reaches the field parsing behind the checksum.
+  const auto battery = [](std::string_view name,
+                          const std::vector<std::byte>& frame, auto decode) {
+    test::expect_decoder_survives_garbage(name, frame, decode);
+    const std::vector<std::byte> payload = wire::unframe_payload(frame);
+    test::expect_decoder_survives_garbage(
+        std::string(name) + " (payload re-framed)", payload,
+        [&decode](std::span<const std::byte> p) {
+          return decode(wire::frame_payload(p));
+        });
+  };
+  bits::Bitstring bs(130);
+  bs.set(0);
+  bs.set(64);
+  bs.set(129);
+  wire::UtrpChallengeMsg utrp;
+  utrp.round = 9;
+  utrp.challenge.frame_size = 5;
+  utrp.challenge.seeds = {1, 2, 3};
+
+  battery("peek_type", wire::encode(wire::VerdictAck{7, true}),
+          wire::peek_type);
+  battery("decode_challenge_request",
+          wire::encode(wire::ChallengeRequest{"warehouse east", 17}),
+          wire::decode_challenge_request);
+  battery("decode_trp_challenge",
+          wire::encode(wire::TrpChallengeMsg{3, {1068, 0xfeedfaceULL}}),
+          wire::decode_trp_challenge);
+  battery("decode_utrp_challenge", wire::encode(utrp),
+          wire::decode_utrp_challenge);
+  battery("decode_bitstring_report",
+          wire::encode(wire::BitstringReport{"g", 4, bs, 12345.5}),
+          wire::decode_bitstring_report);
+  battery("decode_verdict_ack", wire::encode(wire::VerdictAck{7, true}),
+          wire::decode_verdict_ack);
 }
 
 // ------------------------------------------------------------------ link --
