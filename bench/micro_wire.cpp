@@ -1,10 +1,12 @@
-// Microbenchmarks for the wire layer: frame encode/decode and a complete
+// Microbenchmarks for the wire layer: message encode/decode, the frame
+// check a receiving endpoint pays once per frame, and a complete
 // message-driven monitoring round on perfect links.
 #include <benchmark/benchmark.h>
 
 #include "protocol/trp.h"
 #include "tag/tag_set.h"
 #include "util/random.h"
+#include "wire/frame.h"
 #include "wire/messages.h"
 #include "wire/session.h"
 
@@ -32,6 +34,18 @@ void BM_DecodeBitstringReport(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(wire::decode_bitstring_report(frame));
   }
+}
+
+void BM_OpenFrame(benchmark::State& state) {
+  const auto bits_count = static_cast<std::size_t>(state.range(0));
+  bits::Bitstring bs(bits_count);
+  for (std::size_t i = 0; i < bits_count; i += 3) bs.set(i);
+  const auto frame = wire::encode(wire::BitstringReport{"group", 1, bs, 1000.0});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wire::open_frame(frame));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(frame.size()));
 }
 
 void BM_EncodeUtrpChallenge(benchmark::State& state) {
@@ -63,5 +77,6 @@ void BM_FullSessionRound(benchmark::State& state) {
 
 BENCHMARK(BM_EncodeBitstringReport)->Arg(1024)->Arg(16384);
 BENCHMARK(BM_DecodeBitstringReport)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_OpenFrame)->Arg(1024)->Arg(16384);
 BENCHMARK(BM_EncodeUtrpChallenge)->Arg(512)->Arg(4096);
 BENCHMARK(BM_FullSessionRound)->Arg(100)->Arg(1000);

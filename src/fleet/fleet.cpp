@@ -748,20 +748,15 @@ FleetResult FleetOrchestrator::run() {
       }
     }
     // The wave barrier IS the backpressure: the next wave's zones are not
-    // offered to the pool until the saturated one drains. With a kill
-    // switch wired in, the wait is deadline-bounded so a wedged zone
-    // cannot strand the watchdog behind an unbounded wait_idle().
-    if (config_.abort == nullptr) {
-      scheduler_->wait_idle();
-      if (should_abort()) break;  // a zone threw; tasks drained fast
-    } else {
-      while (!scheduler_->wait_idle_for(std::chrono::milliseconds(1))) {
-        if (should_abort()) break;
-      }
-      if (should_abort()) {
-        scheduler_->stop(/*drain=*/false);
-        break;
-      }
+    // offered to the pool until the saturated one drains. The wait is
+    // polled, so an abort (a zone that threw, or the kill switch) abandons
+    // the queued attempts instead of waiting behind a wedged zone.
+    while (!scheduler_->wait_idle_for(std::chrono::milliseconds(1))) {
+      if (should_abort()) break;
+    }
+    if (should_abort()) {
+      scheduler_->stop(/*drain=*/false);
+      break;
     }
   }
   result.aborted = should_abort();

@@ -58,7 +58,7 @@
 #include "tag/tag_set.h"              // IWYU pragma: export
 #include "util/codec.h"               // IWYU pragma: export
 #include "util/random.h"              // IWYU pragma: export
-#include "wire/codec.h"               // IWYU pragma: export
+#include "wire/frame.h"               // IWYU pragma: export
 #include "wire/link.h"                // IWYU pragma: export
 #include "wire/messages.h"            // IWYU pragma: export
 #include "wire/session.h"             // IWYU pragma: export

@@ -1,18 +1,6 @@
 #include "service/framing.h"
 
-#include <utility>
-
-#include "hash/fnv.h"
-#include "util/codec.h"
-
 namespace rfid::service {
-
-namespace {
-
-constexpr std::size_t kHeaderBytes = 5;    // type:u8 + length:u32
-constexpr std::size_t kChecksumBytes = 4;  // fnv1a32
-
-}  // namespace
 
 std::string_view to_string(FrameType type) noexcept {
   switch (type) {
@@ -57,49 +45,23 @@ std::string_view to_string(ErrorCode code) noexcept {
   return "unknown";
 }
 
-std::vector<std::byte> encode_frame(FrameType type,
-                                    std::span<const std::byte> payload) {
-  util::Encoder frame;
-  frame.reserve(kHeaderBytes + payload.size() + kChecksumBytes);
-  // A length-prefixed byte string after the type byte is exactly the
-  // type:u8 length:u32 payload layout.
-  frame.put_u8(static_cast<std::uint8_t>(type));
-  frame.put_bytes(payload);
-  frame.put_u32(hash::fnv1a32(frame.bytes()));
-  return std::move(frame).take();
-}
-
 ErrorCode FrameReader::feed(std::span<const std::byte> data,
                             std::vector<Frame>& out) {
   if (poisoned_) return ErrorCode::kNone;  // connection already condemned
   buffer_.insert(buffer_.end(), data.begin(), data.end());
 
   for (;;) {
-    const std::size_t available = buffer_.size() - consumed_;
-    if (available < kHeaderBytes) break;
-    const std::byte* head = buffer_.data() + consumed_;
-    const std::uint32_t length = util::Decoder({head + 1, 4}).get_u32();
-    // Reject a hostile length prefix before reserving a single byte for it.
-    if (length > max_payload_) {
+    const wire::ParsedFrame parsed = wire::parse_frame(
+        std::span<const std::byte>(buffer_).subspan(consumed_), max_payload_);
+    if (parsed.status == wire::ParsedFrame::kIncomplete) break;
+    if (parsed.status != wire::ParsedFrame::kComplete) {
       poisoned_ = true;
-      return ErrorCode::kOversizedFrame;
+      return parsed.status == wire::ParsedFrame::kOversized ? ErrorCode::kOversizedFrame
+                                                             : ErrorCode::kBadChecksum;
     }
-    const std::size_t total = kHeaderBytes + length + kChecksumBytes;
-    if (available < total) break;  // truncated tail: wait for more bytes
-    const std::uint32_t declared =
-        util::Decoder({head + kHeaderBytes + length, kChecksumBytes})
-            .get_u32();
-    const std::uint32_t actual = hash::fnv1a32(
-        std::span<const std::byte>(head, kHeaderBytes + length));
-    if (declared != actual) {
-      poisoned_ = true;
-      return ErrorCode::kBadChecksum;
-    }
-    Frame frame;
-    frame.type = static_cast<std::uint8_t>(*head);
-    frame.payload.assign(head + kHeaderBytes, head + kHeaderBytes + length);
-    out.push_back(std::move(frame));
-    consumed_ += total;
+    const std::span<const std::byte> payload = parsed.frame.payload;
+    out.push_back(Frame{parsed.frame.type, {payload.begin(), payload.end()}});
+    consumed_ += parsed.size;
   }
 
   // Compact once the parsed prefix dominates, keeping feed() amortized O(n).

@@ -1,16 +1,8 @@
-// The service frame: the unit of exchange on a client connection.
-//
-// Grammar (integers little-endian on any host: both ends read and write them
-// with util/codec.h):
-//
-//   frame    := type:u8  length:u32  payload:length  checksum:u32
-//   checksum := fnv1a32(type || length || payload)
-//
-// The checksum covers the header too, so a flipped length byte cannot
-// resynchronize the stream onto garbage that happens to checksum clean.
-// TCP delivers a byte stream, not frames, so FrameReader is incremental: it
-// accepts bytes in whatever pieces the kernel hands over (a one-byte-at-a-
-// time trickle included) and emits complete frames as they materialize.
+// The service frame: the unit of exchange on a client connection. It is the
+// frame of wire/frame.h with a FrameType in its type byte. TCP delivers a
+// byte stream, not frames, so FrameReader is incremental: it accepts bytes
+// in whatever pieces the kernel hands over (a one-byte-at-a-time trickle
+// included) and emits complete frames as they materialize.
 //
 // Error discipline — the satellite contract tests/service_frame_test.cpp
 // enforces: malformed input NEVER crashes or hangs the reader. A declared
@@ -25,6 +17,8 @@
 #include <span>
 #include <string_view>
 #include <vector>
+
+#include "wire/frame.h"
 
 namespace rfid::service {
 
@@ -91,8 +85,10 @@ struct Frame {
 };
 
 /// Serializes one frame (header + payload + checksum).
-[[nodiscard]] std::vector<std::byte> encode_frame(
-    FrameType type, std::span<const std::byte> payload);
+[[nodiscard]] inline std::vector<std::byte> encode_frame(
+    FrameType type, std::span<const std::byte> payload) {
+  return wire::encode_frame(static_cast<std::uint8_t>(type), payload);
+}
 
 /// Incremental frame parser over a TCP byte stream.
 class FrameReader {

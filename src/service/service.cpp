@@ -27,6 +27,7 @@
 #include "service/socket.h"
 #include "storage/backend.h"
 #include "tag/tag_set.h"
+#include "util/expect.h"
 
 namespace rfid::service {
 
@@ -290,6 +291,10 @@ struct MonitorService::Impl {
     if (it == tenant.inventories.end()) {
       send_error(c, ErrorCode::kUnknownInventory,
                  "inventory not enrolled: " + inventory_name);
+      return;
+    }
+    if (pending.watch && pending.watch_req.epochs == 0) {
+      send_error(c, ErrorCode::kBadRequest, "watch needs at least one epoch");
       return;
     }
     if (pending.watch && pending.watch_req.epochs > config.max_watch_epochs) {
@@ -1006,6 +1011,7 @@ struct MonitorService::Impl {
 
       reap_conns();
       if (!io_stop.load(std::memory_order_relaxed)) launch_deferred();
+      check_invariants();
 
       if (io_stop.load(std::memory_order_relaxed)) {
         if (!flushing) {
@@ -1025,6 +1031,53 @@ struct MonitorService::Impl {
     }
     conns.clear();
     sessions.clear();
+  }
+
+  // ------------------------------------------------------- invariants ----
+
+  /// The IO thread's bookkeeping, checked after every loop iteration in
+  /// debug builds and compiled out under NDEBUG. A violation throws
+  /// std::logic_error on the IO thread, which ends the process.
+  void check_invariants() const {
+#ifndef NDEBUG
+    std::uint64_t tenant_inflight = 0;
+    for (const auto& [name, tenant] : tenants) {
+      tenant_inflight += tenant.inflight;
+      RFID_ENSURE(tenant.feed.size() <= config.alert_backlog,
+                  "tenant feed over its backlog: " + name);
+    }
+    const std::uint64_t running = inflight.load(std::memory_order_relaxed);
+    RFID_ENSURE(running == tenant_inflight,
+                "in-flight count differs from the tenants' sum");
+    RFID_ENSURE(deferred_size.load(std::memory_order_relaxed) ==
+                    deferred.size(),
+                "deferred_size differs from the deferred queue");
+    // Workers only post completions of runs still counted in flight, so a
+    // larger count means the counter wrapped.
+    RFID_ENSURE(done_pending.load(std::memory_order_acquire) <= running,
+                "more completions pending than runs in flight");
+    std::size_t with_session = 0;
+    for (const auto& conn : conns) {
+      std::size_t queued = 0;
+      for (const std::vector<std::byte>& bytes : conn->outbox) {
+        queued += bytes.size();
+      }
+      RFID_ENSURE(conn->outbox_bytes == queued - conn->outbox_offset,
+                  "outbox_bytes differs from the queued bytes");
+      RFID_ENSURE(conn->outbox_bytes <= config.outbox_limit_bytes,
+                  "outbox over its limit");
+      if (conn->session_id == 0) continue;
+      ++with_session;
+      const auto it = sessions.find(conn->session_id);
+      RFID_ENSURE(conn->hello && it != sessions.end() &&
+                      it->second == conn.get(),
+                  "a connection's session is not registered to it");
+    }
+    // With the loop above: every entry points at a live connection that
+    // said Hello and carries the entry's id.
+    RFID_ENSURE(sessions.size() == with_session,
+                "a session entry outlived its connection");
+#endif
   }
 
   // --------------------------------------------------------- lifecycle ----

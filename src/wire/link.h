@@ -4,7 +4,7 @@
 // optional uniform jitter and i.i.d. frame drop. Delivery order can therefore
 // differ from send order when jitter is nonzero — receivers must not assume
 // FIFO (the session layer matches on round numbers instead). Frames are
-// delivered as raw bytes; integrity is the codec's job.
+// delivered as raw bytes; integrity is the frame checksum's job (frame.h).
 //
 // An optional fault::FaultInjector layers scripted impairments on top:
 // correlated burst loss (Gilbert–Elliott), payload corruption (caught by the

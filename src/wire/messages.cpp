@@ -1,5 +1,6 @@
 #include "wire/messages.h"
 
+#include "util/codec.h"
 #include "util/expect.h"
 
 namespace rfid::wire {
@@ -9,77 +10,65 @@ namespace {
 using util::Decoder;
 using util::Encoder;
 
-[[nodiscard]] std::vector<std::byte> finish(Encoder&& enc) {
-  return frame_payload(std::move(enc).take());
+[[nodiscard]] std::vector<std::byte> finish(MessageType type, const Encoder& body) {
+  return encode_frame(static_cast<std::uint8_t>(type), body.bytes());
 }
 
-[[nodiscard]] Decoder open(std::vector<std::byte>& storage,
-                           std::span<const std::byte> frame,
-                           MessageType expected) {
-  storage = unframe_payload(frame);
-  Decoder dec(storage);
-  const auto type = static_cast<MessageType>(dec.get_u8());
-  RFID_EXPECT(type == expected, "unexpected message type");
-  return dec;
+[[nodiscard]] Decoder open(FrameView frame, MessageType expected) {
+  RFID_EXPECT(static_cast<MessageType>(frame.type) == expected,
+              "unexpected message type");
+  return Decoder(frame.payload);
 }
 
 }  // namespace
 
 MessageType peek_type(std::span<const std::byte> frame) {
-  const auto payload = unframe_payload(frame);
-  RFID_EXPECT(!payload.empty(), "empty message payload");
-  return static_cast<MessageType>(payload.front());
+  return static_cast<MessageType>(open_frame(frame).type);
 }
 
 std::vector<std::byte> encode(const ChallengeRequest& msg) {
   Encoder enc;
-  enc.put_u8(static_cast<std::uint8_t>(MessageType::kChallengeRequest));
   enc.put_string(msg.group_name);
   enc.put_u64(msg.round);
-  return finish(std::move(enc));
+  return finish(MessageType::kChallengeRequest, enc);
 }
 
 std::vector<std::byte> encode(const TrpChallengeMsg& msg) {
   Encoder enc;
-  enc.put_u8(static_cast<std::uint8_t>(MessageType::kTrpChallenge));
   enc.put_u64(msg.round);
   enc.put_u32(msg.challenge.frame_size);
   enc.put_u64(msg.challenge.r);
-  return finish(std::move(enc));
+  return finish(MessageType::kTrpChallenge, enc);
 }
 
 std::vector<std::byte> encode(const UtrpChallengeMsg& msg) {
   Encoder enc;
-  enc.put_u8(static_cast<std::uint8_t>(MessageType::kUtrpChallenge));
   enc.put_u64(msg.round);
   enc.put_u32(msg.challenge.frame_size);
   enc.put_u32(static_cast<std::uint32_t>(msg.challenge.seeds.size()));
   for (const std::uint64_t seed : msg.challenge.seeds) enc.put_u64(seed);
-  return finish(std::move(enc));
+  return finish(MessageType::kUtrpChallenge, enc);
 }
 
 std::vector<std::byte> encode(const BitstringReport& msg) {
   Encoder enc;
-  enc.put_u8(static_cast<std::uint8_t>(MessageType::kBitstringReport));
   enc.put_string(msg.group_name);
   enc.put_u64(msg.round);
   enc.put_u64(msg.bitstring.size());
   enc.put_string(msg.bitstring.to_hex());
   enc.put_f64(msg.scan_time_us);
-  return finish(std::move(enc));
+  return finish(MessageType::kBitstringReport, enc);
 }
 
 std::vector<std::byte> encode(const VerdictAck& msg) {
   Encoder enc;
-  enc.put_u8(static_cast<std::uint8_t>(MessageType::kVerdictAck));
   enc.put_u64(msg.round);
   enc.put_bool(msg.intact);
-  return finish(std::move(enc));
+  return finish(MessageType::kVerdictAck, enc);
 }
 
-ChallengeRequest decode_challenge_request(std::span<const std::byte> frame) {
-  std::vector<std::byte> storage;
-  Decoder dec = open(storage, frame, MessageType::kChallengeRequest);
+ChallengeRequest decode_challenge_request(FrameView frame) {
+  Decoder dec = open(frame, MessageType::kChallengeRequest);
   ChallengeRequest msg;
   msg.group_name = dec.get_string();
   msg.round = dec.get_u64();
@@ -87,9 +76,8 @@ ChallengeRequest decode_challenge_request(std::span<const std::byte> frame) {
   return msg;
 }
 
-TrpChallengeMsg decode_trp_challenge(std::span<const std::byte> frame) {
-  std::vector<std::byte> storage;
-  Decoder dec = open(storage, frame, MessageType::kTrpChallenge);
+TrpChallengeMsg decode_trp_challenge(FrameView frame) {
+  Decoder dec = open(frame, MessageType::kTrpChallenge);
   TrpChallengeMsg msg;
   msg.round = dec.get_u64();
   msg.challenge.frame_size = dec.get_u32();
@@ -99,9 +87,8 @@ TrpChallengeMsg decode_trp_challenge(std::span<const std::byte> frame) {
   return msg;
 }
 
-UtrpChallengeMsg decode_utrp_challenge(std::span<const std::byte> frame) {
-  std::vector<std::byte> storage;
-  Decoder dec = open(storage, frame, MessageType::kUtrpChallenge);
+UtrpChallengeMsg decode_utrp_challenge(FrameView frame) {
+  Decoder dec = open(frame, MessageType::kUtrpChallenge);
   UtrpChallengeMsg msg;
   msg.round = dec.get_u64();
   msg.challenge.frame_size = dec.get_u32();
@@ -116,9 +103,8 @@ UtrpChallengeMsg decode_utrp_challenge(std::span<const std::byte> frame) {
   return msg;
 }
 
-BitstringReport decode_bitstring_report(std::span<const std::byte> frame) {
-  std::vector<std::byte> storage;
-  Decoder dec = open(storage, frame, MessageType::kBitstringReport);
+BitstringReport decode_bitstring_report(FrameView frame) {
+  Decoder dec = open(frame, MessageType::kBitstringReport);
   BitstringReport msg;
   msg.group_name = dec.get_string();
   msg.round = dec.get_u64();
@@ -129,14 +115,29 @@ BitstringReport decode_bitstring_report(std::span<const std::byte> frame) {
   return msg;
 }
 
-VerdictAck decode_verdict_ack(std::span<const std::byte> frame) {
-  std::vector<std::byte> storage;
-  Decoder dec = open(storage, frame, MessageType::kVerdictAck);
+VerdictAck decode_verdict_ack(FrameView frame) {
+  Decoder dec = open(frame, MessageType::kVerdictAck);
   VerdictAck msg;
   msg.round = dec.get_u64();
   msg.intact = dec.get_bool();
   dec.expect_exhausted();
   return msg;
+}
+
+ChallengeRequest decode_challenge_request(std::span<const std::byte> frame) {
+  return decode_challenge_request(open_frame(frame));
+}
+TrpChallengeMsg decode_trp_challenge(std::span<const std::byte> frame) {
+  return decode_trp_challenge(open_frame(frame));
+}
+UtrpChallengeMsg decode_utrp_challenge(std::span<const std::byte> frame) {
+  return decode_utrp_challenge(open_frame(frame));
+}
+BitstringReport decode_bitstring_report(std::span<const std::byte> frame) {
+  return decode_bitstring_report(open_frame(frame));
+}
+VerdictAck decode_verdict_ack(std::span<const std::byte> frame) {
+  return decode_verdict_ack(open_frame(frame));
 }
 
 }  // namespace rfid::wire

@@ -6,9 +6,8 @@
 //   UtrpChallengeMsg   server -> reader   (f, r_1..r_f)           [Alg. 5]
 //   BitstringReport    reader -> server   bs (+ measured scan time)
 //   VerdictAck         server -> reader   round accepted (intact or not)
-// Every message is tagged with a type byte, encoded with util/codec.h and
-// framed/checksummed by wire/codec.h; decode_* functions reject wrong types,
-// truncation, and garbage.
+// A message's type is its frame's type byte (wire/frame.h) and its fields, encoded
+// with util/codec.h, the payload; decode_* reject wrong types, truncation and garbage.
 // Requests and reports are idempotent (keyed by round number) so the session
 // layer can retransmit over lossy links without double-counting.
 #pragma once
@@ -19,7 +18,7 @@
 
 #include "bitstring/bitstring.h"
 #include "protocol/messages.h"
-#include "wire/codec.h"
+#include "wire/frame.h"
 
 namespace rfid::wire {
 
@@ -60,7 +59,7 @@ struct VerdictAck {
   bool intact = false;
 };
 
-/// Peeks the type byte of a (framed) message without full decode.
+/// Checks a frame and returns its type without decoding the payload.
 [[nodiscard]] MessageType peek_type(std::span<const std::byte> frame);
 
 [[nodiscard]] std::vector<std::byte> encode(const ChallengeRequest& msg);
@@ -69,6 +68,13 @@ struct VerdictAck {
 [[nodiscard]] std::vector<std::byte> encode(const BitstringReport& msg);
 [[nodiscard]] std::vector<std::byte> encode(const VerdictAck& msg);
 
+/// Each decoder takes the bytes of exactly one frame, or a frame already
+/// checked by open_frame (an endpoint checks each frame it receives once).
+[[nodiscard]] ChallengeRequest decode_challenge_request(FrameView frame);
+[[nodiscard]] TrpChallengeMsg decode_trp_challenge(FrameView frame);
+[[nodiscard]] UtrpChallengeMsg decode_utrp_challenge(FrameView frame);
+[[nodiscard]] BitstringReport decode_bitstring_report(FrameView frame);
+[[nodiscard]] VerdictAck decode_verdict_ack(FrameView frame);
 [[nodiscard]] ChallengeRequest decode_challenge_request(std::span<const std::byte> frame);
 [[nodiscard]] TrpChallengeMsg decode_trp_challenge(std::span<const std::byte> frame);
 [[nodiscard]] UtrpChallengeMsg decode_utrp_challenge(std::span<const std::byte> frame);

@@ -56,13 +56,9 @@ struct TrpAdapter {
                                                         const Challenge& c) const {
     return encode(TrpChallengeMsg{round, c});
   }
-  [[nodiscard]] static bool is_challenge(MessageType type) {
-    return type == MessageType::kTrpChallenge;
-  }
-  [[nodiscard]] static std::pair<std::uint64_t, Challenge> decode_challenge_frame(
-      std::span<const std::byte> frame) {
-    const TrpChallengeMsg msg = decode_trp_challenge(frame);
-    return {msg.round, msg.challenge};
+  static constexpr MessageType kChallengeType = MessageType::kTrpChallenge;
+  [[nodiscard]] static TrpChallengeMsg decode_challenge(FrameView frame) {
+    return decode_trp_challenge(frame);
   }
   /// Returns (bitstring, scan duration). `rng` drives channel randomness.
   [[nodiscard]] std::pair<bits::Bitstring, double> scan(const Challenge& c,
@@ -111,13 +107,9 @@ struct UtrpAdapter {
                                                         const Challenge& c) const {
     return encode(UtrpChallengeMsg{round, c});
   }
-  [[nodiscard]] static bool is_challenge(MessageType type) {
-    return type == MessageType::kUtrpChallenge;
-  }
-  [[nodiscard]] static std::pair<std::uint64_t, Challenge> decode_challenge_frame(
-      std::span<const std::byte> frame) {
-    UtrpChallengeMsg msg = decode_utrp_challenge(frame);
-    return {msg.round, std::move(msg.challenge)};
+  static constexpr MessageType kChallengeType = MessageType::kUtrpChallenge;
+  [[nodiscard]] static UtrpChallengeMsg decode_challenge(FrameView frame) {
+    return decode_utrp_challenge(frame);
   }
   [[nodiscard]] std::pair<bits::Bitstring, double> scan(const Challenge& c,
                                                         util::Rng& /*rng*/) const {
@@ -301,22 +293,20 @@ void arm_timeout(const StatePtr<Adapter>& state) {
       });
 }
 
+/// Downlink delivery: the reader's half of the state machine. A frame is
+/// checked once and dispatched on its type; one that fails (the checksum or
+/// a decode) is counted as corrupt — never thrown into the event queue.
 template <typename Adapter>
-void server_on_frame(const StatePtr<Adapter>& state, std::vector<std::byte> frame);
-
-/// Downlink delivery: the reader's half of the state machine. A frame that
-/// fails the checksum (or any decode check) is counted as corrupt and
-/// dropped — an exception must never propagate into the event queue.
-template <typename Adapter>
-void server_send(const StatePtr<Adapter>& state, std::vector<std::byte> frame) {
+void server_send(const StatePtr<Adapter>& state, std::vector<std::byte> bytes) {
   using Phase = typename SessionState<Adapter>::Phase;
   (void)state->downlink.send(
-      std::move(frame), [state](std::vector<std::byte> f) {
+      std::move(bytes), [state](std::vector<std::byte> f) {
         if (state->phase == Phase::kCrashed) return;  // reader is down
         try {
-          const MessageType type = peek_type(f);
-          if (Adapter::is_challenge(type)) {
-            auto [round, challenge] = Adapter::decode_challenge_frame(f);
+          const FrameView frame = open_frame(f);
+          const auto type = static_cast<MessageType>(frame.type);
+          if (type == Adapter::kChallengeType) {
+            auto [round, challenge] = Adapter::decode_challenge(frame);
             if (state->phase != Phase::kRequesting || round != state->round) {
               return;  // stale duplicate
             }
@@ -348,7 +338,7 @@ void server_send(const StatePtr<Adapter>& state, std::vector<std::byte> frame) {
               reader_send_report(state);
             });
           } else if (type == MessageType::kVerdictAck) {
-            const VerdictAck ack = decode_verdict_ack(f);
+            const VerdictAck ack = decode_verdict_ack(frame);
             if (state->phase != Phase::kReporting || ack.round != state->round) {
               return;  // stale duplicate
             }
@@ -375,9 +365,10 @@ void server_send(const StatePtr<Adapter>& state, std::vector<std::byte> frame) {
 /// Uplink delivery: the server's half of the state machine. Same corruption
 /// guard as the reader side.
 template <typename Adapter>
-void server_on_frame(const StatePtr<Adapter>& state, std::vector<std::byte> frame) {
+void server_on_frame(const StatePtr<Adapter>& state, std::vector<std::byte> bytes) {
   try {
-    const MessageType type = peek_type(frame);
+    const FrameView frame = open_frame(bytes);
+    const auto type = static_cast<MessageType>(frame.type);
     if (type == MessageType::kChallengeRequest) {
       const ChallengeRequest request = decode_challenge_request(frame);
       // Idempotent issue: one challenge per round, replayed for duplicates;

@@ -16,8 +16,9 @@
 #include "protocol/trp.h"
 #include "protocol/utrp.h"
 #include "tag/tag_set.h"
+#include "util/codec.h"
 #include "util/random.h"
-#include "wire/codec.h"
+#include "wire/frame.h"
 #include "wire/session.h"
 
 namespace {
@@ -210,7 +211,7 @@ TEST(FaultInjector, CorruptFlipsExactlyOneBit) {
   fault::FaultInjector injector(plan);
   util::Encoder enc;
   enc.put_u64(0xdeadbeefcafef00dULL);
-  auto frame = wire::frame_payload(enc.bytes());
+  auto frame = wire::encode_frame(1, enc.bytes());
   const auto original = frame;
   injector.corrupt(frame);
   int flipped = 0;
@@ -231,9 +232,9 @@ TEST(FaultInjector, CorruptedFrameRejectedByChecksum) {
   enc.put_string("monitor me");
   // Every single-bit flip anywhere in the frame must be caught.
   for (int trial = 0; trial < 64; ++trial) {
-    auto frame = wire::frame_payload(enc.bytes());
+    auto frame = wire::encode_frame(1, enc.bytes());
     injector.corrupt(frame);
-    EXPECT_THROW((void)wire::unframe_payload(frame), std::invalid_argument);
+    EXPECT_THROW((void)wire::open_frame(frame), std::invalid_argument);
   }
 }
 

@@ -2,11 +2,15 @@
 // seeded fleet run at threads=1 and threads=8 must produce identical
 // aggregated verdicts, summary text, metric exposition (Prometheus and
 // JSON, session log included), and trace renderings. Everything random
-// derives from (fleet seed, inventory, zone, attempt) — never from thread
-// identity or scheduling order — and the orchestrator records
-// observability post-run in deterministic order, so none of the
-// order-sensitive sinks (histogram FP sums, span ids, log entries) can
-// drift with the thread count.
+// derives from the fleet seed and the work's place in the fleet — never
+// from thread identity or scheduling order: an attempt's RNG from (fleet
+// seed, inventory, zone, attempt), a fused reader's from that and then
+// (reader + 1, kReaderSalt); a fused zone's challenge stream from (fleet
+// seed, inventory, zone) with kChallengeSalt and no attempt; the
+// drill-down from (fleet seed, inventory, zone) with kIdentifySalt. The
+// orchestrator records observability post-run in deterministic order, so
+// none of the order-sensitive sinks (histogram FP sums, span ids, log
+// entries) can drift with the thread count.
 #include <gtest/gtest.h>
 
 #include <cstdint>

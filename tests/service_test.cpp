@@ -472,6 +472,35 @@ TEST(ServiceAdmission, WatchStealRangeMustFitTheEnrolledPopulation) {
   svc.stop();
 }
 
+TEST(ServiceAdmission, ZeroEpochWatchIsABadRequest) {
+  // A watch of no epochs is refused at admission: it takes no token and no
+  // worker, and its error names no source path.
+  MonitorService svc{ServiceConfig{}};
+  svc.start();
+  ServiceClient client(svc.port());
+  client.hello("acme");
+  client.enroll(small_inventory("floor", 60));
+
+  StartWatchRequest watch;
+  watch.inventory = "floor";
+  watch.epochs = 0;
+  client.send_frame(service::FrameType::kStartWatch, encode(watch));
+  const service::Frame frame = client.read_frame();
+  ASSERT_EQ(static_cast<service::FrameType>(frame.type),
+            service::FrameType::kError);
+  const service::ErrorMsg error = service::decode_error(frame.payload);
+  EXPECT_EQ(error.code, service::ErrorCode::kBadRequest);
+  EXPECT_EQ(error.message.find(".cpp"), std::string::npos) << error.message;
+
+  // The connection survives, and a one-epoch watch runs.
+  watch.epochs = 1;
+  const service::StartOutcome outcome = client.start_watch(watch);
+  ASSERT_TRUE(outcome.admitted.has_value());
+  EXPECT_EQ(client.await_watch_done(outcome.admitted->run_id).epochs_completed,
+            1u);
+  EXPECT_EQ(svc.stop().admitted, 1u);
+}
+
 TEST(ServiceAlerts, WatchPublishesFeedAndSubscriberReplaysBacklog) {
   MonitorService svc{ServiceConfig{}};
   svc.start();

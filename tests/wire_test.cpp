@@ -9,9 +9,11 @@
 
 #include "decoder_battery.h"
 #include "protocol/trp.h"
+#include "service/framing.h"
 #include "tag/tag_set.h"
+#include "util/codec.h"
 #include "util/random.h"
-#include "wire/codec.h"
+#include "wire/frame.h"
 #include "wire/link.h"
 #include "wire/messages.h"
 #include "wire/session.h"
@@ -61,25 +63,86 @@ TEST(Codec, TrailingGarbageDetected) {
 TEST(Codec, FrameRoundTrip) {
   Encoder enc;
   enc.put_string("payload");
-  const auto framed = wire::frame_payload(enc.bytes());
-  const auto payload = wire::unframe_payload(framed);
+  const auto framed = wire::encode_frame(7, enc.bytes());
+  const wire::FrameView frame = wire::open_frame(framed);
+  const std::vector<std::byte> payload(frame.payload.begin(),
+                                       frame.payload.end());
   EXPECT_EQ(payload, enc.bytes());
+  EXPECT_EQ(frame.type, 7);
 }
 
 TEST(Codec, FrameChecksumCatchesBitFlip) {
   Encoder enc;
   enc.put_u64(12345);
-  auto framed = wire::frame_payload(enc.bytes());
+  auto framed = wire::encode_frame(7, enc.bytes());
   framed[5] ^= std::byte{0x01};
-  EXPECT_THROW((void)wire::unframe_payload(framed), std::invalid_argument);
+  EXPECT_THROW((void)wire::open_frame(framed), std::invalid_argument);
 }
 
 TEST(Codec, FrameLengthMismatchCaught) {
   Encoder enc;
   enc.put_u64(12345);
-  auto framed = wire::frame_payload(enc.bytes());
+  auto framed = wire::encode_frame(7, enc.bytes());
   framed.pop_back();
-  EXPECT_THROW((void)wire::unframe_payload(framed), std::invalid_argument);
+  EXPECT_THROW((void)wire::open_frame(framed), std::invalid_argument);
+}
+
+std::string hex_of(std::span<const std::byte> bytes) {
+  constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const std::byte b : bytes) {
+    hex += kDigits[std::to_integer<unsigned>(b) >> 4];
+    hex += kDigits[std::to_integer<unsigned>(b) & 0xf];
+  }
+  return hex;
+}
+
+TEST(Frame, ReaderLinkFrameIsPinnedAndIsTheServiceFrame) {
+  // type, then the payload length, payload (round u64, intact u8) and
+  // fnv1a32 checksum, each integer little-endian.
+  const std::vector<std::byte> frame = wire::encode(wire::VerdictAck{7, true});
+  EXPECT_EQ(hex_of(frame),
+            "05" "09000000" "0700000000000000" "01" "4d341d92");
+
+  // An independent FNV-1a-32 over type, length and payload.
+  std::uint32_t fnv = 0x811c9dc5U;
+  for (std::size_t i = 0; i + 4 < frame.size(); ++i) {
+    fnv ^= std::to_integer<std::uint32_t>(frame[i]);
+    fnv *= 0x01000193U;
+  }
+  EXPECT_EQ(Decoder(std::span<const std::byte>(frame).last(4)).get_u32(), fnv);
+
+  // The service's stream reader parses the same bytes.
+  service::FrameReader reader(1 << 16);
+  std::vector<service::Frame> out;
+  ASSERT_EQ(reader.feed(frame, out), service::ErrorCode::kNone);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].type, static_cast<std::uint8_t>(wire::MessageType::kVerdictAck));
+  EXPECT_EQ(hex_of(out[0].payload), "0700000000000000" "01");
+  const wire::VerdictAck ack =
+      wire::decode_verdict_ack(wire::FrameView{out[0].type, out[0].payload});
+  EXPECT_EQ(ack.round, 7u);
+  EXPECT_TRUE(ack.intact);
+}
+
+TEST(Frame, EverySingleBitFlipOfAReaderLinkFrameIsRejected) {
+  bits::Bitstring bs(130);
+  bs.set(64);
+  for (const std::vector<std::byte>& clean :
+       {wire::encode(wire::ChallengeRequest{"dock", 3}),
+        wire::encode(wire::TrpChallengeMsg{3, {1068, 0xfeedfaceULL}}),
+        wire::encode(wire::UtrpChallengeMsg{3, {3, {7, 8, 9}}}),
+        wire::encode(wire::BitstringReport{"dock", 3, bs, 10.5}),
+        wire::encode(wire::VerdictAck{3, false})}) {
+    std::vector<std::byte> bent = clean;
+    for (std::size_t bit = 0; bit < bent.size() * 8; ++bit) {
+      const std::byte mask{static_cast<unsigned char>(1u << (bit % 8))};
+      bent[bit / 8] ^= mask;
+      EXPECT_THROW((void)wire::open_frame(bent), std::invalid_argument)
+          << "bit " << bit << " of a " << clean.size() << "-byte frame";
+      bent[bit / 8] ^= mask;
+    }
+  }
 }
 
 // -------------------------------------------------------------- messages --
@@ -144,28 +207,28 @@ TEST(Messages, MalformedChallengeRejected) {
 TEST(Messages, ForgedSeedCountRejectedBeforeAllocating) {
   // A checksum-valid UTRP challenge claiming 2^32 - 1 seeds but carrying one.
   Encoder enc;
-  enc.put_u8(static_cast<std::uint8_t>(wire::MessageType::kUtrpChallenge));
   enc.put_u64(1);            // round
   enc.put_u32(4);            // frame size
   enc.put_u32(0xffffffffU);  // seed count
   enc.put_u64(9);            // the one seed present
-  EXPECT_THROW(
-      (void)wire::decode_utrp_challenge(wire::frame_payload(enc.bytes())),
-      std::invalid_argument);
+  EXPECT_THROW((void)wire::decode_utrp_challenge(wire::encode_frame(
+                   static_cast<std::uint8_t>(wire::MessageType::kUtrpChallenge),
+                   enc.bytes())),
+               std::invalid_argument);
 }
 
 TEST(Messages, EveryWireDecoderSurvivesGarbage) {
-  // A frame is checksummed, so garbage fed to it dies in unframe_payload.
+  // A frame is checksummed, so garbage fed to it dies in open_frame.
   // Each decoder also gets its payload's garbage inside a valid frame,
   // which reaches the field parsing behind the checksum.
   const auto battery = [](std::string_view name,
                           const std::vector<std::byte>& frame, auto decode) {
     test::expect_decoder_survives_garbage(name, frame, decode);
-    const std::vector<std::byte> payload = wire::unframe_payload(frame);
+    const wire::FrameView checked = wire::open_frame(frame);
     test::expect_decoder_survives_garbage(
-        std::string(name) + " (payload re-framed)", payload,
-        [&decode](std::span<const std::byte> p) {
-          return decode(wire::frame_payload(p));
+        std::string(name) + " (payload re-framed)", checked.payload,
+        [&decode, type = checked.type](std::span<const std::byte> p) {
+          return decode(wire::encode_frame(type, p));
         });
   };
   bits::Bitstring bs(130);
@@ -181,17 +244,17 @@ TEST(Messages, EveryWireDecoderSurvivesGarbage) {
           wire::peek_type);
   battery("decode_challenge_request",
           wire::encode(wire::ChallengeRequest{"warehouse east", 17}),
-          wire::decode_challenge_request);
+          [](auto f) { return wire::decode_challenge_request(f); });
   battery("decode_trp_challenge",
           wire::encode(wire::TrpChallengeMsg{3, {1068, 0xfeedfaceULL}}),
-          wire::decode_trp_challenge);
+          [](auto f) { return wire::decode_trp_challenge(f); });
   battery("decode_utrp_challenge", wire::encode(utrp),
-          wire::decode_utrp_challenge);
+          [](auto f) { return wire::decode_utrp_challenge(f); });
   battery("decode_bitstring_report",
           wire::encode(wire::BitstringReport{"g", 4, bs, 12345.5}),
-          wire::decode_bitstring_report);
+          [](auto f) { return wire::decode_bitstring_report(f); });
   battery("decode_verdict_ack", wire::encode(wire::VerdictAck{7, true}),
-          wire::decode_verdict_ack);
+          [](auto f) { return wire::decode_verdict_ack(f); });
 }
 
 // ------------------------------------------------------------------ link --
