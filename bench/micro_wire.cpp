@@ -32,7 +32,8 @@ void BM_DecodeBitstringReport(benchmark::State& state) {
   for (std::size_t i = 0; i < bits_count; i += 3) bs.set(i);
   const auto frame = wire::encode(wire::BitstringReport{"group", 1, bs, 1000.0});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(wire::decode_bitstring_report(frame));
+    benchmark::DoNotOptimize(
+        wire::decode_bitstring_report(wire::open_frame(frame)));
   }
 }
 

@@ -7,6 +7,8 @@
 // this for free on every TRP bitstring as a coarse cross-check: an estimate
 // far below the enrolled size corroborates a "not intact" verdict, and the
 // examples use it to triage between "a few tags missing" and "a pallet gone".
+// The identification drill-down (protocol/identification.h) sizes each of
+// its frames from it, as estimate-then-identify protocols do.
 #pragma once
 
 #include <cstdint>

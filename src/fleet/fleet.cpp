@@ -703,8 +703,15 @@ FleetResult FleetOrchestrator::run() {
   scheduler_ = std::make_unique<FleetScheduler>(config_.threads);
   result.threads = scheduler_->threads();
 
+  struct Attempt {
+    std::size_t inventory;
+    std::size_t zone;
+    std::uint32_t reader;
+    double deadline_us;
+  };
   const std::size_t wave_count = std::max<std::size_t>(wave_zones_.size(), 1);
   for (std::size_t w = 0; w < wave_count; ++w) {
+    std::vector<Attempt> wave;
     for (std::size_t i = 0; i < inventories_.size(); ++i) {
       Inventory& inventory = *inventories_[i];
       if (inventory.wave != w) continue;
@@ -742,11 +749,23 @@ FleetResult FleetOrchestrator::run() {
         const ZoneState& state = inventory.zones[z];
         for (std::uint32_t r = 0; r < state.attempts.size(); ++r) {
           if (state.reader_excluded[r]) continue;
-          scheduler_->submit(state.deadline_us,
-                             [this, i, z, r] { run_attempt(i, z, r, 0); });
+          wave.push_back({i, z, r, state.deadline_us});
         }
       }
     }
+    // One pool task queues the whole wave onto its worker's own queue. On one
+    // thread no attempt can start while the wave is still arriving, so the
+    // worker takes them in a fixed order (earliest deadline first, ties in
+    // submission order) and even the journal's record order is fixed. Other
+    // workers steal from that queue.
+    scheduler_->submit(std::numeric_limits<double>::infinity(),
+                       [this, wave = std::move(wave)] {
+                         for (const Attempt& a : wave) {
+                           scheduler_->submit(a.deadline_us, [this, a] {
+                             run_attempt(a.inventory, a.zone, a.reader, 0);
+                           });
+                         }
+                       });
     // The wave barrier IS the backpressure: the next wave's zones are not
     // offered to the pool until the saturated one drains. The wait is
     // polled, so an abort (a zone that threw, or the kill switch) abandons

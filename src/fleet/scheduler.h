@@ -1,16 +1,17 @@
 // Deadline-aware work-stealing thread pool for zone sessions.
 //
-// The fleet orchestrator hands this pool one task per (zone, attempt); each
-// task is a whole wire session — milliseconds of simulated protocol work —
-// so scheduling overhead is cold and the interesting policy is *order*:
+// The fleet orchestrator hands this pool one task per wave, which queues one
+// task per (zone, reader, attempt); each of those is a whole wire session —
+// milliseconds of simulated protocol work — so scheduling overhead is cold
+// and the interesting policy is *order*:
 //
 //  * Every worker owns a priority queue ordered earliest-deadline-first
 //    (UTRP zones whose Alg. 5 budget is closest to expiry run first; ties
 //    break by submission sequence, so equal-deadline tasks are FIFO).
 //  * submit() round-robins tasks across workers, except that a worker
-//    re-submitting from inside a task (a zone retry) pushes to its own
-//    queue — the requeue lands on provably-alive capacity without a trip
-//    through another worker's lock.
+//    submitting from inside a task (a wave's attempts, a zone retry) pushes
+//    to its own queue — the work lands on provably-alive capacity without a
+//    trip through another worker's lock.
 //  * An idle worker steals: it peeks every other queue and takes the
 //    globally earliest deadline on offer, so a backlog behind a slow worker
 //    drains through whoever is free (the hammer test pins this down by

@@ -1,15 +1,14 @@
-// MurmurHash3 (Austin Appleby, public domain design), reimplemented.
+// MurmurHash3's 64-bit finalizer (Austin Appleby, public domain design),
+// reimplemented.
 //
-// murmur3_fmix64 is the 64-bit finalizer — a 5-instruction bijective mixer
-// with excellent avalanche. It is the default slot-selection hash in this
-// library: fast enough for hundreds of millions of per-slot evaluations in
-// the Monte-Carlo benches while keeping Theorem 1's uniformity assumption
+// murmur3_fmix64 is a 5-instruction bijective mixer with excellent
+// avalanche. It is the default slot-selection hash in this library: fast
+// enough for hundreds of millions of per-slot evaluations in the
+// Monte-Carlo benches while keeping Theorem 1's uniformity assumption
 // honest (verified by chi-square tests in tests/hash_test.cpp).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <span>
 
 namespace rfid::hash {
 
@@ -22,19 +21,5 @@ namespace rfid::hash {
   k ^= k >> 33;
   return k;
 }
-
-/// MurmurHash3 32-bit finalizer (bijective on uint32).
-[[nodiscard]] constexpr std::uint32_t murmur3_fmix32(std::uint32_t k) noexcept {
-  k ^= k >> 16;
-  k *= 0x85ebca6bU;
-  k ^= k >> 13;
-  k *= 0xc2b2ae35U;
-  k ^= k >> 16;
-  return k;
-}
-
-/// Full MurmurHash3 x86_32 over a byte sequence with a seed.
-[[nodiscard]] std::uint32_t murmur3_x86_32(std::span<const std::byte> data,
-                                           std::uint32_t seed) noexcept;
 
 }  // namespace rfid::hash

@@ -5,11 +5,14 @@
 // Quick orientation (see README.md for a walkthrough):
 //   * protocol/trp.h        — TRP: trusted-reader monitoring (Sec. 4)
 //   * protocol/utrp.h       — UTRP: untrusted-reader monitoring (Sec. 5)
+//   * math/frame_optimizer.h — Eq. (2) / Eq. (3) frame sizing
+//   * wire/session.h        — the server <-> reader exchange over lossy links
+//   * protocol/identification.h — naming the missing tags; its frames are
+//                              sized by the zero estimator (estimate/cardinality.h)
 //   * protocol/collect_all.h — the collect-all baseline
 //   * server/inventory_server.h — multi-group server front-end
 //   * fleet/fleet.h         — concurrent multi-zone fleet orchestration
 //   * storage/durable_server.h — crash-consistent persistence (WAL + snapshots)
-//   * math/frame_optimizer.h — Eq. (2) / Eq. (3) frame sizing
 //   * attack/…              — the adversaries both protocols are measured against
 #pragma once
 
@@ -17,9 +20,7 @@
 #include "attack/timed_attack.h"      // IWYU pragma: export
 #include "attack/utrp_attack.h"       // IWYU pragma: export
 #include "bitstring/bitstring.h"      // IWYU pragma: export
-#include "estimate/adaptive.h"        // IWYU pragma: export
 #include "estimate/cardinality.h"     // IWYU pragma: export
-#include "estimate/upe.h"             // IWYU pragma: export
 #include "fault/fault.h"              // IWYU pragma: export
 #include "fault/storage_fault.h"      // IWYU pragma: export
 #include "fleet/fleet.h"              // IWYU pragma: export
@@ -31,7 +32,6 @@
 #include "math/detection.h"           // IWYU pragma: export
 #include "math/frame_optimizer.h"     // IWYU pragma: export
 #include "math/fused_detection.h"     // IWYU pragma: export
-#include "protocol/air_driver.h"      // IWYU pragma: export
 #include "protocol/collect_all.h"     // IWYU pragma: export
 #include "protocol/identification.h"  // IWYU pragma: export
 #include "protocol/messages.h"        // IWYU pragma: export

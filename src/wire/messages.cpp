@@ -22,10 +22,6 @@ using util::Encoder;
 
 }  // namespace
 
-MessageType peek_type(std::span<const std::byte> frame) {
-  return static_cast<MessageType>(open_frame(frame).type);
-}
-
 std::vector<std::byte> encode(const ChallengeRequest& msg) {
   Encoder enc;
   enc.put_string(msg.group_name);
@@ -122,22 +118,6 @@ VerdictAck decode_verdict_ack(FrameView frame) {
   msg.intact = dec.get_bool();
   dec.expect_exhausted();
   return msg;
-}
-
-ChallengeRequest decode_challenge_request(std::span<const std::byte> frame) {
-  return decode_challenge_request(open_frame(frame));
-}
-TrpChallengeMsg decode_trp_challenge(std::span<const std::byte> frame) {
-  return decode_trp_challenge(open_frame(frame));
-}
-UtrpChallengeMsg decode_utrp_challenge(std::span<const std::byte> frame) {
-  return decode_utrp_challenge(open_frame(frame));
-}
-BitstringReport decode_bitstring_report(std::span<const std::byte> frame) {
-  return decode_bitstring_report(open_frame(frame));
-}
-VerdictAck decode_verdict_ack(std::span<const std::byte> frame) {
-  return decode_verdict_ack(open_frame(frame));
 }
 
 }  // namespace rfid::wire

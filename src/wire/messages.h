@@ -59,26 +59,18 @@ struct VerdictAck {
   bool intact = false;
 };
 
-/// Checks a frame and returns its type without decoding the payload.
-[[nodiscard]] MessageType peek_type(std::span<const std::byte> frame);
-
 [[nodiscard]] std::vector<std::byte> encode(const ChallengeRequest& msg);
 [[nodiscard]] std::vector<std::byte> encode(const TrpChallengeMsg& msg);
 [[nodiscard]] std::vector<std::byte> encode(const UtrpChallengeMsg& msg);
 [[nodiscard]] std::vector<std::byte> encode(const BitstringReport& msg);
 [[nodiscard]] std::vector<std::byte> encode(const VerdictAck& msg);
 
-/// Each decoder takes the bytes of exactly one frame, or a frame already
-/// checked by open_frame (an endpoint checks each frame it receives once).
+/// Each decoder takes a frame checked by open_frame (an endpoint checks each
+/// frame it receives once); a frame of another type is rejected.
 [[nodiscard]] ChallengeRequest decode_challenge_request(FrameView frame);
 [[nodiscard]] TrpChallengeMsg decode_trp_challenge(FrameView frame);
 [[nodiscard]] UtrpChallengeMsg decode_utrp_challenge(FrameView frame);
 [[nodiscard]] BitstringReport decode_bitstring_report(FrameView frame);
 [[nodiscard]] VerdictAck decode_verdict_ack(FrameView frame);
-[[nodiscard]] ChallengeRequest decode_challenge_request(std::span<const std::byte> frame);
-[[nodiscard]] TrpChallengeMsg decode_trp_challenge(std::span<const std::byte> frame);
-[[nodiscard]] UtrpChallengeMsg decode_utrp_challenge(std::span<const std::byte> frame);
-[[nodiscard]] BitstringReport decode_bitstring_report(std::span<const std::byte> frame);
-[[nodiscard]] VerdictAck decode_verdict_ack(std::span<const std::byte> frame);
 
 }  // namespace rfid::wire

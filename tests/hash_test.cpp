@@ -66,25 +66,6 @@ TEST(Murmur, Fmix64FixedPointZero) {
   EXPECT_EQ(rfid::hash::murmur3_fmix64(0), 0u);
 }
 
-TEST(Murmur, X86_32KnownVectors) {
-  // Reference values cross-checked against the canonical smhasher output.
-  EXPECT_EQ(rfid::hash::murmur3_x86_32({}, 0), 0u);
-  EXPECT_EQ(rfid::hash::murmur3_x86_32({}, 1), 0x514e28b7U);
-  EXPECT_EQ(rfid::hash::murmur3_x86_32(bytes_of("hello"), 0), 0x248bfa47U);
-  EXPECT_EQ(rfid::hash::murmur3_x86_32(bytes_of("hello, world"), 0), 0x149bbb7fU);
-}
-
-TEST(Murmur, X86_32TailLengthsAllWork) {
-  // 1-, 2-, 3-byte tails exercise every switch arm.
-  const auto h1 = rfid::hash::murmur3_x86_32(bytes_of("a"), 7);
-  const auto h2 = rfid::hash::murmur3_x86_32(bytes_of("ab"), 7);
-  const auto h3 = rfid::hash::murmur3_x86_32(bytes_of("abc"), 7);
-  const auto h4 = rfid::hash::murmur3_x86_32(bytes_of("abcd"), 7);
-  EXPECT_NE(h1, h2);
-  EXPECT_NE(h2, h3);
-  EXPECT_NE(h3, h4);
-}
-
 // --------------------------------------------------------------- siphash --
 
 TEST(SipHash, ReferenceVectorFromSpec) {

@@ -14,6 +14,7 @@
 #include "server/snapshot.h"
 #include "tag/tag_set.h"
 #include "util/random.h"
+#include "wire/frame.h"
 #include "wire/messages.h"
 
 namespace {
@@ -159,7 +160,7 @@ TEST(Stress, WireFuzzNeverCrashes) {
       mutated.push_back(static_cast<std::byte>(rng.below(256)));
     }
     try {
-      (void)wire::decode_bitstring_report(mutated);
+      (void)wire::decode_bitstring_report(wire::open_frame(mutated));
     } catch (const std::invalid_argument&) {
       // the only acceptable failure mode
     }

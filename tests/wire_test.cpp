@@ -1,6 +1,7 @@
 // Tests for the wire layer: codec, messages, links, and full sessions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -8,7 +9,12 @@
 #include <vector>
 
 #include "decoder_battery.h"
+#include "obs/catalog.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "protocol/trp.h"
+#include "protocol/utrp.h"
+#include "radio/timing.h"
 #include "service/framing.h"
 #include "tag/tag_set.h"
 #include "util/codec.h"
@@ -149,14 +155,16 @@ TEST(Frame, EverySingleBitFlipOfAReaderLinkFrameIsRejected) {
 
 TEST(Messages, ChallengeRequestRoundTrip) {
   const wire::ChallengeRequest msg{"warehouse east", 17};
-  const auto decoded = wire::decode_challenge_request(wire::encode(msg));
+  const auto frame = wire::encode(msg);
+  const auto decoded = wire::decode_challenge_request(wire::open_frame(frame));
   EXPECT_EQ(decoded.group_name, "warehouse east");
   EXPECT_EQ(decoded.round, 17u);
 }
 
 TEST(Messages, TrpChallengeRoundTrip) {
   const wire::TrpChallengeMsg msg{3, {1068, 0xfeedfaceULL}};
-  const auto decoded = wire::decode_trp_challenge(wire::encode(msg));
+  const auto frame = wire::encode(msg);
+  const auto decoded = wire::decode_trp_challenge(wire::open_frame(frame));
   EXPECT_EQ(decoded.round, 3u);
   EXPECT_EQ(decoded.challenge.frame_size, 1068u);
   EXPECT_EQ(decoded.challenge.r, 0xfeedfaceULL);
@@ -167,7 +175,8 @@ TEST(Messages, UtrpChallengeRoundTrip) {
   msg.round = 9;
   msg.challenge.frame_size = 5;
   msg.challenge.seeds = {1, 2, 3, 4, 5};
-  const auto decoded = wire::decode_utrp_challenge(wire::encode(msg));
+  const auto frame = wire::encode(msg);
+  const auto decoded = wire::decode_utrp_challenge(wire::open_frame(frame));
   EXPECT_EQ(decoded.round, 9u);
   EXPECT_EQ(decoded.challenge.frame_size, 5u);
   EXPECT_EQ(decoded.challenge.seeds, msg.challenge.seeds);
@@ -179,29 +188,35 @@ TEST(Messages, BitstringReportRoundTrip) {
   bs.set(64);
   bs.set(129);
   const wire::BitstringReport msg{"g", 4, bs, 12345.5};
-  const auto decoded = wire::decode_bitstring_report(wire::encode(msg));
+  const auto frame = wire::encode(msg);
+  const auto decoded = wire::decode_bitstring_report(wire::open_frame(frame));
   EXPECT_EQ(decoded.bitstring, bs);
   EXPECT_EQ(decoded.round, 4u);
   EXPECT_DOUBLE_EQ(decoded.scan_time_us, 12345.5);
 }
 
 TEST(Messages, VerdictAckRoundTrip) {
-  const auto yes = wire::decode_verdict_ack(wire::encode(wire::VerdictAck{7, true}));
+  const auto yes_frame = wire::encode(wire::VerdictAck{7, true});
+  const auto yes = wire::decode_verdict_ack(wire::open_frame(yes_frame));
   EXPECT_EQ(yes.round, 7u);
   EXPECT_TRUE(yes.intact);
-  const auto no = wire::decode_verdict_ack(wire::encode(wire::VerdictAck{8, false}));
+  const auto no_frame = wire::encode(wire::VerdictAck{8, false});
+  const auto no = wire::decode_verdict_ack(wire::open_frame(no_frame));
   EXPECT_FALSE(no.intact);
 }
 
 TEST(Messages, PeekTypeAndWrongTypeRejected) {
   const auto frame = wire::encode(wire::ChallengeRequest{"x", 1});
-  EXPECT_EQ(wire::peek_type(frame), wire::MessageType::kChallengeRequest);
-  EXPECT_THROW((void)wire::decode_trp_challenge(frame), std::invalid_argument);
+  const wire::FrameView checked = wire::open_frame(frame);
+  EXPECT_EQ(static_cast<wire::MessageType>(checked.type),
+            wire::MessageType::kChallengeRequest);
+  EXPECT_THROW((void)wire::decode_trp_challenge(checked), std::invalid_argument);
 }
 
 TEST(Messages, MalformedChallengeRejected) {
   const auto frame = wire::encode(wire::TrpChallengeMsg{1, {0, 5}});
-  EXPECT_THROW((void)wire::decode_trp_challenge(frame), std::invalid_argument);
+  EXPECT_THROW((void)wire::decode_trp_challenge(wire::open_frame(frame)),
+               std::invalid_argument);
 }
 
 TEST(Messages, ForgedSeedCountRejectedBeforeAllocating) {
@@ -211,24 +226,29 @@ TEST(Messages, ForgedSeedCountRejectedBeforeAllocating) {
   enc.put_u32(4);            // frame size
   enc.put_u32(0xffffffffU);  // seed count
   enc.put_u64(9);            // the one seed present
-  EXPECT_THROW((void)wire::decode_utrp_challenge(wire::encode_frame(
-                   static_cast<std::uint8_t>(wire::MessageType::kUtrpChallenge),
-                   enc.bytes())),
+  const auto frame = wire::encode_frame(
+      static_cast<std::uint8_t>(wire::MessageType::kUtrpChallenge), enc.bytes());
+  EXPECT_THROW((void)wire::decode_utrp_challenge(wire::open_frame(frame)),
                std::invalid_argument);
 }
 
 TEST(Messages, EveryWireDecoderSurvivesGarbage) {
   // A frame is checksummed, so garbage fed to it dies in open_frame.
   // Each decoder also gets its payload's garbage inside a valid frame,
-  // which reaches the field parsing behind the checksum.
+  // which reaches the field parsing behind the checksum. A receiving
+  // endpoint opens the frame, then decodes it, so that is what each
+  // entry point below runs on the garbage.
   const auto battery = [](std::string_view name,
                           const std::vector<std::byte>& frame, auto decode) {
-    test::expect_decoder_survives_garbage(name, frame, decode);
+    const auto open_then_decode = [&decode](std::span<const std::byte> f) {
+      return decode(wire::open_frame(f));
+    };
+    test::expect_decoder_survives_garbage(name, frame, open_then_decode);
     const wire::FrameView checked = wire::open_frame(frame);
     test::expect_decoder_survives_garbage(
         std::string(name) + " (payload re-framed)", checked.payload,
-        [&decode, type = checked.type](std::span<const std::byte> p) {
-          return decode(wire::encode_frame(type, p));
+        [&open_then_decode, type = checked.type](std::span<const std::byte> p) {
+          return open_then_decode(wire::encode_frame(type, p));
         });
   };
   bits::Bitstring bs(130);
@@ -240,21 +260,21 @@ TEST(Messages, EveryWireDecoderSurvivesGarbage) {
   utrp.challenge.frame_size = 5;
   utrp.challenge.seeds = {1, 2, 3};
 
-  battery("peek_type", wire::encode(wire::VerdictAck{7, true}),
-          wire::peek_type);
+  battery("open_frame(f).type", wire::encode(wire::VerdictAck{7, true}),
+          [](wire::FrameView f) { return f.type; });
   battery("decode_challenge_request",
           wire::encode(wire::ChallengeRequest{"warehouse east", 17}),
-          [](auto f) { return wire::decode_challenge_request(f); });
+          wire::decode_challenge_request);
   battery("decode_trp_challenge",
           wire::encode(wire::TrpChallengeMsg{3, {1068, 0xfeedfaceULL}}),
-          [](auto f) { return wire::decode_trp_challenge(f); });
+          wire::decode_trp_challenge);
   battery("decode_utrp_challenge", wire::encode(utrp),
-          [](auto f) { return wire::decode_utrp_challenge(f); });
+          wire::decode_utrp_challenge);
   battery("decode_bitstring_report",
           wire::encode(wire::BitstringReport{"g", 4, bs, 12345.5}),
-          [](auto f) { return wire::decode_bitstring_report(f); });
+          wire::decode_bitstring_report);
   battery("decode_verdict_ack", wire::encode(wire::VerdictAck{7, true}),
-          [](auto f) { return wire::decode_verdict_ack(f); });
+          wire::decode_verdict_ack);
 }
 
 // ------------------------------------------------------------------ link --
@@ -446,6 +466,56 @@ TEST(UtrpSession, GenerousDeadlinePasses) {
       wire::run_utrp_session(queue, server, set.tags(), 2, config, rng);
   EXPECT_TRUE(outcome.completed);
   for (const auto& verdict : outcome.verdicts) EXPECT_TRUE(verdict.intact);
+}
+
+TEST(UtrpSession, ChargesReseedBroadcastsSlotBySlot) {
+  // The air time a UTRP round charges (its report's scan_time_us, which the
+  // reader also waits out before sending it) is a slot-by-slot sum: the
+  // query broadcast, each slot's window, and a re-seed broadcast after every
+  // reply except one in the frame's last slot (Alg. 6). Links without
+  // latency make the whole session that one scan.
+  sim::EventQueue queue;
+  util::Rng rng(4);
+  tag::TagSet set = tag::TagSet::make_random(80, rng);
+  protocol::UtrpServer server(set,
+                              {.tolerated_missing = 3, .confidence = 0.95}, 20);
+  obs::MetricsRegistry metrics;
+  obs::Tracer tracer([&queue] { return queue.now(); });
+  wire::SessionConfig config;
+  config.uplink.latency_us = 0.0;
+  config.downlink.latency_us = 0.0;
+  config.metrics = &metrics;
+  config.tracer = &tracer;
+  const auto outcome =
+      wire::run_utrp_session(queue, server, set.tags(), 1, config, rng);
+  ASSERT_TRUE(outcome.completed);
+  ASSERT_EQ(outcome.reported.size(), 1u);
+
+  const bits::Bitstring& bs = outcome.reported[0];
+  const radio::TimingModel& timing = config.timing;
+  double per_slot_us = timing.query_broadcast_us;
+  std::uint64_t reseeds = 0;
+  for (std::size_t slot = 0; slot < bs.size(); ++slot) {
+    if (!bs.test(slot)) {
+      per_slot_us += timing.empty_slot_us;
+      continue;
+    }
+    per_slot_us += timing.short_reply_slot_us;
+    if (slot + 1 < bs.size()) {
+      ++reseeds;
+      per_slot_us += timing.reseed_broadcast_us;
+    }
+  }
+  EXPECT_GE(reseeds, 1u);
+  EXPECT_EQ(obs::catalog::reseeds_total(metrics, "reader").value(), reseeds);
+
+  EXPECT_DOUBLE_EQ(outcome.finished_at_us, per_slot_us);
+  const auto& spans = tracer.spans();
+  const auto scan =
+      std::find_if(spans.begin(), spans.end(),
+                   [](const obs::Span& s) { return s.name == "scan"; });
+  ASSERT_NE(scan, spans.end());
+  EXPECT_DOUBLE_EQ(scan->duration_us(), per_slot_us);
 }
 
 TEST(Session, TwoGroupsInterleaveOnOneQueue) {
