@@ -826,7 +826,7 @@ FleetResult FleetOrchestrator::run() {
     if (!s.identify.enabled) continue;
     const std::unique_ptr<protocol::IdentificationProtocol> identifier =
         protocol::make_identification_protocol(s.identify.protocol,
-                                               s.identify.config);
+                                               protocol::IdentifyConfig{});
     const hash::SlotHasher hasher{};
     for (std::size_t z = 0; z < inventory->zones.size(); ++z) {
       ZoneState& state = inventory->zones[z];

@@ -163,7 +163,6 @@ struct IdentifyDrillConfig {
   bool enabled = false;
   protocol::IdentifyProtocolKind protocol =
       protocol::IdentifyProtocolKind::kFilterFirst;
-  protocol::IdentifyConfig config;
   /// Zones whose violated verdict needs no campaign: their report keeps
   /// identification.ran == false and every other field. Each index must be
   /// below the zone count. The daemon fills it each epoch with the zones

@@ -85,11 +85,11 @@ struct StartWatchRequest {
 struct RunAdmitted {
   std::uint64_t run_id = 0;
   std::uint8_t admission = 0;  // fleet::Admission (accepted | deferred)
-  std::uint64_t queue_depth = 0;  // deferred: position in the wave queue
+  std::uint64_t queue_depth = 0;  // deferred: position in the deferred queue
 };
 
-/// Explicit backpressure (maps fleet::Admission::kRejected): the request
-/// was NOT queued; retry after the hint instead of hammering.
+/// Explicit backpressure (the rejected admission): the request was NOT
+/// queued; retry after the hint instead of hammering.
 struct Backpressure {
   std::uint64_t retry_after_ms = 0;
   std::string reason;

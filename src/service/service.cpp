@@ -41,6 +41,8 @@ constexpr std::size_t kHttpHeaderLimit = 8 * 1024;
 struct MonitorService::Impl {
   // ------------------------------------------------------------ types ----
 
+  using Clock = std::chrono::steady_clock;
+
   struct Enrolled {
     // Immutable once enrolled, prepared once and borrowed by every run: a
     // re-Enroll swaps in a new population, and a run already launched keeps
@@ -65,10 +67,33 @@ struct MonitorService::Impl {
     std::deque<std::vector<std::byte>> feed;
   };
 
+  struct Conn : std::enable_shared_from_this<Conn> {
+    enum class Kind : std::uint8_t { kClient, kHttp };
+    Kind kind = Kind::kClient;
+    Socket sock;
+    FrameReader reader;
+    std::string http_buf;
+    std::deque<std::vector<std::byte>> outbox;
+    std::size_t outbox_offset = 0;  // sent bytes of outbox.front()
+    std::size_t outbox_bytes = 0;
+    bool hello = false;
+    bool counted = false;  // active-connections gauge was incremented
+    std::string tenant;
+    std::uint64_t session_id = 0;
+    bool subscribed = false;
+    bool closing = false;  // flush outbox, then close
+    bool dead = false;     // drop immediately, peer is gone
+
+    Conn(Kind k, Socket s, std::uint32_t max_payload)
+        : kind(k), sock(std::move(s)), reader(max_payload) {}
+  };
+
   struct PendingRun {
     bool watch = false;
     std::string tenant;
-    std::uint64_t session_id = 0;
+    // The requesting connection. `conns` owns every connection, so one
+    // reaped before the run ends leaves nothing here to write to.
+    std::weak_ptr<Conn> conn;
     std::uint64_t run_id = 0;
     std::uint64_t admitted_us = 0;
     StartRunRequest run;
@@ -97,27 +122,6 @@ struct MonitorService::Impl {
     bool gave_up = false;
   };
 
-  struct Conn {
-    enum class Kind : std::uint8_t { kClient, kHttp };
-    Kind kind = Kind::kClient;
-    Socket sock;
-    FrameReader reader;
-    std::string http_buf;
-    std::deque<std::vector<std::byte>> outbox;
-    std::size_t outbox_offset = 0;  // sent bytes of outbox.front()
-    std::size_t outbox_bytes = 0;
-    bool hello = false;
-    bool counted = false;  // active-connections gauge was incremented
-    std::string tenant;
-    std::uint64_t session_id = 0;
-    bool subscribed = false;
-    bool closing = false;  // flush outbox, then close
-    bool dead = false;     // drop immediately, peer is gone
-
-    Conn(Kind k, Socket s, std::uint32_t max_payload)
-        : kind(k), sock(std::move(s)), reader(max_payload) {}
-  };
-
   // ------------------------------------------------------------ state ----
 
   ServiceConfig config;
@@ -126,28 +130,29 @@ struct MonitorService::Impl {
   WakePipe wake;
   std::unique_ptr<fleet::FleetScheduler> pool;
   std::thread io_thread;
-  std::chrono::steady_clock::time_point epoch_tp;
+  Clock::time_point epoch_tp;
 
+  // Shared across threads, besides the completion queue: stop() sets
+  // `stopped` and joins the IO thread, which runs the drain; the IO thread
+  // flips `abort_runs`, which the workers' runs poll, when the drain
+  // budget expires.
   std::atomic<bool> started{false};
   std::atomic<bool> stopped{false};
-  std::atomic<bool> draining{false};
-  std::atomic<bool> io_stop{false};
   std::atomic<bool> abort_runs{false};
-  std::atomic<std::uint64_t> inflight{0};
-  std::atomic<std::uint64_t> deferred_size{0};
-  std::atomic<std::uint64_t> done_pending{0};
 
   std::mutex done_mu;
   std::vector<Completion> done;
 
   // IO-thread-only state.
-  std::vector<std::unique_ptr<Conn>> conns;
-  std::map<std::uint64_t, Conn*> sessions;
+  std::vector<std::shared_ptr<Conn>> conns;
   std::map<std::string, Tenant> tenants;
   std::deque<PendingRun> deferred;
+  std::uint64_t inflight = 0;  // launched runs not yet through finish()
+  std::uint64_t finished = 0;  // finish() calls, for check_invariants()
   std::uint64_t next_session = 1;
   std::uint64_t next_run = 1;
-  bool announced_shutdown = false;
+  bool draining = false;  // stop() was seen; set once, by drain_step()
+  Clock::time_point drain_deadline;
 
   ServiceStats stats;  // IO thread writes; stop() reads after join
 
@@ -159,7 +164,7 @@ struct MonitorService::Impl {
     if (config.clock_us) return config.clock_us();
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - epoch_tp)
+            Clock::now() - epoch_tp)
             .count());
   }
 
@@ -306,7 +311,7 @@ struct MonitorService::Impl {
       send_error(c, ErrorCode::kBadRequest, error);
       return;
     }
-    if (draining.load(std::memory_order_relaxed)) {
+    if (draining) {
       reject(c, static_cast<std::uint64_t>(config.drain_timeout.count()),
              "shutting down");
       return;
@@ -324,11 +329,11 @@ struct MonitorService::Impl {
     tenant.tokens -= 1.0;
 
     pending.tenant = c.tenant;
-    pending.session_id = c.session_id;
+    pending.conn = c.weak_from_this();
     pending.run_id = next_run++;
     pending.admitted_us = now;
 
-    if (inflight.load(std::memory_order_relaxed) < config.max_inflight &&
+    if (inflight < config.max_inflight &&
         tenant.inflight < config.max_inflight_per_tenant) {
       ++stats.admitted;
       count_admission("accepted");
@@ -343,7 +348,6 @@ struct MonitorService::Impl {
       ++stats.deferred;
       count_admission("deferred");
       deferred.push_back(std::move(pending));
-      deferred_size.store(deferred.size(), std::memory_order_relaxed);
       send(c, FrameType::kRunAdmitted,
            RunAdmitted{deferred.back().run_id,
                        static_cast<std::uint8_t>(fleet::Admission::kDeferred),
@@ -354,17 +358,21 @@ struct MonitorService::Impl {
            "admission queue full");
   }
 
+  /// Launches deferred runs in FIFO order while the in-flight bounds allow.
+  /// Past the drain budget every deferred run goes to launch(), which
+  /// starts none of them and answers each kShuttingDown.
   void launch_deferred() {
-    while (inflight.load(std::memory_order_relaxed) < config.max_inflight) {
-      auto it = std::find_if(deferred.begin(), deferred.end(),
-                             [this](const PendingRun& p) {
-                               return tenants[p.tenant].inflight <
-                                      config.max_inflight_per_tenant;
-                             });
-      if (it == deferred.end()) break;
+    const bool refuse = abort_runs.load(std::memory_order_relaxed);
+    for (auto it = deferred.begin(); it != deferred.end();) {
+      if (!refuse) {
+        if (inflight >= config.max_inflight) break;
+        if (tenants[it->tenant].inflight >= config.max_inflight_per_tenant) {
+          ++it;
+          continue;
+        }
+      }
       PendingRun pending = std::move(*it);
-      deferred.erase(it);
-      deferred_size.store(deferred.size(), std::memory_order_relaxed);
+      it = deferred.erase(it);
       launch(std::move(pending));
     }
   }
@@ -374,21 +382,28 @@ struct MonitorService::Impl {
   void launch(PendingRun pending) {
     Tenant& tenant = tenants[pending.tenant];
     ++tenant.inflight;
-    inflight.fetch_add(1, std::memory_order_relaxed);
+    ++inflight;
 
     const Enrolled& enrolled =
         tenant.inventories.at(pending.watch ? pending.watch_req.inventory
                                             : pending.run.inventory);
-    if (const char* error =
-            population_error(pending, enrolled.population->tags().size())) {
-      // A re-Enroll shrank the population since admission: fail the run
-      // like any other, which also balances the in-flight counts above.
-      Completion comp;
-      comp.pending = std::move(pending);
-      comp.failed = true;
-      comp.error = ErrorCode::kBadRequest;
-      comp.failure = error;
-      finish(comp);
+    // A run refused here is finished like any other, which also balances
+    // the in-flight counts above: nothing starts past the drain budget, and
+    // a re-Enroll may have shrunk the population since admission.
+    Completion refused;
+    refused.failed = true;
+    if (abort_runs.load(std::memory_order_relaxed)) {
+      refused.error = ErrorCode::kShuttingDown;
+      refused.failure = "run " + std::to_string(pending.run_id) +
+                        " not started: shutting down";
+    } else if (const char* error = population_error(
+                   pending, enrolled.population->tags().size())) {
+      refused.error = ErrorCode::kBadRequest;
+      refused.failure = error;
+    }
+    if (!refused.failure.empty()) {
+      refused.pending = std::move(pending);
+      finish(refused);
       return;
     }
     auto work = std::make_shared<RunWork>();
@@ -432,14 +447,13 @@ struct MonitorService::Impl {
     work->pending = std::move(pending);
 
     // Admission-stamp EDF: earlier-admitted runs schedule first, so the
-    // deferred wave drains FIFO through whichever worker frees up.
+    // deferred queue drains FIFO through whichever worker frees up.
     pool->submit(static_cast<double>(work->pending.admitted_us),
                  [this, work] { execute(*work); });
   }
 
   void execute(RunWork& work) {
     Completion comp;
-    comp.pending = work.pending;
     try {
       if (work.pending.watch) {
         // Directory name derives from the server-generated run id only —
@@ -474,12 +488,9 @@ struct MonitorService::Impl {
       comp.failed = true;
       comp.failure = std::string("run failed: ") + e.what();
     }
+    comp.pending = std::move(work.pending);
     {
-      // The increment must land before the completion becomes swappable:
-      // process_completions() decrements by batch size after the swap, and
-      // an increment arriving late would transiently wrap the counter.
       const std::lock_guard<std::mutex> lock(done_mu);
-      done_pending.fetch_add(1, std::memory_order_release);
       done.push_back(std::move(comp));
     }
     wake.wake();
@@ -493,16 +504,14 @@ struct MonitorService::Impl {
       const std::lock_guard<std::mutex> lock(done_mu);
       batch.swap(done);
     }
-    if (batch.empty()) return;
-    done_pending.fetch_sub(batch.size(), std::memory_order_release);
     for (Completion& comp : batch) finish(comp);
-    launch_deferred();
   }
 
+  /// Answers one launched run: the only place a run leaves `inflight`.
   void finish(Completion& comp) {
-    Tenant& tenant = tenants[comp.pending.tenant];
-    if (tenant.inflight > 0) --tenant.inflight;
-    inflight.fetch_sub(1, std::memory_order_relaxed);
+    --tenants[comp.pending.tenant].inflight;
+    --inflight;
+    ++finished;
 
     const std::uint64_t latency = now_us() - comp.pending.admitted_us;
     if (metrics() != nullptr) {
@@ -510,9 +519,7 @@ struct MonitorService::Impl {
           .observe(static_cast<double>(latency));
     }
 
-    const auto session = sessions.find(comp.pending.session_id);
-    Conn* conn = session == sessions.end() ? nullptr : session->second;
-
+    const std::shared_ptr<Conn> conn = comp.pending.conn.lock();
     if (comp.failed) {
       ++stats.runs_aborted;
       if (metrics() != nullptr) {
@@ -523,9 +530,9 @@ struct MonitorService::Impl {
     }
 
     if (comp.pending.watch) {
-      finish_watch(comp, tenant, conn);
+      finish_watch(comp, conn.get());
     } else {
-      finish_run(comp, conn);
+      finish_run(comp, conn.get());
     }
   }
 
@@ -596,7 +603,7 @@ struct MonitorService::Impl {
     }
   }
 
-  void finish_watch(Completion& comp, Tenant&, Conn* conn) {
+  void finish_watch(Completion& comp, Conn* conn) {
     ++stats.runs_completed;
     if (metrics() != nullptr) {
       obs::catalog::service_runs_total(*metrics(), "watch").inc();
@@ -630,9 +637,8 @@ struct MonitorService::Impl {
       switch (type) {
         case FrameType::kHello: {
           if (c.hello) {
-            // A second Hello would re-register the session under a fresh id
-            // and leave the old sessions entry dangling after the reap —
-            // one session per connection, full stop.
+            // One session per connection: a second Hello would mint a
+            // second session id for the same connection.
             send_error(c, ErrorCode::kBadRequest,
                        "hello already received on this connection");
             return;
@@ -649,7 +655,6 @@ struct MonitorService::Impl {
           c.hello = true;
           c.tenant = req.tenant;
           c.session_id = next_session++;
-          sessions[c.session_id] = &c;
           (void)tenants[c.tenant];
           send(c, FrameType::kHelloOk,
                HelloOk{kProtocolVersion, c.session_id, config.max_frame_bytes,
@@ -806,7 +811,7 @@ struct MonitorService::Impl {
         body = obs::render_json(metrics()->snapshot());
       }
     } else if (path == "/healthz") {
-      body = draining.load(std::memory_order_relaxed) ? "draining\n" : "ok\n";
+      body = draining ? "draining\n" : "ok\n";
     } else {
       status = "404 Not Found";
       body = "unknown path\n";
@@ -824,13 +829,18 @@ struct MonitorService::Impl {
 
   // ----------------------------------------------------------- IO loop ----
 
+  void send_shutdown(Conn& c) {
+    send(c, FrameType::kShutdown,
+         ShutdownMsg{static_cast<std::uint64_t>(config.drain_timeout.count())});
+  }
+
   void accept_loop(Listener& from, Conn::Kind kind) {
     while (auto sock = from.accept()) {
+      auto conn = std::make_shared<Conn>(kind, std::move(*sock),
+                                         config.max_frame_bytes);
       if (conns.size() >= config.max_connections) {
         // Refuse politely: a frame for clients, nothing for HTTP.
         if (kind == Conn::Kind::kClient) {
-          auto conn = std::make_unique<Conn>(kind, std::move(*sock),
-                                             config.max_frame_bytes);
           send_error(*conn, ErrorCode::kOverloaded, "connection limit");
           conn->closing = true;
           conns.push_back(std::move(conn));
@@ -844,15 +854,9 @@ struct MonitorService::Impl {
             .inc();
         obs::catalog::service_active_connections(*metrics()).add(1.0);
       }
-      conns.push_back(std::make_unique<Conn>(kind, std::move(*sock),
-                                             config.max_frame_bytes));
-      conns.back()->counted = true;
-      if (draining.load(std::memory_order_relaxed) &&
-          conns.back()->kind == Conn::Kind::kClient) {
-        send(*conns.back(), FrameType::kShutdown,
-             ShutdownMsg{static_cast<std::uint64_t>(
-                 config.drain_timeout.count())});
-      }
+      conn->counted = true;
+      if (draining && kind == Conn::Kind::kClient) send_shutdown(*conn);
+      conns.push_back(std::move(conn));
     }
   }
 
@@ -921,7 +925,6 @@ struct MonitorService::Impl {
     for (auto it = conns.begin(); it != conns.end();) {
       Conn& c = **it;
       if (c.dead || (c.closing && c.outbox.empty())) {
-        if (c.session_id != 0) sessions.erase(c.session_id);
         if (metrics() != nullptr) {
           // Over-limit refusals were never counted in; decrementing them
           // out would drift the gauge negative under overload.
@@ -939,38 +942,46 @@ struct MonitorService::Impl {
     }
   }
 
-  void announce_shutdown_once() {
-    if (announced_shutdown) return;
-    announced_shutdown = true;
-    for (const auto& conn : conns) {
-      if (conn->kind == Conn::Kind::kClient && !conn->closing && !conn->dead) {
-        send(*conn, FrameType::kShutdown,
-             ShutdownMsg{
-                 static_cast<std::uint64_t>(config.drain_timeout.count())});
+  // ------------------------------------------------------------- drain ----
+
+  /// Runs are still in flight or deferred, and the drain budget decides
+  /// whether they finish or abort.
+  [[nodiscard]] bool budget_decides() const {
+    return draining && (inflight > 0 || !deferred.empty()) &&
+           !abort_runs.load(std::memory_order_relaxed);
+  }
+
+  /// The drain, run by the IO thread once per loop iteration. The first
+  /// iteration that sees stop() starts it: new runs are refused from then
+  /// on and every client hears the budget. If the budget expires before
+  /// the runs drain, the abort switch flips: in-flight runs abort
+  /// cooperatively, and launch_deferred() starts nothing more.
+  void drain_step() {
+    if (!draining && stopped.load(std::memory_order_relaxed)) {
+      draining = true;
+      drain_deadline = Clock::now() + config.drain_timeout;
+      for (const auto& conn : conns) {
+        if (conn->kind == Conn::Kind::kClient) send_shutdown(*conn);
       }
+    }
+    if (budget_decides() && Clock::now() >= drain_deadline) {
+      abort_runs.store(true, std::memory_order_relaxed);
+      stats.drained_cleanly = false;
     }
   }
 
   void io_loop() {
     std::vector<pollfd> pfds;
     std::vector<Conn*> polled;
-    std::chrono::steady_clock::time_point flush_deadline{};
-    bool flushing = false;
+    Clock::time_point flush_deadline{};
+    constexpr std::size_t kConnsFrom = 3;  // after the pipe and listeners
 
     for (;;) {
       pfds.clear();
       polled.clear();
       pfds.push_back(pollfd{wake.read_fd(), POLLIN, 0});
-      const bool accepting = !io_stop.load(std::memory_order_relaxed);
-      std::size_t listener_at = SIZE_MAX;
-      std::size_t http_at = SIZE_MAX;
-      if (accepting) {
-        listener_at = pfds.size();
-        pfds.push_back(pollfd{listener->fd(), POLLIN, 0});
-        http_at = pfds.size();
-        pfds.push_back(pollfd{http_listener->fd(), POLLIN, 0});
-      }
-      const std::size_t conns_from = pfds.size();
+      pfds.push_back(pollfd{listener->fd(), POLLIN, 0});
+      pfds.push_back(pollfd{http_listener->fd(), POLLIN, 0});
       for (const auto& conn : conns) {
         short events = 0;
         if (!conn->closing && !conn->dead) events |= POLLIN;
@@ -979,24 +990,32 @@ struct MonitorService::Impl {
         polled.push_back(conn.get());
       }
 
-      (void)::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 20);
+      // While the budget decides, wait no longer than what is left of it,
+      // so even a 1 ms budget expires on time.
+      std::int64_t timeout_ms = 20;
+      if (budget_decides()) {
+        timeout_ms = std::clamp<std::int64_t>(
+            std::chrono::ceil<std::chrono::milliseconds>(drain_deadline -
+                                                         Clock::now())
+                .count(),
+            0, timeout_ms);
+      }
+      (void)::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
+                   static_cast<int>(timeout_ms));
       wake.drain();
 
+      // Completions free in-flight room, which deferred runs take before
+      // any request read below.
       process_completions();
-      if (draining.load(std::memory_order_relaxed)) announce_shutdown_once();
+      drain_step();
+      launch_deferred();
 
-      if (accepting) {
-        if (pfds[listener_at].revents != 0) {
-          accept_loop(*listener, Conn::Kind::kClient);
-        }
-        if (pfds[http_at].revents != 0) {
-          accept_loop(*http_listener, Conn::Kind::kHttp);
-        }
-      }
+      if (pfds[1].revents != 0) accept_loop(*listener, Conn::Kind::kClient);
+      if (pfds[2].revents != 0) accept_loop(*http_listener, Conn::Kind::kHttp);
 
       for (std::size_t i = 0; i < polled.size(); ++i) {
         Conn& c = *polled[i];
-        const short revents = pfds[conns_from + i].revents;
+        const short revents = pfds[kConnsFrom + i].revents;
         if ((revents & (POLLERR | POLLNVAL)) != 0) {
           c.dead = true;
           continue;
@@ -1010,27 +1029,21 @@ struct MonitorService::Impl {
       }
 
       reap_conns();
-      if (!io_stop.load(std::memory_order_relaxed)) launch_deferred();
       check_invariants();
 
-      if (io_stop.load(std::memory_order_relaxed)) {
-        if (!flushing) {
-          flushing = true;
-          flush_deadline =
-              std::chrono::steady_clock::now() + std::chrono::seconds(1);
+      if (draining && inflight == 0 && deferred.empty()) {
+        // Every run is answered: flush the outboxes, bounded, and exit.
+        if (flush_deadline == Clock::time_point{}) {
+          flush_deadline = Clock::now() + std::chrono::seconds(1);
         }
-        const bool quiet =
-            done_pending.load(std::memory_order_acquire) == 0 &&
+        const bool flushed =
             std::all_of(conns.begin(), conns.end(), [](const auto& conn) {
               return conn->outbox.empty() || conn->dead;
             });
-        if (quiet || std::chrono::steady_clock::now() >= flush_deadline) {
-          break;
-        }
+        if (flushed || Clock::now() >= flush_deadline) break;
       }
     }
     conns.clear();
-    sessions.clear();
   }
 
   // ------------------------------------------------------- invariants ----
@@ -1046,17 +1059,13 @@ struct MonitorService::Impl {
       RFID_ENSURE(tenant.feed.size() <= config.alert_backlog,
                   "tenant feed over its backlog: " + name);
     }
-    const std::uint64_t running = inflight.load(std::memory_order_relaxed);
-    RFID_ENSURE(running == tenant_inflight,
+    RFID_ENSURE(inflight == tenant_inflight,
                 "in-flight count differs from the tenants' sum");
-    RFID_ENSURE(deferred_size.load(std::memory_order_relaxed) ==
-                    deferred.size(),
-                "deferred_size differs from the deferred queue");
-    // Workers only post completions of runs still counted in flight, so a
-    // larger count means the counter wrapped.
-    RFID_ENSURE(done_pending.load(std::memory_order_acquire) <= running,
-                "more completions pending than runs in flight");
-    std::size_t with_session = 0;
+    // Every admitted run is answered exactly once: until finish() answers
+    // it, it is deferred or in flight.
+    RFID_ENSURE(stats.admitted + stats.deferred ==
+                    finished + inflight + deferred.size(),
+                "an admitted run was dropped or answered twice");
     for (const auto& conn : conns) {
       std::size_t queued = 0;
       for (const std::vector<std::byte>& bytes : conn->outbox) {
@@ -1066,17 +1075,7 @@ struct MonitorService::Impl {
                   "outbox_bytes differs from the queued bytes");
       RFID_ENSURE(conn->outbox_bytes <= config.outbox_limit_bytes,
                   "outbox over its limit");
-      if (conn->session_id == 0) continue;
-      ++with_session;
-      const auto it = sessions.find(conn->session_id);
-      RFID_ENSURE(conn->hello && it != sessions.end() &&
-                      it->second == conn.get(),
-                  "a connection's session is not registered to it");
     }
-    // With the loop above: every entry points at a live connection that
-    // said Hello and carries the entry's id.
-    RFID_ENSURE(sessions.size() == with_session,
-                "a session entry outlived its connection");
 #endif
   }
 
@@ -1087,7 +1086,7 @@ struct MonitorService::Impl {
       throw std::logic_error("MonitorService started twice");
     }
     raise_fd_limit();
-    epoch_tp = std::chrono::steady_clock::now();
+    epoch_tp = Clock::now();
     listener = std::make_unique<Listener>(config.port);
     http_listener = std::make_unique<Listener>(config.http_port);
     pool = std::make_unique<fleet::FleetScheduler>(config.workers);
@@ -1096,45 +1095,13 @@ struct MonitorService::Impl {
 
   ServiceStats stop() {
     if (!started.load() || stopped.exchange(true)) return stats;
-
-    draining.store(true, std::memory_order_relaxed);
-    wake.wake();
-
-    const auto deadline =
-        std::chrono::steady_clock::now() + config.drain_timeout;
-    auto quiesced = [this] {
-      return inflight.load(std::memory_order_relaxed) == 0 &&
-             deferred_size.load(std::memory_order_relaxed) == 0 &&
-             done_pending.load(std::memory_order_acquire) == 0;
-    };
-    while (!quiesced() && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    const bool clean = quiesced();
-    if (!clean) {
-      // Budget blown: flip the fleet abort switch so in-flight runs bail
-      // cooperatively. Runs still queued on the pool are drained, not
-      // dropped: each starts, sees the switch before its first zone or
-      // epoch and reports itself aborted, so every launched run completes
-      // and is counted, and the drain stays prompt.
-      abort_runs.store(true, std::memory_order_relaxed);
-    }
-    pool->stop(/*drain=*/true);
-    if (!clean) {
-      // Every launched task finished (aborted); give the IO thread a moment
-      // to deliver their completions before tearing it down.
-      const auto flush_by =
-          std::chrono::steady_clock::now() + std::chrono::seconds(2);
-      while (done_pending.load(std::memory_order_acquire) != 0 &&
-             std::chrono::steady_clock::now() < flush_by) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    }
-
-    io_stop.store(true, std::memory_order_relaxed);
+    // The IO thread sees `stopped`, runs the drain and exits once every
+    // run is answered. The pool then holds at most the tails of tasks whose
+    // completions it already took. After a start() that threw, either may
+    // be missing.
     wake.wake();
     if (io_thread.joinable()) io_thread.join();
-    stats.drained_cleanly = clean;
+    if (pool) pool->stop(/*drain=*/true);
     return stats;
   }
 };

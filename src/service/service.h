@@ -17,34 +17,38 @@
 // Monitoring work never runs on the IO thread: admitted runs execute as
 // tasks on a FleetScheduler worker pool (one FleetOrchestrator per run,
 // admission-stamp EDF order), and completions travel back over a queue plus
-// self-pipe wakeup. The IO thread owns all connection/tenant state, so the
-// request path needs no locks at all.
+// self-pipe wakeup. The IO thread owns all connection/tenant state and
+// every run count, so the request path needs no locks at all.
 //
-// Admission control (the fleet wave machinery, fronted per tenant):
+// Admission control is the service's own, per tenant and service-wide
+// (RunAdmitted only borrows fleet::Admission's accepted/deferred codes):
 //
 //   * token bucket per tenant (capacity + refill/s) — a tenant out of
 //     tokens is REJECTED with an explicit Backpressure frame carrying
 //     retry_after_ms, never silently queued;
-//   * bounded in-flight runs, per tenant and globally, mapped onto
-//     fleet::Admission — a request over the in-flight bound is DEFERRED
-//     into a bounded FIFO wave queue (the response says so, with the queue
-//     depth), and when that queue is full it is REJECTED with retry-after;
+//   * bounded in-flight runs, per tenant and globally — a request over an
+//     in-flight bound is DEFERRED into a bounded FIFO deferred queue (the
+//     response says so, with the queue depth) and launches when a run
+//     finishes; when that queue is full it is REJECTED with retry-after;
 //   * slow consumers are bounded too: a connection whose outbox exceeds
 //     its limit is closed, not buffered without bound.
 //
-// Graceful shutdown contract (stop()):
+// Graceful shutdown contract: stop() asks, and the IO thread runs the
+// drain and decides its outcome.
 //   1. new runs are refused with Backpressure("shutting down"); connected
 //      clients receive a Shutdown frame naming the drain budget;
-//   2. in-flight AND already-admitted deferred runs drain through
-//      FleetScheduler — their verdicts still stream out;
-//   3. if the drain budget expires, the shared abort switch flips — fleet
-//      runs report themselves aborted, and in-flight watches observe the
-//      same switch via DaemonConfig::abort and give up (their checkpointed
-//      epochs stay durable), exactly like a daemon watchdog kill. Runs
-//      still queued on the pool start, see the switch at once and abort
-//      too, so the pool drains promptly and no launched run goes
-//      unreported;
-//   4. outboxes are flushed best-effort, sockets close, stats come back.
+//   2. in-flight runs drain through FleetScheduler, and deferred runs
+//      keep launching as room frees — their verdicts still stream out;
+//   3. if the drain budget expires first, the IO thread flips the shared
+//      abort switch — fleet runs report themselves aborted, and in-flight
+//      watches observe the same switch via DaemonConfig::abort and give up
+//      (their checkpointed epochs stay durable), exactly like a daemon
+//      watchdog kill. Runs still queued on the pool start, see the switch
+//      at once and abort too. Nothing launches after that: each run still
+//      deferred is answered with Error{kShuttingDown} and counted as
+//      aborted, so every admitted run is answered exactly once;
+//   4. once no run is in flight, outboxes are flushed (best effort, for at
+//      most a second), sockets close, and stop() returns the stats.
 #pragma once
 
 #include <chrono>
@@ -78,8 +82,8 @@ struct ServiceConfig {
   double token_capacity = 64.0;    // token bucket burst capacity
   std::uint64_t max_inflight_per_tenant = 2;
   std::uint64_t max_inflight = 8;  // global in-flight run bound
-  std::uint64_t max_deferred = 64;  // wave queue bound; beyond = reject
-  /// Retry hint when the wave queue itself is saturated.
+  std::uint64_t max_deferred = 64;  // deferred queue bound; beyond = reject
+  /// Retry hint when the deferred queue itself is saturated.
   std::uint64_t reject_retry_ms = 100;
 
   /// Slow-consumer bound: queued-but-unsent bytes before the connection is
@@ -119,7 +123,8 @@ struct ServiceStats {
   std::uint64_t runs_completed = 0;
   std::uint64_t runs_aborted = 0;
   /// stop() drained every admitted run inside the budget; false means the
-  /// abort switch fired and some runs came back aborted.
+  /// abort switch fired and some runs came back aborted or were never
+  /// started.
   bool drained_cleanly = true;
 };
 

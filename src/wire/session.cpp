@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "obs/catalog.h"
+#include "radio/timing.h"
 #include "util/expect.h"
 
 namespace rfid::wire {
@@ -69,7 +70,7 @@ struct TrpAdapter {
       bits::Bitstring forged = config.trp_forge(c);
       const std::uint64_t replies = forged.count();
       const double us =
-          config.timing.trp_scan_us(c.frame_size - replies, replies);
+          radio::TimingModel{}.trp_scan_us(c.frame_size - replies, replies);
       return {std::move(forged), us};
     }
     const protocol::TrpReader reader{hash::SlotHasher{}, config.channel};
@@ -82,7 +83,8 @@ struct TrpAdapter {
       obs::catalog::scan_slots_total(*config.metrics, kProtocol, "reply")
           .inc(replies);
     }
-    const double us = config.timing.trp_scan_us(observed.empty_slots, replies);
+    const double us =
+        radio::TimingModel{}.trp_scan_us(observed.empty_slots, replies);
     return {observed.bitstring, us};
   }
   [[nodiscard]] protocol::Verdict verify(const Challenge& c,
@@ -123,7 +125,7 @@ struct UtrpAdapter {
           .inc(occupied);
       obs::catalog::reseeds_total(*config.metrics, "reader").inc(result.reseeds);
     }
-    const double us = config.timing.utrp_scan_us(
+    const double us = radio::TimingModel{}.utrp_scan_us(
         c.frame_size - occupied, occupied, result.reseeds);
     return {result.bitstring, us};
   }

@@ -43,7 +43,6 @@
 #include "protocol/trp.h"
 #include "protocol/utrp.h"
 #include "radio/channel.h"
-#include "radio/timing.h"
 #include "sim/event_queue.h"
 #include "wire/link.h"
 #include "wire/messages.h"
@@ -62,7 +61,6 @@ struct SessionConfig {
   /// (de-synchronizes retry storms; drawn from a dedicated RNG stream).
   double backoff_jitter = 0.1;
   std::uint32_t max_retries = 8;  // per message, per round
-  radio::TimingModel timing = {};
   std::string group_name = "group";
   /// UTRP only: wall-clock budget from challenge issue to report receipt
   /// (Alg. 5's timer). 0 disables the check. Note that link retransmissions

@@ -10,7 +10,10 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <map>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "fleet/fleet.h"
@@ -18,6 +21,7 @@
 #include "obs/metrics.h"
 #include "service/client.h"
 #include "service/service.h"
+#include "service/socket.h"
 #include "storage/backend.h"
 #include "storage/daemon_journal.h"
 #include "tag/tag_id.h"
@@ -66,6 +70,15 @@ TEST(ServiceLifecycle, StartExposesPortsAndStopIsIdempotent) {
   EXPECT_TRUE(stats.drained_cleanly);
   const service::ServiceStats again = svc.stop();  // idempotent
   EXPECT_EQ(again.connections, stats.connections);
+}
+
+TEST(ServiceLifecycle, StopAfterAFailedStartIsSafe) {
+  const service::Listener taken(0);
+  ServiceConfig config;
+  config.port = taken.port();  // already bound: start() cannot listen
+  MonitorService svc{config};
+  EXPECT_THROW(svc.start(), std::system_error);
+  EXPECT_TRUE(svc.stop().drained_cleanly);
 }
 
 TEST(ServiceSession, HelloEnrollRunIntact) {
@@ -136,6 +149,43 @@ TEST(ServiceSession, SecondHelloIsRejectedAndSessionSurvives) {
   EXPECT_EQ(client.ping(9), 9u);
   EXPECT_NE(first.session_id, 0u);
   svc.stop();
+}
+
+TEST(ServiceSession, ConnectionLimitRefusesAndGaugeReturnsToZero) {
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.max_connections = 1;
+  config.metrics = &registry;
+  MonitorService svc{config};
+  svc.start();
+  const obs::Gauge& active =
+      obs::catalog::service_active_connections(registry);
+
+  ServiceClient first(svc.port());
+  first.hello("acme");  // a round trip: the service has accepted it
+  EXPECT_EQ(active.value(), 1.0);
+
+  // Over the limit: a typed refusal, then the service closes the socket.
+  ServiceClient second(svc.port());
+  const service::Frame frame = second.read_frame();
+  ASSERT_EQ(static_cast<service::FrameType>(frame.type),
+            service::FrameType::kError);
+  const service::ErrorMsg refusal = service::decode_error(frame.payload);
+  EXPECT_EQ(refusal.code, service::ErrorCode::kOverloaded);
+  EXPECT_EQ(refusal.message, "connection limit");
+  EXPECT_THROW((void)second.read_frame(), std::runtime_error);
+  // The refusal was never counted in, so it is not counted out either.
+  EXPECT_EQ(active.value(), 1.0);
+  EXPECT_EQ(first.ping(3), 3u);
+
+  // The service closes the socket only after reaping the connection, so
+  // the close the client observes comes after the gauge's decrement.
+  first.goodbye();
+  EXPECT_THROW((void)first.read_frame(), std::runtime_error);
+  EXPECT_EQ(active.value(), 0.0);
+  const service::ServiceStats stats = svc.stop();
+  EXPECT_EQ(stats.connections, 1u);
+  EXPECT_EQ(active.value(), 0.0);
 }
 
 TEST(ServiceSession, TheftVerdictNamesStolenTags) {
@@ -755,6 +805,70 @@ TEST(ServiceShutdown, DrainTimeoutReportsRunsStillQueuedOnThePool) {
   EXPECT_FALSE(stats.drained_cleanly);
   EXPECT_EQ(stats.runs_aborted, 1u);
   EXPECT_EQ(stats.runs_completed, 2u);  // the watch gave up, the run aborted
+}
+
+TEST(ServiceShutdown, DrainTimeoutAnswersDeferredRuns) {
+  // One worker and one in-flight slot, held by a long watch: eight runs
+  // wait in the deferred queue when the 1 ms budget expires. None of them
+  // starts; each is answered with exactly one shutting_down error naming
+  // it and is counted as aborted.
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.workers = 1;
+  config.max_inflight = 1;
+  config.drain_timeout = std::chrono::milliseconds(1);
+  config.max_watch_epochs = 100000;
+  config.metrics = &registry;
+  MonitorService svc{config};
+  svc.start();
+  ServiceClient client(svc.port());
+  client.hello("tenant");
+  EnrollRequest inv = small_inventory("floor", 2000);
+  inv.zone_capacity = 40;
+  inv.tolerance = 20;
+  client.enroll(inv);
+
+  StartWatchRequest watch;
+  watch.inventory = "floor";
+  watch.epochs = 100000;
+  ASSERT_TRUE(client.start_watch(watch).admitted.has_value());
+  std::map<std::string, int> expected;
+  StartRunRequest run;
+  run.inventory = "floor";
+  for (int i = 0; i < 8; ++i) {
+    const service::StartOutcome outcome = client.start_run(run);
+    ASSERT_TRUE(outcome.admitted.has_value());
+    EXPECT_EQ(outcome.admitted->admission,
+              static_cast<std::uint8_t>(fleet::Admission::kDeferred));
+    expected["run " + std::to_string(outcome.admitted->run_id) +
+             " not started: shutting down"] = 1;
+  }
+
+  const service::ServiceStats stats = svc.stop();
+  EXPECT_FALSE(stats.drained_cleanly);
+  EXPECT_EQ(stats.runs_completed, 1u);  // the watch, which gave up
+  EXPECT_EQ(stats.runs_aborted, 8u);
+  EXPECT_EQ(obs::catalog::service_runs_total(registry, "aborted").value(),
+            8u);
+
+  // stop() flushed every answer before it closed the connection.
+  std::map<std::string, int> answered;
+  for (;;) {
+    service::Frame frame;
+    try {
+      frame = client.read_frame();
+    } catch (const std::runtime_error&) {
+      break;  // the service closed the connection
+    }
+    if (static_cast<service::FrameType>(frame.type) !=
+        service::FrameType::kError) {
+      continue;
+    }
+    const service::ErrorMsg error = service::decode_error(frame.payload);
+    EXPECT_EQ(error.code, service::ErrorCode::kShuttingDown);
+    ++answered[error.message];
+  }
+  EXPECT_EQ(answered, expected);
 }
 
 TEST(ServiceHttp, ScrapeEndpointsRenderRegistry) {

@@ -492,7 +492,7 @@ TEST(UtrpSession, ChargesReseedBroadcastsSlotBySlot) {
   ASSERT_EQ(outcome.reported.size(), 1u);
 
   const bits::Bitstring& bs = outcome.reported[0];
-  const radio::TimingModel& timing = config.timing;
+  const radio::TimingModel timing{};
   double per_slot_us = timing.query_broadcast_us;
   std::uint64_t reseeds = 0;
   for (std::size_t slot = 0; slot < bs.size(); ++slot) {
