@@ -2,8 +2,9 @@
 // the TRP slot choice, frame-fill throughput for the expected-bitstring
 // path (the server's kernel against the per-tag loop written out below),
 // the expected-cache fast path, fleet-scale end-to-end runs (through the
-// one-shot adapter and over a prepared population), and the filter-first
-// identification campaign the fleet runs on a violated zone.
+// one-shot adapter and over a prepared population), the filter-first
+// identification campaign the fleet runs on a violated zone, and the
+// server's UTRP mirror walk.
 // items_per_second reads as tag-slots/sec (or zones for the fleet case);
 // the acceptance bar is >= 5x bulk over scalar at n = 10^6 on the frame
 // path. Numbers are recorded in EXPERIMENTS.md.
@@ -19,6 +20,7 @@
 #include "math/frame_optimizer.h"
 #include "protocol/identification.h"
 #include "protocol/trp.h"
+#include "protocol/utrp.h"
 #include "server/group_planner.h"
 #include "server/inventory_server.h"
 #include "tag/columnar.h"
@@ -223,6 +225,40 @@ void BM_FilterFirstIdentify(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 
+/// The server's UTRP mirror walk (protocol::utrp_scan_columnar, the walk
+/// verify and commit_round each run once per zone) at an Eq. (3) frame.
+/// n = 250 is svc_utrp's zone plan (m = 2, alpha = 0.95, c = 100, slack 8:
+/// f = 863); n = 2000 keeps its tolerance share (m = 16). Each iteration
+/// walks the next of 64 pre-issued challenges in place, so the counters
+/// advance as a committed mirror's do. items_per_second reads as slot
+/// computations (counter bump + hash) per second.
+void BM_UtrpMirrorWalk(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const math::UtrpPlan plan =
+      math::optimize_utrp_frame(n, n * 2 / 250, 0.95, 100, 8);
+  util::Rng rng(7);
+  tag::ColumnarTagSet mirror =
+      tag::ColumnarTagSet::from_tag_set(tag::TagSet::make_random(n, rng));
+  std::vector<protocol::UtrpChallenge> challenges(64);
+  for (protocol::UtrpChallenge& challenge : challenges) {
+    challenge.frame_size = plan.frame_size;
+    for (std::uint32_t i = 0; i < plan.frame_size; ++i) {
+      challenge.seeds.push_back(rng());
+    }
+  }
+  const hash::SlotHasher hasher;
+  std::uint64_t hashed = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const protocol::UtrpScanResult scan = protocol::utrp_scan_columnar(
+        mirror, hasher, challenges[next++ % challenges.size()]);
+    benchmark::DoNotOptimize(scan.bitstring);
+    hashed += scan.slots_hashed;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(hashed));
+  state.counters["frame"] = plan.frame_size;
+}
+
 }  // namespace
 
 BENCHMARK(BM_ScalarTrpSlots)->Arg(10000)->Arg(100000)->Arg(1000000)
@@ -240,3 +276,5 @@ BENCHMARK(BM_FleetPreparedMillionTagZones)->Unit(benchmark::kMillisecond)
     ->Iterations(4);
 BENCHMARK(BM_FilterFirstIdentify)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_UtrpMirrorWalk)->Arg(250)->Arg(2000)
+    ->Unit(benchmark::kMicrosecond);

@@ -83,11 +83,15 @@ UtrpScanResult walk(std::span<tag::Tag> tags, const hash::SlotHasher& hasher,
   return result;
 }
 
-}  // namespace
-
-UtrpScanResult utrp_scan_columnar(tag::ColumnarTagSet& tags,
-                                  const hash::SlotHasher& hasher,
-                                  const UtrpChallenge& challenge) {
+/// The server's walk over a columnar mirror, the same algorithm as walk()
+/// on the ideal channel. Each re-seed is one pass over the live tags only
+/// (tag::UtrpLiveTags). With `write_back` null it only predicts: `tags` is
+/// left as it was. Otherwise `write_back` is `tags` and ends as a real scan
+/// leaves it.
+UtrpScanResult walk_columns(const tag::ColumnarTagSet& tags,
+                            const hash::SlotHasher& hasher,
+                            const UtrpChallenge& challenge,
+                            tag::ColumnarTagSet* write_back) {
   const std::uint32_t f = challenge.frame_size;
   RFID_EXPECT(f >= 1, "challenge has no slots");
   RFID_EXPECT(challenge.seeds.size() >= 1, "challenge has no seeds");
@@ -95,57 +99,24 @@ UtrpScanResult utrp_scan_columnar(tag::ColumnarTagSet& tags,
   UtrpScanResult result;
   result.bitstring = bits::Bitstring(f);
 
-  const std::size_t n = tags.size();
-  std::vector<std::uint32_t> pick(n, 0);
-
-  // Initial broadcast: clear silenced flags, then one bulk pass increments
-  // every counter and picks a slot in the full frame.
-  tags.begin_round();
-  tag::bulk_utrp_receive_seed(hasher, tags, challenge.seeds[0], f, pick);
+  // Initial broadcast: every tag increments its counter and picks a slot in
+  // the full frame.
+  tag::UtrpLiveTags live(hasher, tags);
+  if (write_back != nullptr) write_back->begin_round();
+  std::uint32_t min_pick = live.receive_seed(challenge.seeds[0], f);
   result.seeds_consumed = 1;
-  result.slots_hashed = n;
-  std::size_t active_count = n;
+  result.slots_hashed = live.size();
 
-  const std::span<const std::uint64_t> silenced = tags.silenced_words();
   std::uint32_t subframe_start = 0;
 
-  while (active_count > 0) {
-    // Next reply event: the minimum pick among unsilenced tags. The bitmap
-    // word-skips fully-silenced blocks of 64.
-    std::uint32_t min_pick = std::numeric_limits<std::uint32_t>::max();
-    for (std::size_t base = 0; base < n; base += 64) {
-      std::uint64_t live = ~silenced[base / 64];
-      const std::size_t limit = (n - base < 64) ? n - base : 64;
-      if (limit < 64) live &= (std::uint64_t{1} << limit) - 1;
-      while (live != 0) {
-        const std::size_t i =
-            base + static_cast<std::size_t>(std::countr_zero(live));
-        live &= live - 1;
-        min_pick = std::min(min_pick, pick[i]);
-      }
-    }
-
+  while (!live.empty()) {
+    // Every slot before the earliest pick is empty: the next reply event
+    // is the minimum pick in the sub-frame.
     const std::uint32_t global = subframe_start + min_pick;
     RFID_ENSURE(global < f, "tag picked a slot beyond the frame");
 
     // Every tag that chose this slot transmits and keeps silent afterwards.
-    std::uint32_t occupancy = 0;
-    for (std::size_t base = 0; base < n; base += 64) {
-      std::uint64_t live = ~silenced[base / 64];
-      const std::size_t limit = (n - base < 64) ? n - base : 64;
-      if (limit < 64) live &= (std::uint64_t{1} << limit) - 1;
-      while (live != 0) {
-        const std::size_t i =
-            base + static_cast<std::size_t>(std::countr_zero(live));
-        live &= live - 1;
-        if (pick[i] == min_pick) {
-          tags.silence(i);
-          ++occupancy;
-        }
-      }
-    }
-    result.replies += occupancy;
-    active_count -= occupancy;
+    result.replies += live.reply(min_pick, write_back);
 
     // Ideal channel: any occupancy is observed (kSingle / kCollision).
     result.bitstring.set(global);
@@ -155,12 +126,19 @@ UtrpScanResult utrp_scan_columnar(tag::ColumnarTagSet& tags,
     RFID_ENSURE(result.seeds_consumed < challenge.seeds.size(),
                 "server issued too few seeds for this frame");
     const std::uint64_t seed = challenge.seeds[result.seeds_consumed++];
-    const std::uint32_t sub_frame = f - (global + 1);
     subframe_start = global + 1;
-    tag::bulk_utrp_receive_seed(hasher, tags, seed, sub_frame, pick);
-    result.slots_hashed += active_count;
+    min_pick = live.receive_seed(seed, f - subframe_start);
+    result.slots_hashed += live.size();
   }
   return result;
+}
+
+}  // namespace
+
+UtrpScanResult utrp_scan_columnar(tag::ColumnarTagSet& tags,
+                                  const hash::SlotHasher& hasher,
+                                  const UtrpChallenge& challenge) {
+  return walk_columns(tags, hasher, challenge, &tags);
 }
 
 UtrpScanResult utrp_scan(std::span<tag::Tag> tags, const hash::SlotHasher& hasher,
@@ -239,8 +217,7 @@ UtrpChallenge UtrpServer::issue_challenge(util::Rng& rng) const {
 }
 
 bits::Bitstring UtrpServer::expected_bitstring(const UtrpChallenge& challenge) const {
-  tag::ColumnarTagSet copy = mirror_;
-  UtrpScanResult scan = utrp_scan_columnar(copy, hasher_, challenge);
+  UtrpScanResult scan = walk_columns(mirror_, hasher_, challenge, nullptr);
   if (instruments_.bulk_slots != nullptr) {
     instruments_.bulk_slots->inc(scan.slots_hashed);
   }

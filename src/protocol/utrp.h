@@ -20,7 +20,14 @@
 // honest reader, attacks, wire sessions and identification run it — and
 // utrp_scan_columnar is how the server walks its mirrored database, a
 // tag::ColumnarTagSet of IDs and counters (each counter only advances when
-// its tag is queried).
+// its tag is queried). The columnar walk copies the slot words and
+// counters of the tags that have not replied into compact working columns
+// (tag::UtrpLiveTags); each re-seed is then one pass over those live tags
+// only, on AVX-512 lanes where the CPU and hash kind allow. A tag that
+// replies is swap-removed and, when the walk advances the mirror, its
+// counter and silenced flag are written back. The order of the live set
+// does not matter: the minimum pick and the set of tags at it do not
+// depend on it.
 //
 // Counter synchronization: after a verified-intact round the real walk was
 // identical to the expected walk, so commit_round() advances the server's
@@ -70,10 +77,10 @@ struct UtrpScanResult {
                                        util::Rng& rng);
 
 /// The columnar twin of the ideal-channel utrp_scan: identical algorithm,
-/// identical results (bitstring, reseeds, seeds, replies, and the tags'
-/// counters/silenced flags), but the per-reseed reception runs as one bulk
-/// kernel pass (tag::bulk_utrp_receive_seed) over contiguous columns instead
-/// of per-tag calls. Only the ideal channel is offered — this is the
+/// identical results (bitstring, reseeds, seeds, replies, slots hashed, and
+/// the tags' counters/silenced flags), but each re-seed is one kernel pass
+/// over the live tags' working columns (tag::UtrpLiveTags) instead of
+/// per-tag calls. Only the ideal channel is offered — this is the
 /// server-side mirror walk; physical reader scans keep the per-tag path.
 [[nodiscard]] UtrpScanResult utrp_scan_columnar(tag::ColumnarTagSet& tags,
                                                 const hash::SlotHasher& hasher,
@@ -108,8 +115,8 @@ class UtrpServer {
   [[nodiscard]] UtrpChallenge issue_challenge(util::Rng& rng) const;
 
   /// The bitstring an honest reader scanning the intact set would return,
-  /// derived from the mirrored database (counters included) by walking a
-  /// copy of it. Does not advance the mirror.
+  /// derived from the mirrored database (counters included) by the
+  /// columnar walk without its write-back. Does not advance the mirror.
   [[nodiscard]] bits::Bitstring expected_bitstring(const UtrpChallenge& challenge) const;
 
   /// Compares a returned bitstring against the expectation. `deadline_met`

@@ -1043,7 +1043,10 @@ struct MonitorService::Impl {
         if (flushed || Clock::now() >= flush_deadline) break;
       }
     }
-    conns.clear();
+    // Connections still open leave through the one reaping path, so the
+    // connection and stream gauges return to zero.
+    for (const auto& conn : conns) conn->dead = true;
+    reap_conns();
   }
 
   // ------------------------------------------------------- invariants ----

@@ -1,6 +1,9 @@
 #include "tag/columnar.h"
 
+#include <algorithm>
 #include <bit>
+#include <limits>
+#include <numeric>
 
 #include "util/expect.h"
 
@@ -47,11 +50,13 @@ void with_mixer(const hash::SlotHasher& hasher, Body&& body) {
 
 #if defined(RFIDMON_COLUMNAR_SIMD)
 
-// GCC 12's avx512 intrinsics headers trip -Wmaybe-uninitialized when their
-// _mm512_undefined_* helpers inline into user code; the values are fully
-// overwritten before use (a long-standing GCC false positive).
+// GCC 12's avx512 intrinsics headers trip -Wmaybe-uninitialized (and, in
+// _mm512_reduce_min_epu64, -Wuninitialized) when their _mm512_undefined_*
+// helpers inline into user code; the values are fully overwritten before
+// use (a long-standing GCC false positive).
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 
 // ---------------------------------------------------- SIMD slot kernels ----
 //
@@ -69,6 +74,45 @@ void with_mixer(const hash::SlotHasher& hasher, Body&& body) {
 // exactly (both partial products fit 64 bits; the discarded low half of
 // h_lo * f cannot carry into bit 64).
 
+/// The multiply-shift reduction above, on 8 hash lanes.
+__attribute__((target("avx512f"), always_inline)) inline __m512i reduce_lanes(
+    __m512i h, __m512i vf) {
+  const __m512i lo = _mm512_mul_epu32(h, vf);
+  const __m512i hi = _mm512_mul_epu32(_mm512_srli_epi64(h, 32), vf);
+  return _mm512_srli_epi64(
+      _mm512_add_epi64(hi, _mm512_srli_epi64(lo, 32)), 32);
+}
+
+/// murmur3_fmix64 or fnv1a64_u64 on 8 lanes.
+template <hash::HashKind Kind>
+__attribute__((target("avx512f,avx512dq"), always_inline)) inline __m512i
+mix_lanes(__m512i x) {
+  if constexpr (Kind == hash::HashKind::kMurmurFmix64) {
+    const __m512i k1 =
+        _mm512_set1_epi64(static_cast<long long>(0xff51afd7ed558ccdULL));
+    const __m512i k2 =
+        _mm512_set1_epi64(static_cast<long long>(0xc4ceb9fe1a85ec53ULL));
+    x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 33));
+    x = _mm512_mullo_epi64(x, k1);
+    x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 33));
+    x = _mm512_mullo_epi64(x, k2);
+    return _mm512_xor_si512(x, _mm512_srli_epi64(x, 33));
+  } else {
+    static_assert(Kind == hash::HashKind::kFnv1a64);
+    const __m512i prime =
+        _mm512_set1_epi64(static_cast<long long>(hash::kFnv64Prime));
+    const __m512i mask = _mm512_set1_epi64(0xff);
+    __m512i h =
+        _mm512_set1_epi64(static_cast<long long>(hash::kFnv64OffsetBasis));
+    for (int b = 0; b < 8; ++b) {
+      h = _mm512_mullo_epi64(_mm512_xor_si512(h, _mm512_and_si512(x, mask)),
+                             prime);
+      x = _mm512_srli_epi64(x, 8);
+    }
+    return h;
+  }
+}
+
 /// out[i] = (murmur3_fmix64(words[i] ^ r) * f) >> 64. Two independent
 /// 8-lane streams per step (the fmix chain is serial within a lane group —
 /// a second stream fills its multiply latency) plus a ~2 KiB-ahead software
@@ -77,55 +121,28 @@ void with_mixer(const hash::SlotHasher& hasher, Body&& body) {
 __attribute__((target("avx512f,avx512dq"))) void trp_slots_murmur_avx512(
     const std::uint64_t* words, std::size_t n, std::uint64_t r,
     std::uint32_t frame_size, std::uint32_t* out) {
+  constexpr hash::HashKind kMurmur = hash::HashKind::kMurmurFmix64;
   const __m512i vr = _mm512_set1_epi64(static_cast<long long>(r));
-  const __m512i k1 =
-      _mm512_set1_epi64(static_cast<long long>(0xff51afd7ed558ccdULL));
-  const __m512i k2 =
-      _mm512_set1_epi64(static_cast<long long>(0xc4ceb9fe1a85ec53ULL));
   const __m512i vf = _mm512_set1_epi64(static_cast<long long>(frame_size));
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     __builtin_prefetch(words + i + 256);
     __builtin_prefetch(words + i + 264);
     __builtin_prefetch(out + i + 256, 1);
-    __m512i a = _mm512_xor_si512(_mm512_loadu_si512(words + i), vr);
-    __m512i b = _mm512_xor_si512(_mm512_loadu_si512(words + i + 8), vr);
-    a = _mm512_xor_si512(a, _mm512_srli_epi64(a, 33));
-    b = _mm512_xor_si512(b, _mm512_srli_epi64(b, 33));
-    a = _mm512_mullo_epi64(a, k1);
-    b = _mm512_mullo_epi64(b, k1);
-    a = _mm512_xor_si512(a, _mm512_srli_epi64(a, 33));
-    b = _mm512_xor_si512(b, _mm512_srli_epi64(b, 33));
-    a = _mm512_mullo_epi64(a, k2);
-    b = _mm512_mullo_epi64(b, k2);
-    a = _mm512_xor_si512(a, _mm512_srli_epi64(a, 33));
-    b = _mm512_xor_si512(b, _mm512_srli_epi64(b, 33));
-    const __m512i lo_a = _mm512_mul_epu32(a, vf);
-    const __m512i hi_a = _mm512_mul_epu32(_mm512_srli_epi64(a, 32), vf);
-    const __m512i lo_b = _mm512_mul_epu32(b, vf);
-    const __m512i hi_b = _mm512_mul_epu32(_mm512_srli_epi64(b, 32), vf);
-    const __m512i slot_a = _mm512_srli_epi64(
-        _mm512_add_epi64(hi_a, _mm512_srli_epi64(lo_a, 32)), 32);
-    const __m512i slot_b = _mm512_srli_epi64(
-        _mm512_add_epi64(hi_b, _mm512_srli_epi64(lo_b, 32)), 32);
+    const __m512i a = mix_lanes<kMurmur>(
+        _mm512_xor_si512(_mm512_loadu_si512(words + i), vr));
+    const __m512i b = mix_lanes<kMurmur>(
+        _mm512_xor_si512(_mm512_loadu_si512(words + i + 8), vr));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm512_cvtepi64_epi32(slot_a));
+                        _mm512_cvtepi64_epi32(reduce_lanes(a, vf)));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 8),
-                        _mm512_cvtepi64_epi32(slot_b));
+                        _mm512_cvtepi64_epi32(reduce_lanes(b, vf)));
   }
   for (; i + 8 <= n; i += 8) {
-    __m512i x = _mm512_xor_si512(_mm512_loadu_si512(words + i), vr);
-    x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 33));
-    x = _mm512_mullo_epi64(x, k1);
-    x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 33));
-    x = _mm512_mullo_epi64(x, k2);
-    x = _mm512_xor_si512(x, _mm512_srli_epi64(x, 33));
-    const __m512i lo = _mm512_mul_epu32(x, vf);
-    const __m512i hi = _mm512_mul_epu32(_mm512_srli_epi64(x, 32), vf);
-    const __m512i slot = _mm512_srli_epi64(
-        _mm512_add_epi64(hi, _mm512_srli_epi64(lo, 32)), 32);
+    const __m512i x = mix_lanes<kMurmur>(
+        _mm512_xor_si512(_mm512_loadu_si512(words + i), vr));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm512_cvtepi64_epi32(slot));
+                        _mm512_cvtepi64_epi32(reduce_lanes(x, vf)));
   }
   for (; i < n; ++i) {
     out[i] = reduce(hash::murmur3_fmix64(words[i] ^ r), frame_size);
@@ -137,29 +154,15 @@ __attribute__((target("avx512f,avx512dq"))) void trp_slots_fnv_avx512(
     const std::uint64_t* words, std::size_t n, std::uint64_t r,
     std::uint32_t frame_size, std::uint32_t* out) {
   const __m512i vr = _mm512_set1_epi64(static_cast<long long>(r));
-  const __m512i basis =
-      _mm512_set1_epi64(static_cast<long long>(hash::kFnv64OffsetBasis));
-  const __m512i prime =
-      _mm512_set1_epi64(static_cast<long long>(hash::kFnv64Prime));
-  const __m512i mask = _mm512_set1_epi64(0xff);
   const __m512i vf = _mm512_set1_epi64(static_cast<long long>(frame_size));
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __builtin_prefetch(words + i + 256);
     __builtin_prefetch(out + i + 256, 1);
-    __m512i wb = _mm512_xor_si512(_mm512_loadu_si512(words + i), vr);
-    __m512i h = basis;
-    for (int b = 0; b < 8; ++b) {
-      h = _mm512_mullo_epi64(
-          _mm512_xor_si512(h, _mm512_and_si512(wb, mask)), prime);
-      wb = _mm512_srli_epi64(wb, 8);
-    }
-    const __m512i lo = _mm512_mul_epu32(h, vf);
-    const __m512i hi = _mm512_mul_epu32(_mm512_srli_epi64(h, 32), vf);
-    const __m512i slot = _mm512_srli_epi64(
-        _mm512_add_epi64(hi, _mm512_srli_epi64(lo, 32)), 32);
+    const __m512i h = mix_lanes<hash::HashKind::kFnv1a64>(
+        _mm512_xor_si512(_mm512_loadu_si512(words + i), vr));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm512_cvtepi64_epi32(slot));
+                        _mm512_cvtepi64_epi32(reduce_lanes(h, vf)));
   }
   for (; i < n; ++i) {
     out[i] = reduce(hash::fnv1a64_u64(words[i] ^ r), frame_size);
@@ -250,12 +253,58 @@ __attribute__((target("avx2"))) void trp_slots_fnv_avx2(
   }
 }
 
-using SlotsKernel = void (*)(const std::uint64_t*, std::size_t, std::uint64_t,
-                             std::uint32_t, std::uint32_t*);
+// ----------------------------------------------- UTRP walk kernels ----
+//
+// The live columns of a UTRP walk (UtrpLiveTags) are dense, so a re-seed
+// is one straight pass: counter + 1, hash, reduce, store the pick and keep
+// the lane-wise minimum. The last partial vector runs under a lane mask,
+// so no kernel reads or writes past a column.
 
-/// The widest vector kernel this CPU executes for `kind`, or nullptr for
-/// "use the scalar loop" (SipHash, or a pre-AVX2 machine).
-[[nodiscard]] SlotsKernel pick_slots_kernel(hash::HashKind kind) {
+/// One re-seed over n live tags (UtrpLiveTags::receive_seed).
+template <hash::HashKind Kind>
+__attribute__((target("avx512f,avx512dq"))) std::uint32_t utrp_pass_avx512(
+    const std::uint64_t* words, std::uint64_t* counters, std::size_t n,
+    std::uint64_t r, std::uint32_t frame_size, std::uint32_t* picks) {
+  const __m512i vr = _mm512_set1_epi64(static_cast<long long>(r));
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m512i vf = _mm512_set1_epi64(static_cast<long long>(frame_size));
+  __m512i low = _mm512_set1_epi64(-1);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const __mmask8 lanes =
+        n - i >= 8 ? __mmask8{0xff}
+                   : static_cast<__mmask8>((1U << (n - i)) - 1);
+    const __m512i ct = _mm512_add_epi64(
+        _mm512_maskz_loadu_epi64(lanes, counters + i), one);
+    _mm512_mask_storeu_epi64(counters + i, lanes, ct);
+    const __m512i x = _mm512_xor_si512(
+        _mm512_xor_si512(_mm512_maskz_loadu_epi64(lanes, words + i), vr), ct);
+    const __m512i slot = reduce_lanes(mix_lanes<Kind>(x), vf);
+    _mm512_mask_cvtepi64_storeu_epi32(picks + i, lanes, slot);
+    low = _mm512_mask_min_epu64(low, lanes, low, slot);
+  }
+  return static_cast<std::uint32_t>(_mm512_reduce_min_epu64(low));
+}
+
+/// Appends every j < n with picks[j] == slot to `hits`, ascending.
+__attribute__((target("avx512f"))) void find_picks_avx512(
+    const std::uint32_t* picks, std::size_t n, std::uint32_t slot,
+    std::vector<std::size_t>& hits) {
+  const __m512i vs = _mm512_set1_epi32(static_cast<int>(slot));
+  for (std::size_t i = 0; i < n; i += 16) {
+    const __mmask16 lanes =
+        n - i >= 16 ? __mmask16{0xffff}
+                    : static_cast<__mmask16>((1U << (n - i)) - 1);
+    unsigned equal = _mm512_mask_cmpeq_epi32_mask(
+        lanes, _mm512_maskz_loadu_epi32(lanes, picks + i), vs);
+    while (equal != 0) {
+      hits.push_back(i + static_cast<std::size_t>(std::countr_zero(equal)));
+      equal &= equal - 1;
+    }
+  }
+}
+
+/// 2 with AVX-512F and DQ, 1 with AVX2, 0 otherwise.
+[[nodiscard]] int simd_level() {
   static const int level = [] {
     if (__builtin_cpu_supports("avx512f") &&
         __builtin_cpu_supports("avx512dq")) {
@@ -263,6 +312,16 @@ using SlotsKernel = void (*)(const std::uint64_t*, std::size_t, std::uint64_t,
     }
     return __builtin_cpu_supports("avx2") ? 1 : 0;
   }();
+  return level;
+}
+
+using SlotsKernel = void (*)(const std::uint64_t*, std::size_t, std::uint64_t,
+                             std::uint32_t, std::uint32_t*);
+
+/// The widest vector kernel this CPU executes for `kind`, or nullptr for
+/// "use the scalar loop" (SipHash, or a pre-AVX2 machine).
+[[nodiscard]] SlotsKernel pick_slots_kernel(hash::HashKind kind) {
+  const int level = simd_level();
   switch (kind) {
     case hash::HashKind::kMurmurFmix64:
       if (level == 2) return &trp_slots_murmur_avx512;
@@ -272,6 +331,25 @@ using SlotsKernel = void (*)(const std::uint64_t*, std::size_t, std::uint64_t,
       if (level == 2) return &trp_slots_fnv_avx512;
       if (level == 1) return &trp_slots_fnv_avx2;
       return nullptr;
+    case hash::HashKind::kSipHash24:
+      return nullptr;
+  }
+  return nullptr;
+}
+
+using UtrpPass = std::uint32_t (*)(const std::uint64_t*, std::uint64_t*,
+                                   std::size_t, std::uint64_t, std::uint32_t,
+                                   std::uint32_t*);
+
+/// The vector re-seed pass for `kind`, or nullptr for "use the scalar loop"
+/// (SipHash, or a machine without AVX-512F/DQ).
+[[nodiscard]] UtrpPass pick_utrp_pass(hash::HashKind kind) {
+  if (simd_level() != 2) return nullptr;
+  switch (kind) {
+    case hash::HashKind::kMurmurFmix64:
+      return &utrp_pass_avx512<hash::HashKind::kMurmurFmix64>;
+    case hash::HashKind::kFnv1a64:
+      return &utrp_pass_avx512<hash::HashKind::kFnv1a64>;
     case hash::HashKind::kSipHash24:
       return nullptr;
   }
@@ -345,32 +423,64 @@ void bulk_trp_slots(const hash::SlotHasher& hasher,
   });
 }
 
-void bulk_utrp_receive_seed(const hash::SlotHasher& hasher, ColumnarTagSet& tags,
-                            std::uint64_t r, std::uint32_t frame_size,
-                            std::span<std::uint32_t> out) {
+UtrpLiveTags::UtrpLiveTags(const hash::SlotHasher& hasher,
+                           const ColumnarTagSet& tags)
+    : hasher_(hasher),
+      live_(tags.size()),
+      words_(tags.slot_words().begin(), tags.slot_words().end()),
+      counters_(tags.counters().begin(), tags.counters().end()),
+      index_(tags.size()),
+      picks_(tags.size()) {
+  std::iota(index_.begin(), index_.end(), std::size_t{0});
+#if defined(RFIDMON_COLUMNAR_SIMD)
+  pass_ = pick_utrp_pass(hasher.kind());
+  if (simd_level() == 2) find_ = &find_picks_avx512;
+#endif
+}
+
+std::uint32_t UtrpLiveTags::receive_seed(std::uint64_t r,
+                                         std::uint32_t frame_size) {
   RFID_EXPECT(frame_size >= 1, "frame size must be positive");
-  RFID_EXPECT(out.size() == tags.size(),
-              "output span must cover the population");
-  const std::span<const std::uint64_t> words = tags.slot_words();
-  const std::span<const std::uint64_t> silenced = tags.silenced_words();
-  const std::span<std::uint64_t> counters = tags.counters();
-  with_mixer(hasher, [&](auto mix) {
-    const std::size_t n = words.size();
-    for (std::size_t base = 0; base < n; base += 64) {
-      // One bitmap word covers the next 64 tags; a fully-active word (the
-      // common case early in a frame) runs without per-tag branching.
-      std::uint64_t active = ~silenced[base / 64];
-      const std::size_t limit = (n - base < 64) ? n - base : 64;
-      if (limit < 64) active &= (std::uint64_t{1} << limit) - 1;
-      while (active != 0) {
-        const std::size_t i =
-            base + static_cast<std::size_t>(std::countr_zero(active));
-        active &= active - 1;
-        const std::uint64_t ct = ++counters[i];
-        out[i] = reduce(mix(words[i] ^ r ^ ct), frame_size);
-      }
+  if (pass_ != nullptr) {
+    return pass_(words_.data(), counters_.data(), live_, r, frame_size,
+                 picks_.data());
+  }
+  std::uint32_t low = std::numeric_limits<std::uint32_t>::max();
+  with_mixer(hasher_, [&](auto mix) {
+    for (std::size_t j = 0; j < live_; ++j) {
+      const std::uint64_t ct = ++counters_[j];
+      const std::uint32_t pick = reduce(mix(words_[j] ^ r ^ ct), frame_size);
+      picks_[j] = pick;
+      low = std::min(low, pick);
     }
   });
+  return low;
+}
+
+std::size_t UtrpLiveTags::reply(std::uint32_t slot, ColumnarTagSet* mirror) {
+  hits_.clear();
+  if (find_ != nullptr) {
+    find_(picks_.data(), live_, slot, hits_);
+  } else {
+    for (std::size_t j = 0; j < live_; ++j) {
+      if (picks_[j] == slot) hits_.push_back(j);
+    }
+  }
+  // Swap-remove from the highest position down: the tag moved into each
+  // hole comes from the end of the live set, past every hit not yet
+  // removed, so it did not reply.
+  for (auto hit = hits_.rbegin(); hit != hits_.rend(); ++hit) {
+    const std::size_t j = *hit;
+    if (mirror != nullptr) {
+      mirror->counters()[index_[j]] = counters_[j];
+      mirror->silence(index_[j]);
+    }
+    --live_;
+    words_[j] = words_[live_];
+    counters_[j] = counters_[live_];
+    index_[j] = index_[live_];
+  }
+  return hits_.size();
 }
 
 bits::Bitstring bulk_trp_frame(const hash::SlotHasher& hasher,

@@ -24,9 +24,10 @@
 // and accumulate frame bitstrings with branchless 64-bit word ORs. They are
 // exact drop-ins: every kernel computes bit-identical results to the per-tag
 // Tag::trp_slot / Tag::utrp_receive_seed / Bitstring::set paths — pinned by
-// tests/columnar_test.cpp (element-wise equivalence) and
-// tests/columnar_diff_test.cpp (the server engines against a per-tag
-// oracle).
+// tests/columnar_test.cpp (element-wise equivalence),
+// tests/utrp_reference_test.cpp (the columnar UTRP walk against the
+// per-tag walk and a slot-by-slot oracle) and tests/columnar_diff_test.cpp
+// (the server engines against a per-tag oracle).
 //
 // Conversion is lossless both ways: TagSet -> ColumnarTagSet -> TagSet
 // preserves ids, counters, and silenced flags for any population.
@@ -118,14 +119,54 @@ void bulk_trp_slots(const hash::SlotHasher& hasher,
                     std::span<const std::uint64_t> slot_words, std::uint64_t r,
                     std::uint32_t frame_size, std::span<std::uint32_t> out);
 
-/// UTRP (f, r) reception for every tag NOT currently silenced: increments
-/// its counter, then picks  h(slot_word ⊕ r ⊕ ct) mod frame_size — counter
-/// increment and slot pick fused into one pass (the bulk twin of
-/// Tag::utrp_receive_seed). Silenced tags are untouched and their `out`
-/// entries are left unmodified. `out.size()` must equal `tags.size()`.
-void bulk_utrp_receive_seed(const hash::SlotHasher& hasher, ColumnarTagSet& tags,
-                            std::uint64_t r, std::uint32_t frame_size,
-                            std::span<std::uint32_t> out);
+/// The tags of one UTRP frame walk (Algs. 6–7) that have not replied yet,
+/// held as compact working columns: each live tag's slot word, counter and
+/// position in the set the walk started from. protocol::utrp_scan_columnar
+/// drives it with one receive_seed() and one reply() per reply slot. The
+/// set it was built from is only written through reply(), so a walk that
+/// only predicts a bitstring leaves it untouched and copies no ids.
+///
+/// The per-pass kernel is chosen once, at construction, by CPU and hash
+/// kind: AVX-512F/DQ lanes for murmur and FNV where the CPU has them, the
+/// scalar loop otherwise and always for SipHash.
+class UtrpLiveTags {
+ public:
+  /// Every tag of `tags` is live, at its current counter.
+  UtrpLiveTags(const hash::SlotHasher& hasher, const ColumnarTagSet& tags);
+
+  [[nodiscard]] std::size_t size() const noexcept { return live_; }
+  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
+
+  /// One (f, r) reception by every live tag, in one pass: increments its
+  /// counter and picks  h(slot_word ⊕ r ⊕ ct) mod frame_size  (the bulk
+  /// twin of Tag::utrp_receive_seed). Returns the smallest pick, or
+  /// UINT32_MAX when no tag is live.
+  std::uint32_t receive_seed(std::uint64_t r, std::uint32_t frame_size);
+
+  /// The live tags whose last pick is `slot` reply and keep silent: they
+  /// leave the live set. When `mirror` is not null — it must be the set
+  /// this walk was built from — each one's counter is written back to it
+  /// and it is silenced there. Returns how many replied.
+  std::size_t reply(std::uint32_t slot, ColumnarTagSet* mirror);
+
+ private:
+  using Pass = std::uint32_t (*)(const std::uint64_t* words,
+                                 std::uint64_t* counters, std::size_t n,
+                                 std::uint64_t r, std::uint32_t frame_size,
+                                 std::uint32_t* picks);
+  using Find = void (*)(const std::uint32_t* picks, std::size_t n,
+                        std::uint32_t slot, std::vector<std::size_t>& hits);
+
+  hash::SlotHasher hasher_;
+  Pass pass_ = nullptr;   // vector kernel, or null for the scalar loop
+  Find find_ = nullptr;   // vector compare, or null for the scalar loop
+  std::size_t live_ = 0;  // the live tags are positions [0, live_)
+  std::vector<std::uint64_t> words_;
+  std::vector<std::uint64_t> counters_;
+  std::vector<std::size_t> index_;    // position in the walked set
+  std::vector<std::uint32_t> picks_;  // last pick of each live tag
+  std::vector<std::size_t> hits_;     // reply() scratch
+};
 
 /// Fused hash + scatter: the bitstring an intact population produces for a
 /// TRP challenge (f, r), without materializing the slot array. This is the

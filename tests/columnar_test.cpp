@@ -1,16 +1,19 @@
 // Property sweep for tag::ColumnarTagSet and the bulk kernels: lossless
-// round-trip against tag::TagSet, and element-wise agreement between every
-// bulk kernel and its scalar reference (Tag::trp_slot /
-// Tag::utrp_receive_seed / Bitstring::set) across hash kinds, frame sizes
-// (including frame_size = 1), population sizes straddling the 64-tag bitmap
-// word boundary, and duplicate-slot collisions. Whole-session equivalence
-// lives in tests/columnar_diff_test.cpp.
+// round-trip against tag::TagSet, and agreement between every bulk kernel
+// and its scalar reference (Tag::trp_slot / Bitstring::set, and
+// Tag::utrp_receive_seed through the columnar UTRP walk) across hash kinds,
+// frame sizes (including frame_size = 1), population sizes straddling the
+// 64-tag bitmap word boundary, and duplicate-slot collisions. The UTRP walk
+// battery lives in tests/utrp_reference_test.cpp, whole-session
+// equivalence in tests/columnar_diff_test.cpp.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "bitstring/bitstring.h"
 #include "hash/slot_hash.h"
+#include "protocol/messages.h"
+#include "protocol/utrp.h"
 #include "tag/columnar.h"
 #include "tag/tag_set.h"
 #include "util/random.h"
@@ -114,6 +117,11 @@ TEST(BulkKernels, TrpSlotsMatchScalarEverywhere) {
   }
 }
 
+// The UTRP re-seed pass runs only inside the columnar walk
+// (tag::UtrpLiveTags), so its property is stated on the walk: every
+// reception matches Tag::utrp_receive_seed, and a tag that has replied and
+// keeps silent receives no further seed — the counters advance by exactly
+// the walk's slots_hashed in total.
 TEST(BulkKernels, UtrpReceiveSeedMatchesScalarAndSkipsSilenced) {
   util::Rng rng(12);
   for (const hash::HashKind kind : kAllKinds) {
@@ -122,22 +130,29 @@ TEST(BulkKernels, UtrpReceiveSeedMatchesScalarAndSkipsSilenced) {
       tag::TagSet scalar = messy_population(n, rng);
       ColumnarTagSet columnar = ColumnarTagSet::from_tag_set(scalar);
       for (const std::uint32_t f : {1u, 33u, 512u}) {
-        const std::uint64_t r = rng();
-        // Scalar reference: only non-silenced tags receive the seed.
-        std::vector<std::uint32_t> want(n, 0xdeadbeef);
+        protocol::UtrpChallenge challenge;
+        challenge.frame_size = f;
+        for (std::uint32_t i = 0; i < f; ++i) challenge.seeds.push_back(rng());
+        std::uint64_t before = 0;
+        for (std::size_t i = 0; i < n; ++i) before += columnar.counter(i);
+
+        const protocol::UtrpScanResult want =
+            protocol::utrp_scan(scalar.tags(), hasher, challenge);
+        const protocol::UtrpScanResult got =
+            protocol::utrp_scan_columnar(columnar, hasher, challenge);
+        ASSERT_EQ(got.bitstring, want.bitstring)
+            << to_string(kind) << " n=" << n << " f=" << f;
+        ASSERT_EQ(got.slots_hashed, want.slots_hashed);
+        std::uint64_t after = 0;
         for (std::size_t i = 0; i < n; ++i) {
-          if (!scalar.at(i).silenced()) {
-            want[i] = scalar.at(i).utrp_receive_seed(hasher, r, f);
-          }
-        }
-        std::vector<std::uint32_t> got(n, 0xdeadbeef);
-        tag::bulk_utrp_receive_seed(hasher, columnar, r, f, got);
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(got[i], want[i])
+          ASSERT_EQ(columnar.counter(i), scalar.at(i).counter())
               << to_string(kind) << " n=" << n << " f=" << f << " i=" << i;
-          ASSERT_EQ(columnar.counter(i), scalar.at(i).counter());
           ASSERT_EQ(columnar.silenced(i), scalar.at(i).silenced());
+          ASSERT_TRUE(columnar.silenced(i));  // every tag replied once
+          after += columnar.counter(i);
         }
+        ASSERT_EQ(after - before, got.slots_hashed);
+        ASSERT_LE(got.slots_hashed, n * got.seeds_consumed);
       }
     }
   }

@@ -81,6 +81,28 @@ TEST(ServiceLifecycle, StopAfterAFailedStartIsSafe) {
   EXPECT_TRUE(svc.stop().drained_cleanly);
 }
 
+TEST(ServiceLifecycle, StopReturnsConnectionGaugesToZero) {
+  obs::MetricsRegistry registry;  // outlives the service
+  ServiceConfig config;
+  config.metrics = &registry;
+  MonitorService svc{config};
+  svc.start();
+  const obs::Gauge& connections =
+      obs::catalog::service_active_connections(registry);
+  const obs::Gauge& streams = obs::catalog::service_active_streams(registry);
+
+  ServiceClient client(svc.port());
+  client.hello("acme");
+  EXPECT_TRUE(client.subscribe().empty());  // a round trip: it is counted
+  EXPECT_EQ(connections.value(), 1.0);
+  EXPECT_EQ(streams.value(), 1.0);
+
+  // The client is still connected when the service stops.
+  (void)svc.stop();
+  EXPECT_EQ(connections.value(), 0.0);
+  EXPECT_EQ(streams.value(), 0.0);
+}
+
 TEST(ServiceSession, HelloEnrollRunIntact) {
   MonitorService svc{ServiceConfig{}};
   svc.start();

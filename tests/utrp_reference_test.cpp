@@ -1,25 +1,34 @@
-// Differential test: the optimized UTRP walk (utrp_scan jumps between reply
-// events) against a deliberately naive oracle that processes every slot of
-// Algs. 6–7 one by one, exactly as the pseudo-code reads. Any divergence in
-// bitstrings, counters, reply counts, or seed consumption is a bug in one of
-// them — and the oracle is simple enough to trust.
+// Differential test: the optimized UTRP walks (utrp_scan jumps between reply
+// events over per-tag state; utrp_scan_columnar walks the server's columnar
+// mirror one pass per re-seed over its live tags) against a deliberately
+// naive oracle that processes every slot of Algs. 6–7 one by one, exactly
+// as the pseudo-code reads. Any divergence in bitstrings, counters, reply
+// counts, slots hashed, or seed consumption is a bug in one of them — and
+// the oracle is simple enough to trust.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "hash/slot_hash.h"
+#include "math/frame_optimizer.h"
 #include "protocol/messages.h"
+#include "protocol/trp.h"
 #include "protocol/utrp.h"
+#include "tag/columnar.h"
 #include "tag/tag_set.h"
 #include "util/random.h"
 
 namespace {
 
+using rfid::hash::HashKind;
 using rfid::hash::SlotHasher;
 using rfid::protocol::UtrpChallenge;
 using rfid::protocol::UtrpScanResult;
+using rfid::tag::ColumnarTagSet;
 using rfid::tag::Tag;
 using rfid::tag::TagSet;
 
@@ -33,21 +42,27 @@ UtrpScanResult oracle_walk(std::span<Tag> tags, const SlotHasher& hasher,
   UtrpScanResult result;
   result.bitstring = rfid::bits::Bitstring(f);
 
-  std::vector<std::uint32_t> pick(tags.size());
-  std::vector<bool> active(tags.size(), true);
-  for (std::size_t i = 0; i < tags.size(); ++i) {
+  // Plain arrays: the O(f · n) scan below stays affordable in unoptimized
+  // sanitizer builds, where every vector<bool> access is a function call.
+  const std::size_t n = tags.size();
+  std::vector<std::uint32_t> pick_column(n);
+  std::vector<std::uint8_t> active_column(n, 1);
+  std::uint32_t* const pick = pick_column.data();
+  std::uint8_t* const active = active_column.data();
+  for (std::size_t i = 0; i < n; ++i) {
     tags[i].begin_round();
     pick[i] = tags[i].utrp_receive_seed(hasher, challenge.seeds[0], f);
   }
   result.seeds_consumed = 1;
+  result.slots_hashed = n;
 
   std::uint32_t subframe_start = 0;
   for (std::uint32_t global = 0; global < f; ++global) {
     const std::uint32_t local = global - subframe_start;
     bool any_reply = false;
-    for (std::size_t i = 0; i < tags.size(); ++i) {
-      if (active[i] && pick[i] == local) {
-        active[i] = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (active[i] != 0 && pick[i] == local) {
+        active[i] = 0;
         tags[i].silence();
         ++result.replies;
         any_reply = true;
@@ -61,8 +76,10 @@ UtrpScanResult oracle_walk(std::span<Tag> tags, const SlotHasher& hasher,
     ++result.reseeds;
     const std::uint32_t sub_frame = f - (global + 1);
     subframe_start = global + 1;
-    for (std::size_t i = 0; i < tags.size(); ++i) {
-      if (active[i]) pick[i] = tags[i].utrp_receive_seed(hasher, seed, sub_frame);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (active[i] == 0) continue;
+      pick[i] = tags[i].utrp_receive_seed(hasher, seed, sub_frame);
+      ++result.slots_hashed;
     }
   }
   return result;
@@ -132,5 +149,124 @@ TEST(UtrpDifferential, TightFrameManyTags) {
   EXPECT_EQ(fast.replies, slow.replies);
   EXPECT_EQ(fast.replies, 200u);  // everyone fits: picks stay inside subframes
 }
+
+// ------------------------------------------------- columnar walk ----
+//
+// utrp_scan_columnar against oracle_walk and the per-tag utrp_scan, every
+// hash kind (SipHash runs the scalar re-seed pass on every host; murmur and
+// FNV run the AVX-512 pass where the CPU has it), sizes straddling the
+// 8-lane and 16-lane vector tails, frames from 1 slot to 4n, counters that
+// wrap past 2^64 mid-walk, and tags silenced before the walk (a new round
+// clears them). The server's two walks — the prediction without write-back
+// and the commit with it — are checked on the same inputs.
+
+const HashKind kAllKinds[] = {HashKind::kFnv1a64, HashKind::kMurmurFmix64,
+                              HashKind::kSipHash24};
+
+/// n random tags: every even tag's counter is within 100 of 2^64, every
+/// odd tag's below 1000, and every third tag starts silenced.
+TagSet battery_population(std::size_t n, rfid::util::Rng& rng) {
+  TagSet set = TagSet::make_random(n, rng);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t counter =
+        i % 2 == 0 ? std::numeric_limits<std::uint64_t>::max() - rng.below(100)
+                   : rng.below(1000);
+    set.at(i) = Tag(set.at(i).id(), counter);
+    if (i % 3 == 0) set.at(i).silence();
+  }
+  return set;
+}
+
+/// Frames from 1 slot to 4n: all tags colliding, about two tags per slot,
+/// one slot per tag, and four.
+std::vector<std::uint32_t> battery_frames(std::size_t n) {
+  const auto n32 = static_cast<std::uint32_t>(n);
+  std::set<std::uint32_t> frames;
+  for (const std::uint32_t f : {1u, 2u, 3u, n32 / 2, n32, 4 * n32}) {
+    if (f >= 1) frames.insert(f);
+  }
+  return {frames.begin(), frames.end()};
+}
+
+void expect_same_walk(const UtrpScanResult& got, const UtrpScanResult& want,
+                      const char* what) {
+  EXPECT_EQ(got.bitstring, want.bitstring) << what;
+  EXPECT_EQ(got.reseeds, want.reseeds) << what;
+  EXPECT_EQ(got.seeds_consumed, want.seeds_consumed) << what;
+  EXPECT_EQ(got.replies, want.replies) << what;
+  EXPECT_EQ(got.slots_hashed, want.slots_hashed) << what;
+}
+
+/// Every tag's counter and silenced flag in `got` equals `want`'s.
+void expect_same_tags(const ColumnarTagSet& got, const TagSet& want,
+                      const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got.counter(i), want.at(i).counter()) << what << ", tag " << i;
+    ASSERT_EQ(got.silenced(i), want.at(i).silenced()) << what << ", tag " << i;
+  }
+}
+
+class UtrpWalkBattery
+    : public ::testing::TestWithParam<std::tuple<HashKind, std::size_t>> {};
+
+TEST_P(UtrpWalkBattery, ColumnarWalkMatchesPerTagWalkAndOracle) {
+  const auto [kind, n] = GetParam();
+  const SlotHasher hasher(kind);
+  for (const std::uint32_t f : battery_frames(n)) {
+    SCOPED_TRACE(::testing::Message() << rfid::hash::to_string(kind)
+                                      << " n=" << n << " f=" << f);
+    rfid::util::Rng rng(rfid::util::derive_seed(
+        4242, n * 8191 + f, static_cast<std::uint64_t>(kind)));
+    const TagSet proto = battery_population(n, rng);
+    const auto challenge = make_challenge(f, rng);
+
+    TagSet oracle_tags = proto;
+    TagSet per_tag = proto;
+    ColumnarTagSet columnar = ColumnarTagSet::from_tag_set(proto);
+    const auto oracle = oracle_walk(oracle_tags.tags(), hasher, challenge);
+    const auto scan =
+        rfid::protocol::utrp_scan(per_tag.tags(), hasher, challenge);
+    const auto walked =
+        rfid::protocol::utrp_scan_columnar(columnar, hasher, challenge);
+
+    expect_same_walk(walked, oracle, "columnar vs oracle");
+    expect_same_walk(scan, oracle, "per-tag vs oracle");
+    expect_same_tags(columnar, oracle_tags, "columnar vs oracle");
+    expect_same_tags(ColumnarTagSet::from_tag_set(per_tag), oracle_tags,
+                     "per-tag vs oracle");
+    if (n == 0) continue;  // a server monitors a non-empty group
+
+    // The server runs the same walk without its write-back to predict the
+    // bitstring, and with it to commit an intact round.
+    rfid::protocol::UtrpServer server(
+        proto, rfid::protocol::MonitoringPolicy{}, 100,
+        rfid::math::UtrpPlan{.frame_size = f}, hasher);
+    EXPECT_EQ(server.expected_bitstring(challenge), oracle.bitstring);
+    expect_same_tags(server.mirror(), proto, "mirror after the prediction");
+    server.commit_round(challenge, rfid::protocol::Verdict{.intact = true});
+    expect_same_tags(server.mirror(), oracle_tags, "mirror after the commit");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsAndSizes, UtrpWalkBattery,
+    ::testing::Combine(::testing::ValuesIn(kAllKinds),
+                       ::testing::Values(std::size_t{0}, std::size_t{1},
+                                         std::size_t{7}, std::size_t{8},
+                                         std::size_t{9}, std::size_t{15},
+                                         std::size_t{16}, std::size_t{17},
+                                         std::size_t{63}, std::size_t{64},
+                                         std::size_t{65}, std::size_t{250},
+                                         std::size_t{2000})),
+    [](const ::testing::TestParamInfo<UtrpWalkBattery::ParamType>& point) {
+      std::string name;
+      switch (std::get<0>(point.param)) {
+        case HashKind::kFnv1a64: name = "Fnv"; break;
+        case HashKind::kMurmurFmix64: name = "Murmur"; break;
+        case HashKind::kSipHash24: name = "SipHash"; break;
+      }
+      return name + "_n" + std::to_string(std::get<1>(point.param));
+    });
 
 }  // namespace
