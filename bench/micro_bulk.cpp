@@ -4,7 +4,7 @@
 // the expected-cache fast path, fleet-scale end-to-end runs (through the
 // one-shot adapter and over a prepared population), the filter-first
 // identification campaign the fleet runs on a violated zone, and the
-// server's UTRP mirror walk.
+// UTRP walks of the server's mirror and of the reader's tags.
 // items_per_second reads as tag-slots/sec (or zones for the fleet case);
 // the acceptance bar is >= 5x bulk over scalar at n = 10^6 on the frame
 // path. Numbers are recorded in EXPERIMENTS.md.
@@ -225,38 +225,69 @@ void BM_FilterFirstIdentify(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 
-/// The server's UTRP mirror walk (protocol::utrp_scan_columnar, the walk
-/// verify and commit_round each run once per zone) at an Eq. (3) frame.
-/// n = 250 is svc_utrp's zone plan (m = 2, alpha = 0.95, c = 100, slack 8:
-/// f = 863); n = 2000 keeps its tolerance share (m = 16). Each iteration
-/// walks the next of 64 pre-issued challenges in place, so the counters
-/// advance as a committed mirror's do. items_per_second reads as slot
-/// computations (counter bump + hash) per second.
-void BM_UtrpMirrorWalk(benchmark::State& state) {
-  const auto n = static_cast<std::uint64_t>(state.range(0));
+/// The inputs of one UTRP zone at an Eq. (3) frame: n random tags and 64
+/// challenges issued to them. n = 250 is svc_utrp's zone plan (m = 2,
+/// alpha = 0.95, c = 100, slack 8: f = 863); n = 2000 keeps its tolerance
+/// share (m = 16).
+struct UtrpZone {
+  tag::TagSet tags;
+  std::vector<protocol::UtrpChallenge> challenges;
+  std::uint32_t frame_size = 0;
+};
+
+UtrpZone utrp_zone(std::uint64_t n) {
   const math::UtrpPlan plan =
       math::optimize_utrp_frame(n, n * 2 / 250, 0.95, 100, 8);
   util::Rng rng(7);
-  tag::ColumnarTagSet mirror =
-      tag::ColumnarTagSet::from_tag_set(tag::TagSet::make_random(n, rng));
-  std::vector<protocol::UtrpChallenge> challenges(64);
-  for (protocol::UtrpChallenge& challenge : challenges) {
+  UtrpZone zone{tag::TagSet::make_random(n, rng),
+                std::vector<protocol::UtrpChallenge>(64), plan.frame_size};
+  for (protocol::UtrpChallenge& challenge : zone.challenges) {
     challenge.frame_size = plan.frame_size;
     for (std::uint32_t i = 0; i < plan.frame_size; ++i) {
       challenge.seeds.push_back(rng());
     }
   }
+  return zone;
+}
+
+/// The server's UTRP mirror walk (protocol::utrp_scan_columnar, the walk
+/// verify and commit_round each run once per zone). Each iteration walks
+/// the next of the zone's challenges in place, so the counters advance as
+/// a committed mirror's do. items_per_second reads as slot computations
+/// (counter bump + hash) per second.
+void BM_UtrpMirrorWalk(benchmark::State& state) {
+  const UtrpZone zone = utrp_zone(static_cast<std::uint64_t>(state.range(0)));
+  tag::ColumnarTagSet mirror = tag::ColumnarTagSet::from_tag_set(zone.tags);
   const hash::SlotHasher hasher;
   std::uint64_t hashed = 0;
   std::size_t next = 0;
   for (auto _ : state) {
     const protocol::UtrpScanResult scan = protocol::utrp_scan_columnar(
-        mirror, hasher, challenges[next++ % challenges.size()]);
+        mirror, hasher, zone.challenges[next++ % zone.challenges.size()]);
     benchmark::DoNotOptimize(scan.bitstring);
     hashed += scan.slots_hashed;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(hashed));
-  state.counters["frame"] = plan.frame_size;
+  state.counters["frame"] = zone.frame_size;
+}
+
+/// The reader's twin of BM_UtrpMirrorWalk: protocol::utrp_scan walks the
+/// zone's physical tags (a TagSet) in place over the same challenges, the
+/// scan every UTRP wire session runs once per zone.
+void BM_UtrpReaderWalk(benchmark::State& state) {
+  UtrpZone zone = utrp_zone(static_cast<std::uint64_t>(state.range(0)));
+  const hash::SlotHasher hasher;
+  std::uint64_t hashed = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const protocol::UtrpScanResult scan = protocol::utrp_scan(
+        zone.tags.tags(), hasher,
+        zone.challenges[next++ % zone.challenges.size()]);
+    benchmark::DoNotOptimize(scan.bitstring);
+    hashed += scan.slots_hashed;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(hashed));
+  state.counters["frame"] = zone.frame_size;
 }
 
 }  // namespace
@@ -277,4 +308,6 @@ BENCHMARK(BM_FleetPreparedMillionTagZones)->Unit(benchmark::kMillisecond)
 BENCHMARK(BM_FilterFirstIdentify)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_UtrpMirrorWalk)->Arg(250)->Arg(2000)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_UtrpReaderWalk)->Arg(250)->Arg(2000)
     ->Unit(benchmark::kMicrosecond);

@@ -1,58 +1,9 @@
 #include "attack/utrp_attack.h"
 
-#include <limits>
-#include <vector>
-
+#include "tag/columnar.h"
 #include "util/expect.h"
 
 namespace rfid::attack {
-
-namespace {
-
-constexpr std::uint32_t kNoPick = std::numeric_limits<std::uint32_t>::max();
-
-/// One reader's half of the split set during the mechanically-faithful walk.
-struct Half {
-  std::span<tag::Tag> tags;
-  std::vector<std::size_t> active;
-  std::vector<std::uint32_t> pick;
-
-  void init(const hash::SlotHasher& hasher, std::uint64_t seed,
-            std::uint32_t frame) {
-    pick.assign(tags.size(), 0);
-    active.clear();
-    active.reserve(tags.size());
-    for (std::size_t i = 0; i < tags.size(); ++i) {
-      tags[i].begin_round();
-      pick[i] = tags[i].utrp_receive_seed(hasher, seed, frame);
-      active.push_back(i);
-    }
-  }
-
-  [[nodiscard]] std::uint32_t min_pick() const noexcept {
-    std::uint32_t m = kNoPick;
-    for (const std::size_t i : active) m = std::min(m, pick[i]);
-    return m;
-  }
-
-  /// Silences and drops every active tag whose pick equals `local`.
-  void reply_at(std::uint32_t local) {
-    std::erase_if(active, [&](std::size_t i) {
-      if (pick[i] != local) return false;
-      tags[i].silence();
-      return true;
-    });
-  }
-
-  void reseed(const hash::SlotHasher& hasher, std::uint64_t seed,
-              std::uint32_t frame) {
-    for (const std::size_t i : active) {
-      pick[i] = tags[i].utrp_receive_seed(hasher, seed, frame);
-    }
-  }
-};
-
-}  // namespace
 
 UtrpAttackResult run_utrp_split_attack(std::span<tag::Tag> s1,
                                        std::span<tag::Tag> s2,
@@ -67,19 +18,18 @@ UtrpAttackResult run_utrp_split_attack(std::span<tag::Tag> s1,
   result.forged = bits::Bitstring(f);
   result.coordinated_slots = f;  // updated if the budget runs out mid-frame
 
-  Half h1{s1, {}, {}};
-  Half h2{s2, {}, {}};
-  h1.init(hasher, challenge.seeds[0], f);
-  h2.init(hasher, challenge.seeds[0], f);
+  // Each reader walks its half in place, as an honest reader walks the
+  // whole set: a new round begins and every tag receives the first seed.
+  tag::UtrpLiveTags h1(hasher, s1);
+  tag::UtrpLiveTags h2(hasher, s2);
+  std::uint32_t m1 = h1.receive_seed(challenge.seeds[0], f);
+  std::uint32_t m2 = h2.receive_seed(challenge.seeds[0], f);
   std::size_t seeds_consumed = 1;
 
   std::uint32_t subframe_start = 0;
   std::uint32_t local = 0;  // next local slot within the current sub-frame
   std::uint64_t budget = comm_budget;
   bool coordinating = true;
-
-  std::uint32_t m1 = h1.min_pick();
-  std::uint32_t m2 = h2.min_pick();
 
   while (subframe_start + local < f) {
     const bool r1_reply = (m1 == local);
@@ -102,8 +52,8 @@ UtrpAttackResult run_utrp_split_attack(std::span<tag::Tag> s1,
     if (r1_reply || r2_reply) {
       const std::uint32_t global = subframe_start + local;
       result.forged.set(global);
-      if (r1_reply) h1.reply_at(local);
-      if (r2_reply) h2.reply_at(local);
+      if (r1_reply) h1.reply(local);
+      if (r2_reply) h2.reply(local);
 
       if (global + 1 >= f) break;  // reply in the final slot
       RFID_ENSURE(seeds_consumed < challenge.seeds.size(),
@@ -112,14 +62,12 @@ UtrpAttackResult run_utrp_split_attack(std::span<tag::Tag> s1,
       const std::uint32_t sub_frame = f - (global + 1);
       subframe_start = global + 1;
       local = 0;
-      h1.reseed(hasher, seed, sub_frame);
-      m1 = h1.min_pick();
+      m1 = h1.receive_seed(seed, sub_frame);
       if (coordinating) {
         // R2 re-seeds its half in lockstep (it learns of R1's replies over
         // the same channel; the paper charges the budget only for R1's
         // empty-slot waits, and we follow that accounting).
-        h2.reseed(hasher, seed, sub_frame);
-        m2 = h2.min_pick();
+        m2 = h2.receive_seed(seed, sub_frame);
       }
     } else {
       ++local;

@@ -1,7 +1,6 @@
 #include "protocol/utrp.h"
 
-#include <algorithm>
-#include <limits>
+#include <utility>
 
 #include "obs/catalog.h"
 #include "util/expect.h"
@@ -10,8 +9,13 @@ namespace rfid::protocol {
 
 namespace {
 
-/// Shared walk core. `channel`/`rng` may be null for the ideal channel.
-UtrpScanResult walk(std::span<tag::Tag> tags, const hash::SlotHasher& hasher,
+/// The one UTRP frame walk: every scan, prediction and commit runs it.
+/// `tags` is what the tag::UtrpLiveTags is built over: a Tag span or a
+/// ColumnarTagSet* walked in place, or a const ColumnarTagSet that a
+/// prediction only reads. `channel`/`rng` may be null for the ideal
+/// channel.
+template <class Tags>
+UtrpScanResult walk(const Tags& tags, const hash::SlotHasher& hasher,
                     const UtrpChallenge& challenge,
                     const radio::ChannelModel* channel, util::Rng* rng) {
   const std::uint32_t f = challenge.frame_size;
@@ -21,106 +25,40 @@ UtrpScanResult walk(std::span<tag::Tag> tags, const hash::SlotHasher& hasher,
   UtrpScanResult result;
   result.bitstring = bits::Bitstring(f);
 
-  // Initial broadcast (Alg. 5 line 2): every tag increments its counter and
-  // picks a slot within the full frame.
-  std::vector<std::size_t> active;
-  std::vector<std::uint32_t> pick(tags.size(), 0);
-  active.reserve(tags.size());
-  for (std::size_t i = 0; i < tags.size(); ++i) {
-    tags[i].begin_round();
-    pick[i] = tags[i].utrp_receive_seed(hasher, challenge.seeds[0], f);
-    active.push_back(i);
-  }
+  // Initial broadcast (Alg. 5 line 2): a new round begins, and every tag
+  // increments its counter and picks a slot within the full frame.
+  tag::UtrpLiveTags live(hasher, tags);
+  std::uint32_t min_pick = live.receive_seed(challenge.seeds[0], f);
   result.seeds_consumed = 1;
-
-  result.slots_hashed = tags.size();
+  result.slots_hashed = live.size();
 
   std::uint32_t subframe_start = 0;  // global slot where the current sub-frame begins
 
-  while (!active.empty()) {
-    // Between re-seeds every slot before the earliest pick is empty, so jump
-    // straight to the next reply event: the minimum pick in the sub-frame.
-    std::uint32_t min_pick = std::numeric_limits<std::uint32_t>::max();
-    for (const std::size_t i : active) min_pick = std::min(min_pick, pick[i]);
-
+  while (!live.empty()) {
+    // Between re-seeds every slot before the earliest pick is empty, so
+    // jump straight to the next reply event: the minimum pick.
     const std::uint32_t global = subframe_start + min_pick;
     RFID_ENSURE(global < f, "tag picked a slot beyond the frame");
 
     // All tags that chose this slot transmit and keep silent afterwards
     // (Alg. 7 line 5) — whether or not the reader decodes anything.
-    std::uint32_t occupancy = 0;
-    std::erase_if(active, [&](std::size_t i) {
-      if (pick[i] != min_pick) return false;
-      tags[i].silence();
-      ++occupancy;
-      return true;
-    });
+    const std::size_t occupancy = live.reply(min_pick);
     result.replies += occupancy;
 
-    const radio::SlotOutcome outcome =
-        channel == nullptr
-            ? (occupancy >= 2 ? radio::SlotOutcome::kCollision
-                              : radio::SlotOutcome::kSingle)
-            : radio::resolve_slot(occupancy, *channel, *rng);
-    if (!radio::occupied(outcome)) continue;  // replies lost: reader saw nothing
+    // The ideal channel observes any occupancy (kSingle / kCollision).
+    if (channel != nullptr &&
+        !radio::occupied(radio::resolve_slot(
+            static_cast<std::uint32_t>(occupancy), *channel, *rng))) {
+      // Replies lost: the reader saw nothing and sends no re-seed, so the
+      // next reply event is the next smallest pick in this sub-frame.
+      min_pick = live.min_pick();
+      continue;
+    }
 
     result.bitstring.set(global);
 
     // Re-seed (Alg. 6 lines 6–7): the remainder of the frame becomes a new
     // sub-frame of f' = f − (global+1) slots under the next server seed.
-    if (global + 1 >= f) break;  // reply in the last slot: frame over
-    ++result.reseeds;
-    RFID_ENSURE(result.seeds_consumed < challenge.seeds.size(),
-                "server issued too few seeds for this frame");
-    const std::uint64_t seed = challenge.seeds[result.seeds_consumed++];
-    const std::uint32_t sub_frame = f - (global + 1);
-    subframe_start = global + 1;
-    for (const std::size_t i : active) {
-      pick[i] = tags[i].utrp_receive_seed(hasher, seed, sub_frame);
-    }
-    result.slots_hashed += active.size();
-  }
-  return result;
-}
-
-/// The server's walk over a columnar mirror, the same algorithm as walk()
-/// on the ideal channel. Each re-seed is one pass over the live tags only
-/// (tag::UtrpLiveTags). With `write_back` null it only predicts: `tags` is
-/// left as it was. Otherwise `write_back` is `tags` and ends as a real scan
-/// leaves it.
-UtrpScanResult walk_columns(const tag::ColumnarTagSet& tags,
-                            const hash::SlotHasher& hasher,
-                            const UtrpChallenge& challenge,
-                            tag::ColumnarTagSet* write_back) {
-  const std::uint32_t f = challenge.frame_size;
-  RFID_EXPECT(f >= 1, "challenge has no slots");
-  RFID_EXPECT(challenge.seeds.size() >= 1, "challenge has no seeds");
-
-  UtrpScanResult result;
-  result.bitstring = bits::Bitstring(f);
-
-  // Initial broadcast: every tag increments its counter and picks a slot in
-  // the full frame.
-  tag::UtrpLiveTags live(hasher, tags);
-  if (write_back != nullptr) write_back->begin_round();
-  std::uint32_t min_pick = live.receive_seed(challenge.seeds[0], f);
-  result.seeds_consumed = 1;
-  result.slots_hashed = live.size();
-
-  std::uint32_t subframe_start = 0;
-
-  while (!live.empty()) {
-    // Every slot before the earliest pick is empty: the next reply event
-    // is the minimum pick in the sub-frame.
-    const std::uint32_t global = subframe_start + min_pick;
-    RFID_ENSURE(global < f, "tag picked a slot beyond the frame");
-
-    // Every tag that chose this slot transmits and keeps silent afterwards.
-    result.replies += live.reply(min_pick, write_back);
-
-    // Ideal channel: any occupancy is observed (kSingle / kCollision).
-    result.bitstring.set(global);
-
     if (global + 1 >= f) break;  // reply in the last slot: frame over
     ++result.reseeds;
     RFID_ENSURE(result.seeds_consumed < challenge.seeds.size(),
@@ -138,7 +76,7 @@ UtrpScanResult walk_columns(const tag::ColumnarTagSet& tags,
 UtrpScanResult utrp_scan_columnar(tag::ColumnarTagSet& tags,
                                   const hash::SlotHasher& hasher,
                                   const UtrpChallenge& challenge) {
-  return walk_columns(tags, hasher, challenge, &tags);
+  return walk(&tags, hasher, challenge, nullptr, nullptr);
 }
 
 UtrpScanResult utrp_scan(std::span<tag::Tag> tags, const hash::SlotHasher& hasher,
@@ -217,7 +155,7 @@ UtrpChallenge UtrpServer::issue_challenge(util::Rng& rng) const {
 }
 
 bits::Bitstring UtrpServer::expected_bitstring(const UtrpChallenge& challenge) const {
-  UtrpScanResult scan = walk_columns(mirror_, hasher_, challenge, nullptr);
+  UtrpScanResult scan = walk(mirror_, hasher_, challenge, nullptr, nullptr);
   if (instruments_.bulk_slots != nullptr) {
     instruments_.bulk_slots->inc(scan.slots_hashed);
   }

@@ -15,19 +15,18 @@
 //    on-tag counter ct that feeds the slot hash h(id ⊕ r ⊕ ct) mod f, so a
 //    reader cannot rewind and replay the frame to learn reply positions.
 //
-// The walk over one frame is implemented twice, with identical results:
-// utrp_scan over per-tag state (tag::Tag) is what physical tags do — the
-// honest reader, attacks, wire sessions and identification run it — and
-// utrp_scan_columnar is how the server walks its mirrored database, a
-// tag::ColumnarTagSet of IDs and counters (each counter only advances when
-// its tag is queried). The columnar walk copies the slot words and
-// counters of the tags that have not replied into compact working columns
-// (tag::UtrpLiveTags); each re-seed is then one pass over those live tags
-// only, on AVX-512 lanes where the CPU and hash kind allow. A tag that
-// replies is swap-removed and, when the walk advances the mirror, its
-// counter and silenced flag are written back. The order of the live set
-// does not matter: the minimum pick and the set of tags at it do not
-// depend on it.
+// The walk over one frame is implemented once, over the live tags: the
+// slot words and counters of the tags that have not replied yet, copied
+// into compact working columns (tag::UtrpLiveTags). Each re-seed is one
+// pass over them, on AVX-512 lanes where the CPU and hash kind allow. A
+// tag that replies leaves the live set and, when the walk runs in place,
+// its counter and silenced flag are written back. utrp_scan walks
+// per-tag state (tag::Tag) in place — what physical tags do; the honest
+// reader and wire sessions run it, and the split attack runs the same
+// live set over each half. utrp_scan_columnar walks the server's mirrored
+// database, a tag::ColumnarTagSet of IDs and counters (each counter only
+// advances when its tag is queried), in place, and
+// UtrpServer::expected_bitstring walks it without the write-back.
 //
 // Counter synchronization: after a verified-intact round the real walk was
 // identical to the expected walk, so commit_round() advances the server's
@@ -76,12 +75,10 @@ struct UtrpScanResult {
                                        const radio::ChannelModel& channel,
                                        util::Rng& rng);
 
-/// The columnar twin of the ideal-channel utrp_scan: identical algorithm,
-/// identical results (bitstring, reseeds, seeds, replies, slots hashed, and
-/// the tags' counters/silenced flags), but each re-seed is one kernel pass
-/// over the live tags' working columns (tag::UtrpLiveTags) instead of
-/// per-tag calls. Only the ideal channel is offered — this is the
-/// server-side mirror walk; physical reader scans keep the per-tag path.
+/// The ideal-channel utrp_scan over the server's columnar mirror: the same
+/// walk, the same results (bitstring, reseeds, seeds, replies, slots
+/// hashed, and the tags' counters/silenced flags). Only the ideal channel
+/// is offered — this is the server-side mirror walk.
 [[nodiscard]] UtrpScanResult utrp_scan_columnar(tag::ColumnarTagSet& tags,
                                                 const hash::SlotHasher& hasher,
                                                 const UtrpChallenge& challenge);
@@ -184,7 +181,8 @@ class UtrpReader {
   explicit UtrpReader(hash::SlotHasher hasher = hash::SlotHasher{})
       : hasher_(hasher) {}
 
-  /// Honest scan: runs the walk over the physically present tags.
+  /// Honest scan: runs the walk over the physically present tags, in
+  /// place (each tag's counter and silenced flag end as Alg. 7 leaves them).
   [[nodiscard]] UtrpScanResult scan(std::span<tag::Tag> present,
                                     const UtrpChallenge& challenge) const {
     return utrp_scan(present, hasher_, challenge);

@@ -4,6 +4,7 @@
 #include <bit>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "util/expect.h"
 
@@ -423,19 +424,57 @@ void bulk_trp_slots(const hash::SlotHasher& hasher,
   });
 }
 
-UtrpLiveTags::UtrpLiveTags(const hash::SlotHasher& hasher,
-                           const ColumnarTagSet& tags)
+UtrpLiveTags::UtrpLiveTags(const hash::SlotHasher& hasher, std::size_t n)
     : hasher_(hasher),
-      live_(tags.size()),
-      words_(tags.slot_words().begin(), tags.slot_words().end()),
-      counters_(tags.counters().begin(), tags.counters().end()),
-      index_(tags.size()),
-      picks_(tags.size()) {
+      live_(n),
+      words_(n),
+      counters_(n),
+      index_(n),
+      picks_(n) {
   std::iota(index_.begin(), index_.end(), std::size_t{0});
 #if defined(RFIDMON_COLUMNAR_SIMD)
   pass_ = pick_utrp_pass(hasher.kind());
   if (simd_level() == 2) find_ = &find_picks_avx512;
 #endif
+}
+
+UtrpLiveTags::UtrpLiveTags(const hash::SlotHasher& hasher,
+                           const ColumnarTagSet& tags)
+    : UtrpLiveTags(hasher, tags.size()) {
+  std::ranges::copy(tags.slot_words(), words_.begin());
+  std::ranges::copy(tags.counters(), counters_.begin());
+}
+
+UtrpLiveTags::UtrpLiveTags(const hash::SlotHasher& hasher, ColumnarTagSet* tags)
+    : UtrpLiveTags(hasher, std::as_const(*tags)) {
+  columns_ = tags;
+  tags->begin_round();
+}
+
+UtrpLiveTags::UtrpLiveTags(const hash::SlotHasher& hasher, std::span<Tag> tags)
+    : UtrpLiveTags(hasher, tags.size()) {
+  tags_ = tags;
+  for (std::size_t i = 0; i < tags.size(); ++i) {
+    tags[i].begin_round();
+    words_[i] = tags[i].id().slot_word();
+    counters_[i] = tags[i].counter();
+  }
+}
+
+UtrpLiveTags::~UtrpLiveTags() {
+  for (std::size_t j = 0; j < live_; ++j) write_back(j, false);
+}
+
+void UtrpLiveTags::write_back(std::size_t j, bool replied) noexcept {
+  const std::size_t i = index_[j];
+  if (columns_ != nullptr) {
+    columns_->counters()[i] = counters_[j];
+    if (replied) columns_->silence(i);
+  } else if (!tags_.empty()) {
+    Tag& tag = tags_[i];
+    tag = Tag(tag.id(), counters_[j]);
+    if (replied) tag.silence();
+  }
 }
 
 std::uint32_t UtrpLiveTags::receive_seed(std::uint64_t r,
@@ -457,7 +496,13 @@ std::uint32_t UtrpLiveTags::receive_seed(std::uint64_t r,
   return low;
 }
 
-std::size_t UtrpLiveTags::reply(std::uint32_t slot, ColumnarTagSet* mirror) {
+std::uint32_t UtrpLiveTags::min_pick() const noexcept {
+  std::uint32_t low = std::numeric_limits<std::uint32_t>::max();
+  for (std::size_t j = 0; j < live_; ++j) low = std::min(low, picks_[j]);
+  return low;
+}
+
+std::size_t UtrpLiveTags::reply(std::uint32_t slot) {
   hits_.clear();
   if (find_ != nullptr) {
     find_(picks_.data(), live_, slot, hits_);
@@ -468,17 +513,16 @@ std::size_t UtrpLiveTags::reply(std::uint32_t slot, ColumnarTagSet* mirror) {
   }
   // Swap-remove from the highest position down: the tag moved into each
   // hole comes from the end of the live set, past every hit not yet
-  // removed, so it did not reply.
+  // removed, so it did not reply. It carries its pick: after a reply the
+  // reader did not see, the walk reads the picks again (min_pick).
   for (auto hit = hits_.rbegin(); hit != hits_.rend(); ++hit) {
     const std::size_t j = *hit;
-    if (mirror != nullptr) {
-      mirror->counters()[index_[j]] = counters_[j];
-      mirror->silence(index_[j]);
-    }
+    write_back(j, true);
     --live_;
     words_[j] = words_[live_];
     counters_[j] = counters_[live_];
     index_[j] = index_[live_];
+    picks_[j] = picks_[live_];
   }
   return hits_.size();
 }

@@ -10,7 +10,9 @@
 // stride, a per-call hash-kind switch, and a non-inlined Bitstring::set per
 // tag. At the ROADMAP's million-tag target that overhead dominates the
 // actual hashing, so every server-side database (TRP enrollment, the UTRP
-// counter mirror, the fleet's per-zone state) is held in this form.
+// counter mirror, the fleet's per-zone state) is held in this form, and
+// every UTRP walk — a reader's over its Tag objects included — runs on the
+// live-tag columns of UtrpLiveTags below.
 //
 // ColumnarTagSet stores the same state as contiguous columns:
 //   * ids        — the full 96-bit TagIds (identity; round-trip fidelity),
@@ -25,8 +27,9 @@
 // exact drop-ins: every kernel computes bit-identical results to the per-tag
 // Tag::trp_slot / Tag::utrp_receive_seed / Bitstring::set paths — pinned by
 // tests/columnar_test.cpp (element-wise equivalence),
-// tests/utrp_reference_test.cpp (the columnar UTRP walk against the
-// per-tag walk and a slot-by-slot oracle) and tests/columnar_diff_test.cpp
+// tests/utrp_reference_test.cpp (every UTRP walk against a slot-by-slot
+// oracle, and the reader's lossy-channel walk against the frozen per-tag
+// walk in tests/per_tag_utrp_walk.h) and tests/columnar_diff_test.cpp
 // (the server engines against a per-tag oracle).
 //
 // Conversion is lossless both ways: TagSet -> ColumnarTagSet -> TagSet
@@ -120,19 +123,41 @@ void bulk_trp_slots(const hash::SlotHasher& hasher,
                     std::uint32_t frame_size, std::span<std::uint32_t> out);
 
 /// The tags of one UTRP frame walk (Algs. 6–7) that have not replied yet,
-/// held as compact working columns: each live tag's slot word, counter and
-/// position in the set the walk started from. protocol::utrp_scan_columnar
-/// drives it with one receive_seed() and one reply() per reply slot. The
-/// set it was built from is only written through reply(), so a walk that
-/// only predicts a bitstring leaves it untouched and copies no ids.
+/// held as compact working columns: each live tag's slot word, counter,
+/// last pick and position in the set the walk started from. Every UTRP walk
+/// runs on it — the reader's scan of physical tags (protocol::utrp_scan),
+/// the server's mirror walks (protocol::utrp_scan_columnar and
+/// UtrpServer::expected_bitstring) and the split attack's two halves —
+/// driving one receive_seed() and one reply() per reply slot.
+///
+/// A walk in place writes each replying tag's counter back to the set it
+/// walks, and silences it there, so that set ends as a real scan leaves
+/// it; that set must outlive the live set. A walk over a const
+/// ColumnarTagSet only predicts and copies no ids.
+/// The order of the live set does not matter: the minimum pick and the set
+/// of tags at it do not depend on it.
 ///
 /// The per-pass kernel is chosen once, at construction, by CPU and hash
 /// kind: AVX-512F/DQ lanes for murmur and FNV where the CPU has them, the
-/// scalar loop otherwise and always for SipHash.
+/// scalar loop (hash dispatch hoisted) otherwise and always for SipHash.
 class UtrpLiveTags {
  public:
-  /// Every tag of `tags` is live, at its current counter.
+  /// Every tag of `tags` is live, at its current counter. `tags` is only
+  /// read: a walk over it predicts a bitstring and leaves no trace.
   UtrpLiveTags(const hash::SlotHasher& hasher, const ColumnarTagSet& tags);
+  /// A walk in place over `*tags`: a new round begins there (every silenced
+  /// flag clears) and every tag is live, at its current counter.
+  UtrpLiveTags(const hash::SlotHasher& hasher, ColumnarTagSet* tags);
+  /// A walk in place over per-tag state (the physical tags a reader
+  /// scans): every tag begins a new round and is live, at its counter.
+  UtrpLiveTags(const hash::SlotHasher& hasher, std::span<Tag> tags);
+
+  UtrpLiveTags(const UtrpLiveTags&) = delete;
+  UtrpLiveTags& operator=(const UtrpLiveTags&) = delete;
+  /// A walk in place cut short (an attack whose collaborator stopped, a
+  /// challenge with too few seeds) writes the counter of every tag still
+  /// live back, so each tag keeps every seed it received.
+  ~UtrpLiveTags();
 
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
@@ -143,11 +168,16 @@ class UtrpLiveTags {
   /// UINT32_MAX when no tag is live.
   std::uint32_t receive_seed(std::uint64_t r, std::uint32_t frame_size);
 
+  /// The smallest last pick among the live tags, or UINT32_MAX when none
+  /// is live: the next reply event after a reply the reader did not see
+  /// (no re-seed follows it).
+  [[nodiscard]] std::uint32_t min_pick() const noexcept;
+
   /// The live tags whose last pick is `slot` reply and keep silent: they
-  /// leave the live set. When `mirror` is not null — it must be the set
-  /// this walk was built from — each one's counter is written back to it
-  /// and it is silenced there. Returns how many replied.
-  std::size_t reply(std::uint32_t slot, ColumnarTagSet* mirror);
+  /// leave the live set, and a walk in place writes each one's counter
+  /// back and silences it there. The others keep their picks. Returns
+  /// how many replied.
+  std::size_t reply(std::uint32_t slot);
 
  private:
   using Pass = std::uint32_t (*)(const std::uint64_t* words,
@@ -157,9 +187,17 @@ class UtrpLiveTags {
   using Find = void (*)(const std::uint32_t* picks, std::size_t n,
                         std::uint32_t slot, std::vector<std::size_t>& hits);
 
+  /// Live tags are positions [0, n) of the working columns.
+  UtrpLiveTags(const hash::SlotHasher& hasher, std::size_t n);
+  /// Writes live position j's counter back to the set walked in place,
+  /// silencing it there when it `replied`; nothing for a prediction.
+  void write_back(std::size_t j, bool replied) noexcept;
+
   hash::SlotHasher hasher_;
   Pass pass_ = nullptr;   // vector kernel, or null for the scalar loop
   Find find_ = nullptr;   // vector compare, or null for the scalar loop
+  ColumnarTagSet* columns_ = nullptr;  // walked in place, if columnar
+  std::span<Tag> tags_;                // walked in place, if per-tag
   std::size_t live_ = 0;  // the live tags are positions [0, live_)
   std::vector<std::uint64_t> words_;
   std::vector<std::uint64_t> counters_;

@@ -115,7 +115,6 @@ struct UtrpAdapter {
   }
   [[nodiscard]] std::pair<bits::Bitstring, double> scan(const Challenge& c,
                                                         util::Rng& /*rng*/) const {
-    for (tag::Tag& t : present) t.begin_round();
     const auto result = protocol::utrp_scan(present, hash::SlotHasher{}, c);
     const std::uint64_t occupied = result.bitstring.count();
     if (config.metrics != nullptr) {

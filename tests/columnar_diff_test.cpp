@@ -5,9 +5,9 @@
 // grid of population sizes (straddling the 64-tag bitmap word, up to 10^5)
 // and seeds:
 //   * TRP: the per-tag slot loop, one SlotHasher::slot per enrolled id;
-//   * UTRP: protocol::utrp_scan over a std::vector<tag::Tag> mirror, with
-//     every server mirror entry (id, counter, silenced) compared against it
-//     after each commit_round;
+//   * UTRP: the frozen per-tag walk (tests/per_tag_utrp_walk.h) over a
+//     std::vector<tag::Tag> mirror, with every server mirror entry (id,
+//     counter, silenced) compared against it after each commit_round;
 //   * multi-round: campaign verdicts recomputed from the TRP oracle.
 //
 // Larger cases — wire sessions under noisy fault scripts, a 10^5-tag
@@ -28,6 +28,7 @@
 #include "hash/fnv.h"
 #include "obs/expose.h"
 #include "obs/metrics.h"
+#include "per_tag_utrp_walk.h"
 #include "protocol/multi_round.h"
 #include "protocol/trp.h"
 #include "protocol/utrp.h"
@@ -93,7 +94,8 @@ struct UtrpOracle {
   [[nodiscard]] bits::Bitstring expected(
       const protocol::UtrpChallenge& challenge) const {
     std::vector<tag::Tag> copy = mirror;
-    return protocol::utrp_scan(copy, hasher, challenge).bitstring;
+    return test::per_tag_utrp_walk(copy, hasher, challenge, nullptr, nullptr)
+        .bitstring;
   }
 
   void commit(const protocol::UtrpChallenge& challenge,
@@ -102,7 +104,7 @@ struct UtrpOracle {
       needs_resync = true;
       return;
     }
-    (void)protocol::utrp_scan(mirror, hasher, challenge);
+    (void)test::per_tag_utrp_walk(mirror, hasher, challenge, nullptr, nullptr);
   }
 };
 

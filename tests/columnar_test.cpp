@@ -1,17 +1,19 @@
 // Property sweep for tag::ColumnarTagSet and the bulk kernels: lossless
 // round-trip against tag::TagSet, and agreement between every bulk kernel
 // and its scalar reference (Tag::trp_slot / Bitstring::set, and
-// Tag::utrp_receive_seed through the columnar UTRP walk) across hash kinds,
+// Tag::utrp_receive_seed through the UTRP walk) across hash kinds,
 // frame sizes (including frame_size = 1), population sizes straddling the
 // 64-tag bitmap word boundary, and duplicate-slot collisions. The UTRP walk
 // battery lives in tests/utrp_reference_test.cpp, whole-session
 // equivalence in tests/columnar_diff_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "bitstring/bitstring.h"
 #include "hash/slot_hash.h"
+#include "per_tag_utrp_walk.h"
 #include "protocol/messages.h"
 #include "protocol/utrp.h"
 #include "tag/columnar.h"
@@ -117,11 +119,12 @@ TEST(BulkKernels, TrpSlotsMatchScalarEverywhere) {
   }
 }
 
-// The UTRP re-seed pass runs only inside the columnar walk
-// (tag::UtrpLiveTags), so its property is stated on the walk: every
-// reception matches Tag::utrp_receive_seed, and a tag that has replied and
-// keeps silent receives no further seed — the counters advance by exactly
-// the walk's slots_hashed in total.
+// The UTRP re-seed pass runs only inside the walk (tag::UtrpLiveTags), so
+// its property is stated on the walk: every reception matches
+// Tag::utrp_receive_seed (the frozen per-tag walk of
+// tests/per_tag_utrp_walk.h calls it tag by tag), and a tag that has
+// replied and keeps silent receives no further seed — the counters advance
+// by exactly the walk's slots_hashed in total.
 TEST(BulkKernels, UtrpReceiveSeedMatchesScalarAndSkipsSilenced) {
   util::Rng rng(12);
   for (const hash::HashKind kind : kAllKinds) {
@@ -136,8 +139,8 @@ TEST(BulkKernels, UtrpReceiveSeedMatchesScalarAndSkipsSilenced) {
         std::uint64_t before = 0;
         for (std::size_t i = 0; i < n; ++i) before += columnar.counter(i);
 
-        const protocol::UtrpScanResult want =
-            protocol::utrp_scan(scalar.tags(), hasher, challenge);
+        const protocol::UtrpScanResult want = test::per_tag_utrp_walk(
+            scalar.tags(), hasher, challenge, nullptr, nullptr);
         const protocol::UtrpScanResult got =
             protocol::utrp_scan_columnar(columnar, hasher, challenge);
         ASSERT_EQ(got.bitstring, want.bitstring)
@@ -153,6 +156,63 @@ TEST(BulkKernels, UtrpReceiveSeedMatchesScalarAndSkipsSilenced) {
         }
         ASSERT_EQ(after - before, got.slots_hashed);
         ASSERT_LE(got.slots_hashed, n * got.seeds_consumed);
+      }
+    }
+  }
+}
+
+// A walk in place writes each tag back as it replies, and when the live
+// set goes mid-walk — the split attack's second reader once the budget is
+// spent — it writes back the counters of the tags still live, so every
+// tag keeps each seed it received. A prediction writes nothing.
+TEST(BulkKernels, UtrpLiveTagsWriteBackRepliesAndCutShortWalks) {
+  util::Rng rng(15);
+  for (const hash::HashKind kind : kAllKinds) {
+    const hash::SlotHasher hasher(kind);
+    for (const std::size_t n : kSizes) {
+      const tag::TagSet start = messy_population(n, rng);
+      const std::uint64_t r1 = rng();
+      const std::uint64_t r2 = rng();
+
+      // Tag by tag: one reception in a 64-slot frame, then the tags at the
+      // smallest pick reply and the others receive a second seed.
+      tag::TagSet want = start;
+      std::vector<std::uint32_t> picks(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        want.at(i).begin_round();
+        picks[i] = want.at(i).utrp_receive_seed(hasher, r1, 64);
+      }
+      const std::uint32_t low = *std::min_element(picks.begin(), picks.end());
+      std::size_t repliers = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (picks[i] == low) {
+          want.at(i).silence();
+          ++repliers;
+        } else {
+          (void)want.at(i).utrp_receive_seed(hasher, r2, 32);
+        }
+      }
+
+      const auto cut_short = [&](auto&& walked) {
+        tag::UtrpLiveTags live(hasher, walked);
+        ASSERT_EQ(live.receive_seed(r1, 64), low);
+        ASSERT_EQ(live.reply(low), repliers);
+        (void)live.receive_seed(r2, 32);
+      };
+      tag::TagSet per_tag = start;
+      cut_short(per_tag.tags());
+      ColumnarTagSet columns = ColumnarTagSet::from_tag_set(start);
+      cut_short(&columns);
+      const ColumnarTagSet predicted = ColumnarTagSet::from_tag_set(start);
+      cut_short(predicted);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(per_tag.at(i).counter(), want.at(i).counter())
+            << to_string(kind) << " n=" << n << " i=" << i;
+        ASSERT_EQ(per_tag.at(i).silenced(), want.at(i).silenced());
+        ASSERT_EQ(columns.counter(i), want.at(i).counter());
+        ASSERT_EQ(columns.silenced(i), want.at(i).silenced());
+        ASSERT_EQ(predicted.counter(i), start.at(i).counter());
+        ASSERT_EQ(predicted.silenced(i), start.at(i).silenced());
       }
     }
   }

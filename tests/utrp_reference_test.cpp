@@ -1,10 +1,12 @@
-// Differential test: the optimized UTRP walks (utrp_scan jumps between reply
-// events over per-tag state; utrp_scan_columnar walks the server's columnar
-// mirror one pass per re-seed over its live tags) against a deliberately
-// naive oracle that processes every slot of Algs. 6–7 one by one, exactly
-// as the pseudo-code reads. Any divergence in bitstrings, counters, reply
-// counts, slots hashed, or seed consumption is a bug in one of them — and
-// the oracle is simple enough to trust.
+// Differential test: the UTRP walk — one loop over the live tags
+// (tag::UtrpLiveTags), jumping between reply events, behind utrp_scan over
+// per-tag state and utrp_scan_columnar over the server's columnar mirror —
+// against a deliberately naive oracle that processes every slot of
+// Algs. 6–7 one by one, exactly as the pseudo-code reads, and, on lossy
+// channels, against the frozen per-tag walk (tests/per_tag_utrp_walk.h).
+// Any divergence in bitstrings, counters, reply counts, slots hashed, seed
+// consumption or RNG draws is a bug in one of them — and the oracles are
+// simple enough to trust.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -15,9 +17,11 @@
 
 #include "hash/slot_hash.h"
 #include "math/frame_optimizer.h"
+#include "per_tag_utrp_walk.h"
 #include "protocol/messages.h"
 #include "protocol/trp.h"
 #include "protocol/utrp.h"
+#include "radio/channel.h"
 #include "tag/columnar.h"
 #include "tag/tag_set.h"
 #include "util/random.h"
@@ -152,13 +156,14 @@ TEST(UtrpDifferential, TightFrameManyTags) {
 
 // ------------------------------------------------- columnar walk ----
 //
-// utrp_scan_columnar against oracle_walk and the per-tag utrp_scan, every
+// utrp_scan_columnar and the reader's utrp_scan against oracle_walk, every
 // hash kind (SipHash runs the scalar re-seed pass on every host; murmur and
 // FNV run the AVX-512 pass where the CPU has it), sizes straddling the
 // 8-lane and 16-lane vector tails, frames from 1 slot to 4n, counters that
 // wrap past 2^64 mid-walk, and tags silenced before the walk (a new round
 // clears them). The server's two walks — the prediction without write-back
-// and the commit with it — are checked on the same inputs.
+// and the commit with it — are checked on the same inputs, and the
+// reader's walk on four channels against the frozen per-tag walk.
 
 const HashKind kAllKinds[] = {HashKind::kFnv1a64, HashKind::kMurmurFmix64,
                               HashKind::kSipHash24};
@@ -187,6 +192,20 @@ std::vector<std::uint32_t> battery_frames(std::size_t n) {
   }
   return {frames.begin(), frames.end()};
 }
+
+/// The reader's channels: ideal, light and heavy loss (the latter with
+/// capture), and dead. A lost reply silences its tags without a re-seed, so
+/// the walk moves on to the next smallest pick of the same sub-frame.
+struct NamedChannel {
+  const char* name;
+  rfid::radio::ChannelModel model;
+};
+const NamedChannel kChannels[] = {
+    {"ideal channel", {}},
+    {"10% loss", {.reply_loss_prob = 0.1}},
+    {"50% loss, 30% capture", {.reply_loss_prob = 0.5, .capture_prob = 0.3}},
+    {"dead channel", {.reply_loss_prob = 1.0}},
+};
 
 void expect_same_walk(const UtrpScanResult& got, const UtrpScanResult& want,
                       const char* what) {
@@ -235,6 +254,23 @@ TEST_P(UtrpWalkBattery, ColumnarWalkMatchesPerTagWalkAndOracle) {
     expect_same_tags(columnar, oracle_tags, "columnar vs oracle");
     expect_same_tags(ColumnarTagSet::from_tag_set(per_tag), oracle_tags,
                      "per-tag vs oracle");
+
+    // The reader's walk on each channel against the frozen per-tag walk,
+    // run with a copy of the RNG: same results, same tags, same draws.
+    for (const NamedChannel& channel : kChannels) {
+      TagSet frozen_tags = proto;
+      TagSet reader_tags = proto;
+      rfid::util::Rng frozen_rng(rfid::util::derive_seed(99, n, f));
+      rfid::util::Rng reader_rng = frozen_rng;
+      const auto want = rfid::test::per_tag_utrp_walk(
+          frozen_tags.tags(), hasher, challenge, &channel.model, &frozen_rng);
+      const auto got = rfid::protocol::utrp_scan(
+          reader_tags.tags(), hasher, challenge, channel.model, reader_rng);
+      expect_same_walk(got, want, channel.name);
+      expect_same_tags(ColumnarTagSet::from_tag_set(reader_tags), frozen_tags,
+                       channel.name);
+      EXPECT_EQ(reader_rng(), frozen_rng()) << channel.name;
+    }
     if (n == 0) continue;  // a server monitors a non-empty group
 
     // The server runs the same walk without its write-back to predict the
