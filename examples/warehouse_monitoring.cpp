@@ -6,8 +6,8 @@
 // yoking-proof schemes — but a real warehouse is also *sharded*: a reader's
 // field covers one aisle or cage, not the whole floor. So each inventory is
 // planned into zones (server::plan_groups, Σ m_i = M pigeonhole guarantee),
-// and the fleet executes every zone session concurrently on a deadline-aware
-// work-stealing pool, aggregating one global verdict:
+// and the fleet executes every zone session concurrently on an
+// earliest-deadline-first pool, aggregating one global verdict:
 //
 //   * "razor-blades"  — 60 high-value items, zero tolerance, 99% confidence,
 //                       one trusted dock reader (TRP);

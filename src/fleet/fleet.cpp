@@ -484,8 +484,8 @@ void FleetOrchestrator::run_attempt_body(std::size_t inv, std::size_t zone,
   const wire::SessionOutcome& last = log.back();
   if (!last.completed && is_retryable(last.failure) &&
       attempt + 1 < config_.max_zone_attempts) {
-    // Requeue onto healthy capacity: the submitting worker keeps it local,
-    // an idle worker may steal it — either way the result is the same.
+    // Requeue onto healthy capacity: whichever worker is free next takes
+    // it, and the result is the same either way.
     scheduler_->submit(state.deadline_us,
                        [this, inv, zone, reader, next = attempt + 1] {
                          run_attempt(inv, zone, reader, next);
@@ -753,11 +753,11 @@ FleetResult FleetOrchestrator::run() {
         }
       }
     }
-    // One pool task queues the whole wave onto its worker's own queue. On one
-    // thread no attempt can start while the wave is still arriving, so the
-    // worker takes them in a fixed order (earliest deadline first, ties in
-    // submission order) and even the journal's record order is fixed. Other
-    // workers steal from that queue.
+    // One pool task queues the whole wave. On one thread no attempt can
+    // start while the wave is still arriving, so the worker takes them in a
+    // fixed order (earliest deadline first, ties in submission order) and
+    // even the journal's record order is fixed. On more threads, free
+    // workers take attempts from the pool's one heap as they arrive.
     scheduler_->submit(std::numeric_limits<double>::infinity(),
                        [this, wave = std::move(wave)] {
                          for (const Attempt& a : wave) {
@@ -780,7 +780,6 @@ FleetResult FleetOrchestrator::run() {
   }
   result.aborted = should_abort();
 
-  result.tasks_stolen = scheduler_->stolen();
   scheduler_.reset();  // join workers; all zone state is quiescent below
 
   // Zones whose task (or requeue) was abandoned before running have no

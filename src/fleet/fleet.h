@@ -5,7 +5,7 @@
 // zones whose tolerances sum to the global M; the wire layer runs one
 // monitoring session per zone. This subsystem closes the loop at warehouse
 // scale: a FleetOrchestrator takes one InventorySpec per inventory, executes
-// every zone's session on a deadline-aware work-stealing pool
+// every zone's session on an earliest-deadline-first thread pool
 // (FleetScheduler), retries zones that failed for retryable infrastructure
 // reasons on healthy capacity (capped attempts), escalates permanent
 // failures as fleet alerts, and folds the per-zone outcomes into one global
@@ -350,14 +350,13 @@ struct FleetResult {
   /// are reported kFailed/kCrashed, no end record was journaled, and the
   /// verdict is at best inconclusive. A restart resumes from the journal.
   bool aborted = false;
-  // Diagnostics only — timing-dependent, excluded from summary().
-  std::uint64_t tasks_stolen = 0;
+  // Excluded from summary(), which reads the same at any thread count.
   unsigned threads = 0;
 };
 
 /// Deterministic human-readable rendering of a result (verdict, per-
 /// inventory lines, totals, alerts). Bit-identical across thread counts;
-/// the timing-dependent diagnostics are deliberately left out.
+/// the thread count is deliberately left out.
 [[nodiscard]] std::string summary(const FleetResult& result);
 
 class FleetOrchestrator {

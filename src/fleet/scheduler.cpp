@@ -1,185 +1,101 @@
 #include "fleet/scheduler.h"
 
-#include <limits>
+#include <algorithm>
 #include <utility>
 
 #include "util/expect.h"
 
 namespace rfid::fleet {
 
-namespace {
-
-/// Which worker the current thread is, if it is one. One scheduler per
-/// fleet run means a plain thread-local index is enough; -1 = external.
-thread_local std::ptrdiff_t t_worker_index = -1;
-thread_local const FleetScheduler* t_worker_owner = nullptr;
-
-}  // namespace
+// Heap order: the earliest deadline, then the lowest sequence, on top.
+constexpr auto kLater = [](const auto& a, const auto& b) noexcept {
+  if (a.deadline_us != b.deadline_us) return a.deadline_us > b.deadline_us;
+  return a.sequence > b.sequence;
+};
 
 FleetScheduler::FleetScheduler(unsigned threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  workers_.reserve(threads);
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   for (unsigned i = 0; i < threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
 FleetScheduler::~FleetScheduler() { stop(/*drain=*/true); }
 
+void FleetScheduler::check_conservation() const {
+  // Every task submitted is in one place: done, dropped, queued or running.
+  RFID_DEBUG_EXPECT(
+      submitted_ == executed_.load(std::memory_order_relaxed) +
+                        abandoned_.load(std::memory_order_relaxed) +
+                        heap_.size() + running_,
+      "fleet pool lost or invented a task");
+}
+
 void FleetScheduler::stop(bool drain) {
-  if (drain) {
-    wait_idle();
-  } else {
-    // Abandon everything still queued. in-flight tasks (taken but not
-    // finished) run to completion; a requeue they race in after the sweep
-    // is caught by the stopped_ gate in submit().
-    stopped_.store(true, std::memory_order_release);
-    std::size_t cleared = 0;
-    for (auto& worker : workers_) {
-      const std::lock_guard<std::mutex> lock(worker->mu);
-      cleared += worker->queue.size();
-      while (!worker->queue.empty()) worker->queue.pop();
-    }
-    if (cleared > 0) {
-      abandoned_.fetch_add(cleared, std::memory_order_relaxed);
-      pending_.fetch_sub(cleared, std::memory_order_relaxed);
-      if (outstanding_.fetch_sub(cleared, std::memory_order_acq_rel) ==
-          cleared) {
-        const std::lock_guard<std::mutex> lock(wake_mu_);
-        idle_cv_.notify_all();
-      }
-    }
-    wait_idle();  // in-flight stragglers only; bounded by task length
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!drain) {
+    // One step with submit(): a requeue that loses the race to the lock
+    // sees stopped_ and is abandoned, one that wins is swept here.
+    stopped_ = true;
+    abandoned_.fetch_add(heap_.size(), std::memory_order_relaxed);
+    heap_.clear();
+    check_conservation();
+    if (idle()) idle_cv_.notify_all();
   }
-  {
-    const std::lock_guard<std::mutex> lock(wake_mu_);
-    if (joined_) return;
-    joined_ = true;
-    shutdown_ = true;
-    stopped_.store(true, std::memory_order_release);
-  }
-  wake_cv_.notify_all();
+  idle_cv_.wait(lock, [this] { return idle(); });  // queue run or swept
+  if (shutdown_) return;  // threads already reaped
+  stopped_ = true;
+  shutdown_ = true;
+  lock.unlock();
+  work_cv_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
 void FleetScheduler::submit(double deadline_us, Task fn) {
   RFID_EXPECT(fn != nullptr, "null fleet task");
-  if (stopped_.load(std::memory_order_acquire)) {
-    abandoned_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const std::uint64_t seq =
-      next_sequence_.fetch_add(1, std::memory_order_relaxed);
-  // A requeue from inside a task stays on the submitting worker; external
-  // submissions round-robin by sequence.
-  std::size_t target;
-  if (t_worker_owner == this && t_worker_index >= 0) {
-    target = static_cast<std::size_t>(t_worker_index);
-  } else {
-    target = static_cast<std::size_t>(seq % workers_.size());
-  }
-  outstanding_.fetch_add(1, std::memory_order_relaxed);
   {
-    const std::lock_guard<std::mutex> lock(workers_[target]->mu);
-    workers_[target]->queue.push(Entry{deadline_us, seq, std::move(fn)});
+    const std::lock_guard<std::mutex> lock(mu_);
+    const std::uint64_t sequence = submitted_++;
+    if (stopped_) {
+      abandoned_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      heap_.push_back(Entry{deadline_us, sequence, std::move(fn)});
+      std::ranges::push_heap(heap_, kLater);
+    }
+    check_conservation();
   }
-  {
-    // The increment must happen under wake_mu_: a worker that read
-    // pending_==0 in its wait predicate is either still holding the lock
-    // (we block until it sleeps) or already in the wait set (the notify
-    // reaches it). An unlocked increment could slip into that gap and the
-    // notify would wake nobody — with no later submit, the task strands
-    // and wait_idle() deadlocks.
-    const std::lock_guard<std::mutex> wake_lock(wake_mu_);
-    pending_.fetch_add(1, std::memory_order_release);
-  }
-  wake_cv_.notify_all();
+  work_cv_.notify_one();
 }
 
-bool FleetScheduler::try_take(std::size_t self, Entry& out) {
-  // Own queue first.
-  {
-    Worker& mine = *workers_[self];
-    const std::lock_guard<std::mutex> lock(mine.mu);
-    if (!mine.queue.empty()) {
-      out = mine.queue.top();
-      mine.queue.pop();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  // Steal: peek every other queue and take the earliest deadline on offer.
-  // Two passes (scan, then re-lock the victim) keep lock holds tiny; the
-  // victim's top may have changed in between, which is fine — we take
-  // whatever is best there now.
-  std::size_t victim = workers_.size();
-  double best = std::numeric_limits<double>::infinity();
-  std::uint64_t best_seq = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t j = 0; j < workers_.size(); ++j) {
-    if (j == self) continue;
-    const std::lock_guard<std::mutex> lock(workers_[j]->mu);
-    if (workers_[j]->queue.empty()) continue;
-    const Entry& top = workers_[j]->queue.top();
-    if (top.deadline_us < best ||
-        (top.deadline_us == best && top.sequence < best_seq)) {
-      best = top.deadline_us;
-      best_seq = top.sequence;
-      victim = j;
-    }
-  }
-  if (victim == workers_.size()) return false;
-  const std::lock_guard<std::mutex> lock(workers_[victim]->mu);
-  if (workers_[victim]->queue.empty()) return false;
-  out = workers_[victim]->queue.top();
-  workers_[victim]->queue.pop();
-  pending_.fetch_sub(1, std::memory_order_relaxed);
-  stolen_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void FleetScheduler::worker_loop(std::size_t self) {
-  t_worker_index = static_cast<std::ptrdiff_t>(self);
-  t_worker_owner = this;
+void FleetScheduler::worker_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    Entry entry;
-    if (try_take(self, entry)) {
-      entry.fn();
-      executed_.fetch_add(1, std::memory_order_relaxed);
-      if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Last task done: wake wait_idle under the lock so the notify
-        // cannot race past a waiter between its predicate check and sleep.
-        const std::lock_guard<std::mutex> lock(wake_mu_);
-        idle_cv_.notify_all();
-      }
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    wake_cv_.wait(lock, [this] {
-      return shutdown_ || pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (shutdown_ && pending_.load(std::memory_order_acquire) == 0) return;
+    work_cv_.wait(lock, [this] { return shutdown_ || !heap_.empty(); });
+    if (heap_.empty()) return;  // shut down with nothing left to run
+    std::ranges::pop_heap(heap_, kLater);
+    Task fn = std::move(heap_.back().fn);
+    heap_.pop_back();
+    ++running_;
+    check_conservation();
+    lock.unlock();
+    fn();
+    fn = nullptr;  // the task's captures die before it counts as finished
+    lock.lock();
+    --running_;
+    executed_.fetch_add(1, std::memory_order_relaxed);
+    check_conservation();
+    if (idle()) idle_cv_.notify_all();
   }
 }
 
 void FleetScheduler::wait_idle() {
-  std::unique_lock<std::mutex> lock(wake_mu_);
-  idle_cv_.wait(lock, [this] {
-    return outstanding_.load(std::memory_order_acquire) == 0;
-  });
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_cv_.wait(lock, [this] { return idle(); });
 }
 
 bool FleetScheduler::wait_idle_for(std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lock(wake_mu_);
-  return idle_cv_.wait_for(lock, timeout, [this] {
-    return outstanding_.load(std::memory_order_acquire) == 0;
-  });
+  std::unique_lock<std::mutex> lock(mu_);
+  return idle_cv_.wait_for(lock, timeout, [this] { return idle(); });
 }
 
 }  // namespace rfid::fleet

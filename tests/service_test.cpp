@@ -573,6 +573,39 @@ TEST(ServiceAdmission, ZeroEpochWatchIsABadRequest) {
   EXPECT_EQ(svc.stop().admitted, 1u);
 }
 
+TEST(ServiceAdmission, InventoryQuotaRefusesANewNameButNotAReEnroll) {
+  ServiceConfig config;
+  config.max_inventories_per_tenant = 2;
+  MonitorService svc{config};
+  svc.start();
+  ServiceClient client(svc.port());
+  client.hello("acme");
+  client.enroll(small_inventory("a"));
+  client.enroll(small_inventory("b"));
+
+  // A third name is past the quota: a request-level error, and nothing is
+  // enrolled under it.
+  client.send_frame(service::FrameType::kEnroll, encode(small_inventory("c")));
+  service::Frame frame = client.read_frame();
+  ASSERT_EQ(static_cast<service::FrameType>(frame.type),
+            service::FrameType::kError);
+  EXPECT_EQ(service::decode_error(frame.payload).code,
+            service::ErrorCode::kBadRequest);
+  client.send_frame(service::FrameType::kStartRun,
+                    encode(StartRunRequest{"c", 1, false, {}}));
+  frame = client.read_frame();
+  ASSERT_EQ(static_cast<service::FrameType>(frame.type),
+            service::FrameType::kError);
+  EXPECT_EQ(service::decode_error(frame.payload).code,
+            service::ErrorCode::kUnknownInventory);
+
+  // The connection survives, and a name already held re-enrolls at the
+  // quota.
+  EXPECT_EQ(client.ping(3), 3u);
+  EXPECT_EQ(client.enroll(small_inventory("b", 90)).tags, 90u);
+  svc.stop();
+}
+
 TEST(ServiceAlerts, WatchPublishesFeedAndSubscriberReplaysBacklog) {
   MonitorService svc{ServiceConfig{}};
   svc.start();
