@@ -3,10 +3,12 @@
 // 64-zone fleet (4 inventories of 16 TRP zones) and runs it to a verdict;
 // items processed = zones, so google-benchmark's items_per_second column
 // reads directly as sessions/sec. On the 4-vCPU development container the
-// curve stays well short of linear, 1.4-1.6x at 4 threads over 1: its
-// vCPUs mostly delivered one CPU of parallel throughput, and the serial part
-// of a run (the four submits, spawning and joining the run's pool, tearing
-// down) is 15-25% of it (EXPERIMENTS.md, "Fleet scaling").
+// curve stays well short of linear: its vCPUs mostly delivered one CPU of
+// parallel throughput, and part of a run is serial (the four submits, the
+// caller queueing each wave before it drains the pool, starting and joining
+// the threads - 1 helpers, tearing down; EXPERIMENTS.md, "Fleet scaling").
+// At one thread the run's caller runs every zone itself and starts no
+// thread.
 //
 // BM_FleetScheduler times the pool alone: a few thousand short busy-loop
 // tasks with mixed deadlines, every fifth requeueing a follow-up, drained

@@ -180,7 +180,9 @@ struct DaemonConfig {
   std::uint64_t seed = 1;
   std::string name = "monitor";
   std::uint64_t epochs = 4;  // epochs to complete before run() returns
-  unsigned threads = 1;      // fleet worker threads per epoch
+  /// FleetConfig::threads of every epoch's run; 1 runs its zones on the
+  /// monitor thread itself.
+  unsigned threads = 1;
   std::uint32_t max_zone_attempts = 3;
   bool faults_on_retries = false;
   /// Health state machine thresholds (consecutive epochs).

@@ -4,6 +4,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <thread>
 #include <utility>
 
 #include "fleet/scheduler.h"
@@ -412,9 +413,9 @@ void FleetOrchestrator::run_attempt(std::size_t inv, std::size_t zone,
     run_attempt_body(inv, zone, reader, attempt);
   } catch (...) {
     // A throwing attempt (sick journal disk delivering a scripted crash, a
-    // bug in a protocol engine) must not terminate the worker thread: park
-    // the exception, flip the kill switch so the rest of the run drains
-    // fast, and let run() rethrow on the caller's thread.
+    // bug in a protocol engine) must not escape into the pool, where a
+    // throwing task ends the process: park the exception, flip the kill
+    // switch so the rest of the run drains fast, and let run() rethrow it.
     {
       const std::lock_guard<std::mutex> lock(error_mu_);
       if (first_error_ == nullptr) first_error_ = std::current_exception();
@@ -484,8 +485,8 @@ void FleetOrchestrator::run_attempt_body(std::size_t inv, std::size_t zone,
   const wire::SessionOutcome& last = log.back();
   if (!last.completed && is_retryable(last.failure) &&
       attempt + 1 < config_.max_zone_attempts) {
-    // Requeue onto healthy capacity: whichever worker is free next takes
-    // it, and the result is the same either way.
+    // Requeue onto healthy capacity: whichever of the run's threads is free
+    // next takes it, and the result is the same either way.
     scheduler_->submit(state.deadline_us,
                        [this, inv, zone, reader, next = attempt + 1] {
                          run_attempt(inv, zone, reader, next);
@@ -700,18 +701,20 @@ FleetResult FleetOrchestrator::run() {
     journal_->begin({config_.seed, config_.fleet_name, fingerprint}, carried);
   }
 
-  scheduler_ = std::make_unique<FleetScheduler>(config_.threads);
-  result.threads = scheduler_->threads();
+  // The caller is one of the run's threads: it queues each wave itself and
+  // then drains the pool beside threads - 1 helpers, so a one-thread run
+  // starts no thread. With no helper the whole wave is queued before any
+  // attempt runs, and the caller takes them in a fixed order (earliest
+  // deadline first, ties in submission order): even the journal's record
+  // order is fixed. Helpers take attempts as they arrive.
+  const unsigned threads =
+      config_.threads != 0 ? config_.threads
+                           : std::max(1u, std::thread::hardware_concurrency());
+  scheduler_ = std::make_unique<FleetScheduler>(threads - 1);
+  result.threads = threads;
 
-  struct Attempt {
-    std::size_t inventory;
-    std::size_t zone;
-    std::uint32_t reader;
-    double deadline_us;
-  };
   const std::size_t wave_count = std::max<std::size_t>(wave_zones_.size(), 1);
   for (std::size_t w = 0; w < wave_count; ++w) {
-    std::vector<Attempt> wave;
     for (std::size_t i = 0; i < inventories_.size(); ++i) {
       Inventory& inventory = *inventories_[i];
       if (inventory.wave != w) continue;
@@ -749,40 +752,24 @@ FleetResult FleetOrchestrator::run() {
         const ZoneState& state = inventory.zones[z];
         for (std::uint32_t r = 0; r < state.attempts.size(); ++r) {
           if (state.reader_excluded[r]) continue;
-          wave.push_back({i, z, r, state.deadline_us});
+          scheduler_->submit(state.deadline_us, [this, i, z, r] {
+            run_attempt(i, z, r, 0);
+          });
         }
       }
     }
-    // One pool task queues the whole wave. On one thread no attempt can
-    // start while the wave is still arriving, so the worker takes them in a
-    // fixed order (earliest deadline first, ties in submission order) and
-    // even the journal's record order is fixed. On more threads, free
-    // workers take attempts from the pool's one heap as they arrive.
-    scheduler_->submit(std::numeric_limits<double>::infinity(),
-                       [this, wave = std::move(wave)] {
-                         for (const Attempt& a : wave) {
-                           scheduler_->submit(a.deadline_us, [this, a] {
-                             run_attempt(a.inventory, a.zone, a.reader, 0);
-                           });
-                         }
-                       });
     // The wave barrier IS the backpressure: the next wave's zones are not
-    // offered to the pool until the saturated one drains. The wait is
-    // polled, so an abort (a zone that threw, or the kill switch) abandons
-    // the queued attempts instead of waiting behind a wedged zone.
-    while (!scheduler_->wait_idle_for(std::chrono::milliseconds(1))) {
-      if (should_abort()) break;
-    }
-    if (should_abort()) {
-      scheduler_->stop(/*drain=*/false);
-      break;
-    }
+    // offered to the pool until the saturated one drains. An abort (a zone
+    // that threw, or the kill switch) drains fast: every queued attempt
+    // returns at its own check before it starts.
+    scheduler_->drain();
+    if (should_abort()) break;
   }
   result.aborted = should_abort();
 
-  scheduler_.reset();  // join workers; all zone state is quiescent below
+  scheduler_.reset();  // join the helpers; all zone state is quiescent below
 
-  // Zones whose task (or requeue) was abandoned before running have no
+  // Zones whose attempt (or requeue) returned at the kill switch have no
   // finalized report; give them an explicit crashed one so aggregation
   // (and the operator) see them as not-monitored rather than defaults.
   if (result.aborted) {

@@ -5,8 +5,9 @@
 // zones whose tolerances sum to the global M; the wire layer runs one
 // monitoring session per zone. This subsystem closes the loop at warehouse
 // scale: a FleetOrchestrator takes one InventorySpec per inventory, executes
-// every zone's session on an earliest-deadline-first thread pool
-// (FleetScheduler), retries zones that failed for retryable infrastructure
+// every zone's session from an earliest-deadline-first task pool
+// (FleetScheduler) drained by run()'s calling thread and threads - 1
+// helpers, retries zones that failed for retryable infrastructure
 // reasons on healthy capacity (capped attempts), escalates permanent
 // failures as fleet alerts, and folds the per-zone outcomes into one global
 // verdict:
@@ -123,7 +124,8 @@ enum class AlertKind : std::uint8_t {
 
 struct FleetConfig {
   std::uint64_t seed = 1;
-  /// Worker threads; 0 = hardware concurrency. Never affects results.
+  /// Threads that run zone sessions, run()'s caller included (1 starts no
+  /// thread); 0 = hardware concurrency. Never affects results.
   unsigned threads = 0;
   /// Attempt cap per zone (first try + retries). Must be >= 1.
   std::uint32_t max_zone_attempts = 3;
@@ -146,10 +148,11 @@ struct FleetConfig {
   storage::StorageBackend* journal_backend = nullptr;
   std::string journal_name = "fleet.journal";
   /// Cooperative kill switch (not owned; may be null). When it reads true,
-  /// zones that have not started are abandoned, in-flight zones finish, and
-  /// run() returns early with FleetResult::aborted set — no end record is
-  /// journaled, so a restart resumes the run. This is how a watchdog stops
-  /// an orchestrator without inheriting a wedged wait_idle().
+  /// every attempt that has not started returns at once, in-flight zones
+  /// finish, later waves never start, and run() returns early with
+  /// FleetResult::aborted set — no end record is journaled, so a restart
+  /// resumes the run. This is how a watchdog or a service drain stops a
+  /// run.
   const std::atomic<bool>* abort = nullptr;
 };
 
@@ -350,7 +353,8 @@ struct FleetResult {
   /// are reported kFailed/kCrashed, no end record was journaled, and the
   /// verdict is at best inconclusive. A restart resumes from the journal.
   bool aborted = false;
-  // Excluded from summary(), which reads the same at any thread count.
+  /// FleetConfig::threads resolved: the caller plus its helpers. Excluded
+  /// from summary(), which reads the same at any thread count.
   unsigned threads = 0;
 };
 

@@ -14,8 +14,10 @@ GroupPlan plan_groups(const PlannerInput& input) {
   const std::uint64_t capacity =
       input.max_group_size == 0 ? input.total_tags : input.max_group_size;
   RFID_EXPECT(capacity >= 1, "zone capacity must be positive");
-  const std::uint64_t zone_count = (input.total_tags + capacity - 1) / capacity;
-  RFID_EXPECT(input.total_tolerance + zone_count <= input.total_tags,
+  // Neither form can wrap: both inputs may arrive from a client as any u64.
+  const std::uint64_t zone_count =
+      input.total_tags / capacity + (input.total_tags % capacity != 0 ? 1 : 0);
+  RFID_EXPECT(input.total_tolerance <= input.total_tags - zone_count,
               "tolerance too large: every zone must be able to lose m_i + 1 tags");
 
   GroupPlan plan;

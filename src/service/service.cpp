@@ -35,6 +35,10 @@ namespace {
 
 constexpr std::size_t kReadChunk = 16 * 1024;
 constexpr std::size_t kHttpHeaderLimit = 8 * 1024;
+/// Rounds per zone session an Enroll may ask for. A session never reads the
+/// abort switch and keeps every round's verdict and bitstring, so an
+/// unbounded count would outlast any drain budget and grow without bound.
+constexpr std::uint64_t kMaxRoundsPerSession = 64;
 
 }  // namespace
 
@@ -726,6 +730,11 @@ struct MonitorService::Impl {
       send_error(c, ErrorCode::kBadRequest, "unknown protocol");
       return;
     }
+    if (req.rounds > kMaxRoundsPerSession) {
+      send_error(c, ErrorCode::kBadRequest,
+                 "rounds above " + std::to_string(kMaxRoundsPerSession));
+      return;
+    }
     if (tenant.inventories.size() >= config.max_inventories_per_tenant &&
         tenant.inventories.find(req.inventory) == tenant.inventories.end()) {
       send_error(c, ErrorCode::kBadRequest, "inventory quota exhausted");
@@ -1092,7 +1101,12 @@ struct MonitorService::Impl {
     epoch_tp = Clock::now();
     listener = std::make_unique<Listener>(config.port);
     http_listener = std::make_unique<Listener>(config.http_port);
-    pool = std::make_unique<fleet::FleetScheduler>(config.workers);
+    // Nothing else drains the pool while the service runs, so 0 (hardware
+    // concurrency) must resolve to at least one worker.
+    pool = std::make_unique<fleet::FleetScheduler>(
+        config.workers != 0
+            ? config.workers
+            : std::max(1u, std::thread::hardware_concurrency()));
     io_thread = std::thread([this] { io_loop(); });
   }
 
@@ -1104,7 +1118,7 @@ struct MonitorService::Impl {
     // be missing.
     wake.wake();
     if (io_thread.joinable()) io_thread.join();
-    if (pool) pool->stop(/*drain=*/true);
+    if (pool) pool->stop();
     return stats;
   }
 };

@@ -15,10 +15,12 @@
 //     JSON schema, /healthz as a liveness probe.
 //
 // Monitoring work never runs on the IO thread: admitted runs execute as
-// tasks on a FleetScheduler worker pool (one FleetOrchestrator per run,
-// admission-stamp EDF order), and completions travel back over a queue plus
-// self-pipe wakeup. The IO thread owns all connection/tenant state and
-// every run count, so the request path needs no locks at all.
+// tasks on a FleetScheduler worker pool (admission-stamp EDF order), and
+// completions travel back over a queue plus self-pipe wakeup. A run's
+// FleetOrchestrator runs its zones on the worker that took the run (a
+// watch's daemon, on its monitor thread). The IO thread owns all
+// connection/tenant state and every run count, so the request path needs
+// no locks at all.
 //
 // Admission control is the service's own, per tenant and service-wide
 // (RunAdmitted only borrows fleet::Admission's accepted/deferred codes):
@@ -37,7 +39,7 @@
 // drain and decides its outcome.
 //   1. new runs are refused with Backpressure("shutting down"); connected
 //      clients receive a Shutdown frame naming the drain budget;
-//   2. in-flight runs drain through FleetScheduler, and deferred runs
+//   2. in-flight runs finish on the pool's workers, and deferred runs
 //      keep launching as room frees — their verdicts still stream out;
 //   3. if the drain budget expires first, the IO thread flips the shared
 //      abort switch — fleet runs report themselves aborted, and in-flight
@@ -66,9 +68,11 @@ struct ServiceConfig {
   /// the bound values after start().
   std::uint16_t port = 0;
   std::uint16_t http_port = 0;
-  /// Worker threads executing admitted runs (the service's FleetScheduler).
+  /// Worker threads executing admitted runs (the service's FleetScheduler);
+  /// 0 = hardware concurrency.
   unsigned workers = 2;
-  /// Fleet worker threads inside one run's orchestrator.
+  /// FleetConfig::threads of every run and DaemonConfig::threads of every
+  /// watch: 1 runs a run's zones on the worker that took it.
   unsigned run_threads = 1;
   /// Hard ceiling on one frame's payload; a larger declared length is
   /// rejected before allocation.

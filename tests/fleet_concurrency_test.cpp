@@ -1,10 +1,11 @@
 // ThreadSanitizer hammer for the fleet subsystem. These tests exist to be
 // run under -fsanitize=thread (see the thread-sanitize CI job): they drive
 // the deadline pool and the orchestrator hard enough that any missing
-// happens-before edge — concurrent submits and takes, requeue hand-offs, the
-// wait_idle barrier, stop() racing submitters, concurrent journal appends —
-// shows up as a TSan report. Functional assertions are deliberately light;
-// correctness is pinned elsewhere (fleet_test, fleet_determinism_test).
+// happens-before edge — concurrent submits and takes, requeue hand-offs, a
+// caller draining beside the workers, the wait_idle and drain barriers,
+// concurrent journal appends — shows up as a TSan report. Functional
+// assertions are deliberately light; correctness is pinned elsewhere
+// (fleet_test, fleet_determinism_test).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,17 +31,19 @@ namespace {
 using namespace rfid;
 
 // Many external threads submit into the scheduler while tasks themselves
-// requeue follow-ups — the exact shape of a fleet run's retry traffic.
+// requeue follow-ups — the exact shape of a fleet run's retry traffic — and
+// the test thread drains beside the workers, as run()'s caller does.
 TEST(FleetConcurrencyHammer, ConcurrentSubmittersAndRequeues) {
   fleet::FleetScheduler scheduler(8);
   std::atomic<std::uint64_t> ran{0};
 
   constexpr int kSubmitters = 4;
   constexpr int kTasksPerSubmitter = 200;
+  std::atomic<int> submitting{kSubmitters};
   std::vector<std::thread> submitters;
   submitters.reserve(kSubmitters);
   for (int s = 0; s < kSubmitters; ++s) {
-    submitters.emplace_back([&scheduler, &ran, s] {
+    submitters.emplace_back([&scheduler, &ran, &submitting, s] {
       for (int i = 0; i < kTasksPerSubmitter; ++i) {
         const double deadline = static_cast<double>((s * 7 + i * 13) % 97);
         scheduler.submit(deadline, [&scheduler, &ran, i] {
@@ -52,10 +55,18 @@ TEST(FleetConcurrencyHammer, ConcurrentSubmittersAndRequeues) {
           }
         });
       }
+      submitting.fetch_sub(1, std::memory_order_release);
     });
   }
+  // drain() returns whenever the pool is idle, which it may be between two
+  // outside submits, so drain until every submitter is done, then once
+  // more for what they queued last.
+  while (submitting.load(std::memory_order_acquire) > 0) {
+    scheduler.drain();
+    std::this_thread::yield();
+  }
   for (auto& t : submitters) t.join();
-  scheduler.wait_idle();
+  scheduler.drain();
 
   constexpr std::uint64_t kExpected =
       kSubmitters * kTasksPerSubmitter +
@@ -80,58 +91,6 @@ TEST(FleetConcurrencyHammer, RepeatedWaveBarriers) {
     unguarded += static_cast<std::uint64_t>(wave_ran.load());
   }
   EXPECT_EQ(unguarded, 50u * 32u);
-}
-
-// stop(false) racing four external submitters and requeues from inside
-// tasks: every submit() call ends executed or abandoned — none is stranded
-// in a queue no worker drains — and no task body starts once stop() has
-// returned.
-TEST(FleetConcurrencyHammer, StopWithoutDrainRacesSubmitters) {
-  for (int round = 0; round < 10; ++round) {
-    fleet::FleetScheduler scheduler(4);
-    std::atomic<std::uint64_t> submits{0};
-    std::atomic<bool> stop_returned{false};
-    std::atomic<int> late_starts{0};
-    const auto body = [&stop_returned, &late_starts] {
-      if (stop_returned.load(std::memory_order_acquire)) {
-        late_starts.fetch_add(1, std::memory_order_relaxed);
-      }
-    };
-    const auto counted_submit = [&scheduler, &submits](
-                                    double deadline,
-                                    fleet::FleetScheduler::Task fn) {
-      submits.fetch_add(1, std::memory_order_relaxed);
-      scheduler.submit(deadline, std::move(fn));
-    };
-
-    std::vector<std::thread> submitters;
-    for (int s = 0; s < 4; ++s) {
-      submitters.emplace_back([&, s] {
-        for (int i = 0; i < 400; ++i) {
-          const double deadline = static_cast<double>((s * 7 + i * 13) % 97);
-          counted_submit(deadline, [&body, &counted_submit, i] {
-            body();
-            if (i % 5 == 0) counted_submit(1.0, body);  // a zone's retry
-          });
-          std::this_thread::yield();  // let workers take while we submit
-        }
-        // One more submit once stop() has returned: the pool must abandon it.
-        while (!stop_returned.load()) std::this_thread::yield();
-        counted_submit(0.0, body);
-      });
-    }
-    std::thread stopper([&] {
-      while (scheduler.executed() < 200) std::this_thread::yield();
-      scheduler.stop(/*drain=*/false);
-      stop_returned.store(true, std::memory_order_release);
-    });
-    stopper.join();
-    for (auto& t : submitters) t.join();
-
-    EXPECT_EQ(scheduler.executed() + scheduler.abandoned(), submits.load());
-    EXPECT_GE(scheduler.abandoned(), 4u);
-    EXPECT_EQ(late_starts.load(), 0);
-  }
 }
 
 // A full orchestrated fleet at 8 threads: 64+ zones across 4 inventories,

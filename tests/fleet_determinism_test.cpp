@@ -51,11 +51,10 @@ std::uint64_t fnv_of(std::string_view bytes) {
 // fnv1a64 of every rendering at threads = 1. Comparing 1 thread with 8
 // catches only drift with scheduling; a change that alters both runs alike
 // (a lost `reader` trace annotation, a relabelled session-log entry, a
-// reordered journal record) fails here. run() queues each wave from one
-// pool task, so at one thread the whole wave is queued before any attempt
-// runs, and the worker takes the attempts in a fixed order: earliest
-// deadline first, ties in submission order. Even the journal's record order
-// is fixed. The pins were taken once and are never regenerated to make a
+// reordered journal record) fails here. At one thread run() queues each
+// whole wave before any attempt runs and then drains the pool itself,
+// taking the attempts in a fixed order: earliest deadline first, ties in
+// submission order. Even the journal's record order is fixed. The pins were taken once and are never regenerated to make a
 // change pass.
 struct Pins {
   std::uint64_t summary;

@@ -7,11 +7,15 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "fault/storage_fault.h"
@@ -144,6 +148,33 @@ TEST(FleetScheduler, SingleSubmitToAnIdlePoolAlwaysWakesAWorker) {
   EXPECT_EQ(executed.load(), 2000);
 }
 
+TEST(FleetScheduler, ZeroWorkerPoolDrainedByItsCallerRunsInEdfOrder) {
+  // A pool with no worker runs nothing until its owner drains it. The
+  // draining caller then takes every task, requeues included, in (deadline,
+  // submission) order on its own thread.
+  fleet::FleetScheduler pool(0);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  bool off_caller = false;
+  const auto record = [&](int label) {
+    off_caller = off_caller || std::this_thread::get_id() != caller;
+    order.push_back(label);
+  };
+  pool.submit(30.0, [&] { record(30); });
+  pool.submit(10.0, [&] {
+    record(10);
+    pool.submit(20.0, [&] { record(21); });  // ties the queued 20: after it
+    pool.submit(5.0, [&] { record(5); });    // the earliest: runs next
+  });
+  pool.submit(20.0, [&] { record(20); });
+  pool.submit(10.0, [&] { record(11); });
+  EXPECT_EQ(pool.executed(), 0u);
+  pool.drain();
+  EXPECT_EQ(order, (std::vector<int>{10, 5, 11, 20, 21, 30}));
+  EXPECT_FALSE(off_caller);
+  EXPECT_EQ(pool.executed(), 6u);
+}
+
 // ---------------------------------------------------------- test rig ----
 
 fleet::InventorySpec make_trp_spec(const std::string& name, std::uint64_t tags,
@@ -160,6 +191,22 @@ fleet::InventorySpec make_trp_spec(const std::string& name, std::uint64_t tags,
   spec.rounds = 2;
   return spec;
 }
+
+// A MemoryBackend that calls `on_append` before every append: the tests
+// below record the appending thread, or flip the kill switch from inside a
+// zone's journal write.
+class HookedBackend final : public storage::MemoryBackend {
+ public:
+  explicit HookedBackend(std::function<void(const std::string&)> on_append)
+      : on_append_(std::move(on_append)) {}
+  void append(const std::string& name, std::string_view bytes) override {
+    on_append_(name);
+    storage::MemoryBackend::append(name, bytes);
+  }
+
+ private:
+  std::function<void(const std::string&)> on_append_;
+};
 
 // ---------------------------------------------------------- aggregation ----
 
@@ -771,52 +818,6 @@ TEST(FleetOrchestrator, UnsatisfiableUtrpSpecThrowsFromSubmit) {
 
 // ------------------------------------------------- supervised shutdown ----
 
-TEST(FleetScheduler, WaitIdleForTimesOutWhileWorkIsStuck) {
-  fleet::FleetScheduler pool(1);
-  Gate gate;
-  pool.submit(0.0, [&gate] { gate.wait(); });
-  EXPECT_FALSE(pool.wait_idle_for(std::chrono::milliseconds(10)));
-  gate.open();
-  pool.wait_idle();
-  EXPECT_TRUE(pool.wait_idle_for(std::chrono::milliseconds(0)));
-}
-
-TEST(FleetScheduler, StopWithoutDrainAbandonsQueuedTasks) {
-  fleet::FleetScheduler pool(1);
-  Gate gate;
-  std::atomic<bool> started{false};
-  std::atomic<int> done{0};
-  pool.submit(0.0, [&gate, &started, &done] {
-    started.store(true, std::memory_order_release);
-    gate.wait();
-    done.fetch_add(1, std::memory_order_relaxed);
-  });
-  // Make sure the worker has TAKEN the gated task before queueing behind
-  // it — otherwise the sweep below could abandon the gated task too.
-  while (!started.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  for (int i = 0; i < 5; ++i) {
-    pool.submit(1.0, [&done] { done.fetch_add(1, std::memory_order_relaxed); });
-  }
-  // stop(false) sweeps the queue immediately (the worker is parked), then
-  // waits for the in-flight task — release it once the sweep is visible.
-  std::thread opener([&pool, &gate] {
-    while (pool.abandoned() < 5) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    gate.open();
-  });
-  pool.stop(false);
-  opener.join();
-  EXPECT_EQ(done.load(), 1);  // only the in-flight task ran
-  EXPECT_EQ(pool.abandoned(), 5u);
-  // The pool is dead: later submissions are discarded, not lost silently.
-  pool.submit(0.0, [&done] { done.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(pool.abandoned(), 6u);
-  EXPECT_EQ(done.load(), 1);
-}
-
 TEST(FleetOrchestrator, AbortSwitchAbandonsRunWithoutEndRecord) {
   // A single-reader and a fused (k = 3) inventory abort alike: no zone
   // starts, so each reports crashed with no attempts and no reader reports.
@@ -862,6 +863,61 @@ TEST(FleetOrchestrator, AbortSwitchAbandonsRunWithoutEndRecord) {
     EXPECT_FALSE(result.aborted);
     EXPECT_EQ(result.verdict, fleet::GlobalVerdict::kIntact);
   }
+}
+
+TEST(FleetOrchestrator, AbortSwitchMidRunKeepsFinishedZoneForRestart) {
+  // The kill switch flips inside the first zone record's journal append, on
+  // the only thread of a one-thread run. That zone is finished and
+  // journaled; every later zone's attempt returns at its check before it
+  // starts, so no other zone runs or journals anything.
+  std::atomic<bool> abort{false};
+  HookedBackend backend([&abort](const std::string& name) {
+    // The begin record is staged under a temporary name.
+    if (name == "fleet.journal") abort.store(true);
+  });
+  {
+    util::Rng rng(118);
+    fleet::FleetConfig config{.seed = 71, .threads = 1};
+    config.journal_backend = &backend;
+    config.abort = &abort;
+    fleet::FleetOrchestrator orchestrator(std::move(config));
+    orchestrator.submit(make_trp_spec("ware", 120, 4, 30, rng));
+    const fleet::FleetResult result = orchestrator.run();
+
+    EXPECT_TRUE(result.aborted);
+    EXPECT_EQ(result.verdict, fleet::GlobalVerdict::kInconclusive);
+    EXPECT_EQ(result.attempts, 1u);
+    const std::vector<fleet::ZoneReport>& zones = result.inventories[0].zones;
+    ASSERT_EQ(zones.size(), 4u);
+    EXPECT_EQ(zones[0].status, fleet::ZoneStatus::kIntact);
+    EXPECT_EQ(zones[0].attempts, 1u);
+    for (std::size_t z = 1; z < zones.size(); ++z) {
+      SCOPED_TRACE("zone " + std::to_string(z));
+      EXPECT_EQ(zones[z].status, fleet::ZoneStatus::kFailed);
+      EXPECT_EQ(zones[z].last_failure, wire::FailureReason::kCrashed);
+      EXPECT_EQ(zones[z].attempts, 0u);
+    }
+  }
+  // The journal holds the start record and zone 0's record, and no end
+  // record.
+  const auto scan = storage::scan_fleet_journal(backend.read("fleet.journal"));
+  ASSERT_EQ(scan.records.size(), 2u);
+  EXPECT_TRUE(
+      std::holds_alternative<storage::FleetZoneRecord>(scan.records.back()));
+
+  // A restart with the same seed reuses the journaled zone and runs the
+  // other three to an intact verdict.
+  util::Rng rng(118);
+  fleet::FleetConfig config{.seed = 71, .threads = 1};
+  config.journal_backend = &backend;
+  fleet::FleetOrchestrator orchestrator(std::move(config));
+  orchestrator.submit(make_trp_spec("ware", 120, 4, 30, rng));
+  const fleet::FleetResult result = orchestrator.run();
+  EXPECT_FALSE(result.aborted);
+  EXPECT_EQ(result.verdict, fleet::GlobalVerdict::kIntact);
+  EXPECT_EQ(result.zones_recovered, 1u);
+  EXPECT_TRUE(result.inventories[0].zones[0].recovered);
+  EXPECT_EQ(result.attempts, 3u);
 }
 
 TEST(FleetOrchestrator, RecoveredRunWithChangedPlanIsQuarantined) {
@@ -932,6 +988,63 @@ TEST(FleetOrchestrator, RecoveredRunWithSamePlanIsResumed) {
   EXPECT_GE(result.zones_recovered, 1u);
   EXPECT_TRUE(result.alerts.empty());
   EXPECT_EQ(result.verdict, fleet::GlobalVerdict::kIntact);
+}
+
+TEST(FleetOrchestrator, OneThreadRunWorksOnItsCallersThread) {
+  // A one-thread run starts no thread: every journal append, from the
+  // start record through each zone's record to the end record, comes from
+  // the thread that called run(). The run holds several inventories, a
+  // requeue, a theft and UTRP zones.
+  const auto run_fleet = [](unsigned threads,
+                            storage::StorageBackend& backend) {
+    util::Rng rng(117);
+    fleet::FleetConfig config{.seed = 67, .threads = threads};
+    config.journal_backend = &backend;
+    fleet::FleetOrchestrator orchestrator(std::move(config));
+    fleet::InventorySpec flaky = make_trp_spec("flaky", 90, 3, 30, rng);
+    flaky.zone_faults.emplace_back(
+        1, fault::parse_fault_plan("crash 10000 never\n"));
+    orchestrator.submit(std::move(flaky));
+    fleet::InventorySpec looted = make_trp_spec("looted", 120, 3, 40, rng);
+    for (std::uint64_t i = 0; i < 10; ++i) looted.stolen.push_back(i);
+    orchestrator.submit(std::move(looted));
+    fleet::InventorySpec cage;
+    cage.name = "utrp-cage";
+    cage.protocol = fleet::Protocol::kUtrp;
+    cage.tags = tag::TagSet::make_random(60, rng);
+    cage.plan = server::plan_groups({.total_tags = 60,
+                                     .total_tolerance = 2,
+                                     .alpha = 0.95,
+                                     .max_group_size = 30});
+    cage.comm_budget = 10;
+    cage.rounds = 1;
+    cage.session.utrp_deadline_us = 10e6;
+    orchestrator.submit(std::move(cage));
+    return orchestrator.run();
+  };
+
+  std::mutex mu;
+  std::vector<std::thread::id> appenders;
+  HookedBackend backend([&mu, &appenders](const std::string&) {
+    const std::lock_guard<std::mutex> lock(mu);
+    appenders.push_back(std::this_thread::get_id());
+  });
+  const fleet::FleetResult one = run_fleet(1, backend);
+  EXPECT_EQ(one.threads, 1u);
+  EXPECT_EQ(one.verdict, fleet::GlobalVerdict::kViolated);
+  EXPECT_EQ(one.requeues, 1u);
+  EXPECT_EQ(one.zones, 8u);
+  EXPECT_EQ(appenders.size(), one.zones + 2);  // + start and end records
+  for (const std::thread::id id : appenders) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+
+  // At four threads the caller counts as one of them, and the result reads
+  // the same.
+  storage::MemoryBackend other;
+  const fleet::FleetResult four = run_fleet(4, other);
+  EXPECT_EQ(four.threads, 4u);
+  EXPECT_EQ(fleet::summary(four), fleet::summary(one));
 }
 
 TEST(FleetOrchestrator, SixtyFourZonesAcrossFourInventories) {

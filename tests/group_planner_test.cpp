@@ -1,6 +1,8 @@
 // Tests for the zone/group planner.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -120,6 +122,27 @@ TEST(GroupPlanner, RejectsImpossibleInputs) {
                                   .total_tolerance = 1,
                                   .alpha = 1.0}),
                std::invalid_argument);
+  // Client-sent u64s at the top of their range. A capacity of 2^64 - 1 once
+  // wrapped the zone count to 0 (a division by zero) and a tolerance of
+  // 2^64 - 1 wrapped the feasibility check (a remainder loop of ~2^64
+  // steps). Such a capacity means one zone, which cannot lose all 100 tags.
+  constexpr std::uint64_t kTop = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW((void)plan_groups({.total_tags = 100,
+                                  .total_tolerance = 100,
+                                  .alpha = 0.95,
+                                  .max_group_size = kTop}),
+               std::invalid_argument);
+  EXPECT_THROW((void)plan_groups({.total_tags = 100,
+                                  .total_tolerance = kTop,
+                                  .alpha = 0.95,
+                                  .max_group_size = 50}),
+               std::invalid_argument);
+  EXPECT_EQ(plan_groups({.total_tags = 100,
+                         .total_tolerance = 99,
+                         .alpha = 0.95,
+                         .max_group_size = kTop})
+                .zones.size(),
+            1u);
 }
 
 TEST(GroupPlanner, PigeonholeGuaranteeHolds) {

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -344,6 +345,30 @@ TEST(ServiceSession, RequestLevelErrorsKeepConnectionAlive) {
   EXPECT_EQ(service::decode_error(frame.payload).code,
             service::ErrorCode::kBadRequest);
 
+  // Client-sent u64s at the top of their range: a zone capacity the
+  // planner once wrapped into a division by zero, a tolerance it once
+  // wrapped into a ~2^64-step loop on the IO thread, and more rounds per
+  // session than a drain could ever wait out.
+  constexpr std::uint64_t kTop = std::numeric_limits<std::uint64_t>::max();
+  EnrollRequest hostile = bad;
+  hostile.tolerance = 10;
+  hostile.zone_capacity = kTop;
+  EnrollRequest wrapping = small_inventory("wrapping");
+  wrapping.tolerance = kTop;
+  EnrollRequest endless = small_inventory("endless");
+  endless.rounds = 65;
+  for (const EnrollRequest& req : {hostile, wrapping, endless}) {
+    SCOPED_TRACE(req.inventory + " tolerance " +
+                 std::to_string(req.tolerance) + " rounds " +
+                 std::to_string(req.rounds));
+    client.send_frame(service::FrameType::kEnroll, encode(req));
+    frame = client.read_frame();
+    ASSERT_EQ(static_cast<service::FrameType>(frame.type),
+              service::FrameType::kError);
+    EXPECT_EQ(service::decode_error(frame.payload).code,
+              service::ErrorCode::kBadRequest);
+  }
+
   // Stolen index out of range.
   client.enroll(small_inventory("aisle1"));
   StartRunRequest run;
@@ -356,7 +381,7 @@ TEST(ServiceSession, RequestLevelErrorsKeepConnectionAlive) {
   EXPECT_EQ(service::decode_error(frame.payload).code,
             service::ErrorCode::kBadRequest);
 
-  // The connection still works after all four errors.
+  // The connection still works after all seven errors.
   EXPECT_EQ(client.ping(5), 5u);
   svc.stop();
 }
