@@ -1,9 +1,12 @@
 // Microbenchmarks for the wire layer: message encode/decode, the frame
 // check a receiving endpoint pays once per frame, and a complete
-// message-driven monitoring round on perfect links.
+// message-driven monitoring round on perfect links. The Enroll pair times
+// the service's largest payload: fleet_2m's Enroll carries 2 * 10^6 IDs and
+// is decoded on the service's IO thread.
 #include <benchmark/benchmark.h>
 
 #include "protocol/trp.h"
+#include "service/messages.h"
 #include "tag/tag_set.h"
 #include "util/random.h"
 #include "wire/frame.h"
@@ -49,16 +52,55 @@ void BM_OpenFrame(benchmark::State& state) {
                           static_cast<std::int64_t>(frame.size()));
 }
 
-void BM_EncodeUtrpChallenge(benchmark::State& state) {
-  const auto f = static_cast<std::uint32_t>(state.range(0));
+wire::UtrpChallengeMsg utrp_challenge(std::uint32_t f) {
   wire::UtrpChallengeMsg msg;
   msg.round = 1;
   msg.challenge.frame_size = f;
   util::Rng rng(1);
   for (std::uint32_t i = 0; i < f; ++i) msg.challenge.seeds.push_back(rng());
+  return msg;
+}
+
+void BM_EncodeUtrpChallenge(benchmark::State& state) {
+  const wire::UtrpChallengeMsg msg =
+      utrp_challenge(static_cast<std::uint32_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(wire::encode(msg));
   }
+}
+
+void BM_DecodeUtrpChallenge(benchmark::State& state) {
+  const auto frame =
+      wire::encode(utrp_challenge(static_cast<std::uint32_t>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        wire::decode_utrp_challenge(wire::open_frame(frame)));
+  }
+}
+
+service::EnrollRequest enroll_request(std::int64_t tags) {
+  service::EnrollRequest req;
+  req.inventory = "warehouse";
+  util::Rng rng(3);
+  req.tags = tag::TagSet::make_random(static_cast<std::size_t>(tags), rng).ids();
+  return req;
+}
+
+void BM_EncodeEnroll(benchmark::State& state) {
+  const service::EnrollRequest req = enroll_request(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service::encode(req));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+void BM_DecodeEnroll(benchmark::State& state) {
+  const std::vector<std::byte> payload =
+      service::encode(enroll_request(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service::decode_enroll(payload));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
 void BM_FullSessionRound(benchmark::State& state) {
@@ -80,4 +122,7 @@ BENCHMARK(BM_EncodeBitstringReport)->Arg(1024)->Arg(16384);
 BENCHMARK(BM_DecodeBitstringReport)->Arg(1024)->Arg(16384);
 BENCHMARK(BM_OpenFrame)->Arg(1024)->Arg(16384);
 BENCHMARK(BM_EncodeUtrpChallenge)->Arg(512)->Arg(4096);
+BENCHMARK(BM_DecodeUtrpChallenge)->Arg(863);
+BENCHMARK(BM_EncodeEnroll)->Arg(2000)->Arg(1000000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DecodeEnroll)->Arg(2000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FullSessionRound)->Arg(100)->Arg(1000);

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "util/codec.h"
 #include "util/expect.h"
 
 namespace rfid::bits {
@@ -127,6 +128,16 @@ void Bitstring::mask_tail() noexcept {
   if (tail_bits != 0 && !words_.empty()) {
     words_.back() &= (std::uint64_t{1} << tail_bits) - 1;
   }
+}
+
+void put(util::Encoder& out, const Bitstring& bits) {
+  out.put_u64(bits.size());
+  out.put_string(bits.to_hex());
+}
+
+void get(util::Decoder& in, Bitstring& bits) {
+  const std::uint64_t size = in.get_u64();
+  bits = Bitstring::from_hex(size, in.get_string());
 }
 
 }  // namespace rfid::bits

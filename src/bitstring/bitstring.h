@@ -14,6 +14,11 @@
 #include <string>
 #include <vector>
 
+namespace rfid::util {
+class Decoder;
+class Encoder;
+}  // namespace rfid::util
+
 namespace rfid::bits {
 
 class Bitstring {
@@ -93,5 +98,10 @@ class Bitstring {
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;
 };
+
+/// Codec layout (util/codec.h): the u64 bit count, then to_hex() as a
+/// string. get() rejects a hex length that does not match the count.
+void put(util::Encoder& out, const Bitstring& bits);
+void get(util::Decoder& in, Bitstring& bits);
 
 }  // namespace rfid::bits

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "math/binomial.h"
+#include "util/codec.h"
 #include "util/expect.h"
 
 namespace rfid::math {
@@ -13,6 +14,17 @@ std::string_view to_string(EmptySlotModel model) noexcept {
     case EmptySlotModel::kExact: return "exact";
   }
   return "unknown";
+}
+
+void put(util::Encoder& out, EmptySlotModel model) {
+  out.put_u8(static_cast<std::uint8_t>(model));
+}
+
+void get(util::Decoder& in, EmptySlotModel& model) {
+  const std::uint8_t raw = in.get_u8();
+  RFID_EXPECT(raw <= static_cast<std::uint8_t>(EmptySlotModel::kExact),
+              "bad empty-slot model");
+  model = static_cast<EmptySlotModel>(raw);
 }
 
 double empty_slot_probability(std::uint64_t n_present, std::uint64_t frame_size,

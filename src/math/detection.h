@@ -16,6 +16,11 @@
 #include <cstdint>
 #include <string_view>
 
+namespace rfid::util {
+class Decoder;
+class Encoder;
+}  // namespace rfid::util
+
 namespace rfid::math {
 
 enum class EmptySlotModel : std::uint8_t {
@@ -24,6 +29,10 @@ enum class EmptySlotModel : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(EmptySlotModel model) noexcept;
+
+/// Codec layout (util/codec.h): one byte; get() rejects values past kExact.
+void put(util::Encoder& out, EmptySlotModel model);
+void get(util::Decoder& in, EmptySlotModel& model);
 
 /// The per-slot empty probability for n_present tags in f slots.
 [[nodiscard]] double empty_slot_probability(std::uint64_t n_present,

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 namespace rfid::protocol {
@@ -17,6 +18,9 @@ namespace rfid::protocol {
 struct TrpChallenge {
   std::uint32_t frame_size = 0;
   std::uint64_t r = 0;
+
+  /// Codec layout (util/codec.h), shared by the reader link and the journal.
+  static auto fields(auto& m) { return std::tie(m.frame_size, m.r); }
 };
 
 /// UTRP challenge (Alg. 5 line 1): (f, r_1, ..., r_f). seeds[0] opens the
@@ -24,6 +28,8 @@ struct TrpChallenge {
 struct UtrpChallenge {
   std::uint32_t frame_size = 0;
   std::vector<std::uint64_t> seeds;
+
+  static auto fields(auto& m) { return std::tie(m.frame_size, m.seeds); }
 };
 
 /// Server-side verdict on a returned bitstring.

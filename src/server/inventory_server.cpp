@@ -1,6 +1,7 @@
 #include "server/inventory_server.h"
 
 #include "obs/catalog.h"
+#include "util/codec.h"
 #include "util/expect.h"
 
 namespace rfid::server {
@@ -20,6 +21,17 @@ std::string_view to_string(ProtocolKind kind) noexcept {
     case ProtocolKind::kUtrp: return "UTRP";
   }
   return "unknown";
+}
+
+void put(util::Encoder& out, ProtocolKind kind) {
+  out.put_u8(static_cast<std::uint8_t>(kind));
+}
+
+void get(util::Decoder& in, ProtocolKind& kind) {
+  const std::uint8_t raw = in.get_u8();
+  RFID_EXPECT(raw <= static_cast<std::uint8_t>(ProtocolKind::kUtrp),
+              "bad protocol kind");
+  kind = static_cast<ProtocolKind>(raw);
 }
 
 std::string_view to_string(AlertKind kind) noexcept {

@@ -24,11 +24,20 @@
 #include "protocol/utrp.h"
 #include "util/random.h"
 
+namespace rfid::util {
+class Decoder;
+class Encoder;
+}  // namespace rfid::util
+
 namespace rfid::server {
 
 enum class ProtocolKind : std::uint8_t { kTrp, kUtrp };
 
 [[nodiscard]] std::string_view to_string(ProtocolKind kind) noexcept;
+
+/// Codec layout (util/codec.h): one byte; get() rejects values past kUtrp.
+void put(util::Encoder& out, ProtocolKind kind);
+void get(util::Decoder& in, ProtocolKind& kind);
 
 struct GroupConfig {
   std::string name;

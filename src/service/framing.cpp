@@ -1,5 +1,7 @@
 #include "service/framing.h"
 
+#include "util/codec.h"
+
 namespace rfid::service {
 
 std::string_view to_string(FrameType type) noexcept {
@@ -43,6 +45,14 @@ std::string_view to_string(ErrorCode code) noexcept {
     case ErrorCode::kInternal: return "internal";
   }
   return "unknown";
+}
+
+void put(util::Encoder& out, ErrorCode code) {
+  out.put_u32(static_cast<std::uint32_t>(code));
+}
+
+void get(util::Decoder& in, ErrorCode& code) {
+  code = static_cast<ErrorCode>(in.get_u32());
 }
 
 ErrorCode FrameReader::feed(std::span<const std::byte> data,

@@ -20,6 +20,11 @@
 
 #include "wire/frame.h"
 
+namespace rfid::util {
+class Decoder;
+class Encoder;
+}  // namespace rfid::util
+
 namespace rfid::service {
 
 /// Wire protocol version spoken by this build (Hello negotiates it).
@@ -74,6 +79,11 @@ enum class ErrorCode : std::uint16_t {
 };
 
 [[nodiscard]] std::string_view to_string(ErrorCode code) noexcept;
+
+/// Codec layout (util/codec.h): the u16 code travels as a u32.
+void put(util::Encoder& out, ErrorCode code);
+void get(util::Decoder& in, ErrorCode& code);
+
 [[nodiscard]] constexpr bool is_fatal(ErrorCode code) noexcept {
   return code != ErrorCode::kNone &&
          static_cast<std::uint16_t>(code) < 0x10;

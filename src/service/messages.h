@@ -1,23 +1,24 @@
 // Payload schemas for every service frame type.
 //
-// Encoding reuses util/codec.h primitives (little-endian fixed-width ints,
-// u32-length-prefixed strings), so the service speaks the same byte dialect
-// as the reader link and the storage journals. Every decode_* throws
-// std::invalid_argument on a truncated or trailing-garbage payload — the
-// dispatcher maps that to the typed kMalformedPayload error instead of
-// crashing the connection handler.
-//
-// Vector fields are count-prefixed (u32) and the counts are validated
-// against the remaining payload before any reservation
-// (Decoder::get_count), so a forged count cannot allocate unboundedly.
+// Each message lists its fields in wire order, and util/codec.h walks that
+// one list to encode and to decode, so the service speaks the byte dialect
+// of the reader link and the storage journals: little-endian fixed-width
+// integers, u32-length strings, u32-counted lists whose counts are checked
+// against the remaining payload before anything is reserved. Every decode_*
+// throws std::invalid_argument on a truncated, malformed or trailing-garbage
+// payload — the dispatcher maps that to the typed kMalformedPayload error
+// instead of crashing the connection handler.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "service/framing.h"
 #include "tag/tag_id.h"
+#include "util/codec.h"
 
 namespace rfid::service {
 
@@ -26,6 +27,8 @@ namespace rfid::service {
 struct HelloRequest {
   std::uint32_t version = kProtocolVersion;
   std::string tenant;
+
+  static auto fields(auto& m) { return std::tie(m.version, m.tenant); }
 };
 
 struct HelloOk {
@@ -35,6 +38,11 @@ struct HelloOk {
   /// Admission limits, advertised so a well-behaved client can pace itself.
   std::uint64_t token_capacity = 0;
   std::uint64_t max_inflight_per_tenant = 0;
+
+  static auto fields(auto& m) {
+    return std::tie(m.version, m.session_id, m.max_frame_bytes,
+                    m.token_capacity, m.max_inflight_per_tenant);
+  }
 };
 
 // ---------------------------------------------------------- enrollment ----
@@ -47,6 +55,11 @@ struct EnrollRequest {
   std::uint64_t zone_capacity = 0;  // 0 = single zone
   std::uint64_t rounds = 1;
   std::vector<tag::TagId> tags;
+
+  static auto fields(auto& m) {
+    return std::tie(m.inventory, m.protocol, m.tolerance, m.alpha,
+                    m.zone_capacity, m.rounds, m.tags);
+  }
 };
 
 struct EnrollOk {
@@ -54,6 +67,10 @@ struct EnrollOk {
   std::uint64_t tags = 0;
   std::uint64_t zones = 0;
   std::uint64_t total_slots = 0;  // planned Eq. (2) frame budget
+
+  static auto fields(auto& m) {
+    return std::tie(m.inventory, m.tags, m.zones, m.total_slots);
+  }
 };
 
 // ---------------------------------------------------------------- runs ----
@@ -65,6 +82,10 @@ struct StartRunRequest {
   /// Enrolled-order indices of tags physically absent for this run (the
   /// simulated theft; a real deployment would simply scan).
   std::vector<std::uint64_t> stolen;
+
+  static auto fields(auto& m) {
+    return std::tie(m.inventory, m.seed, m.identify, m.stolen);
+  }
 };
 
 /// One continuous-monitoring watch: a MonitorDaemon driven for `epochs`
@@ -80,12 +101,21 @@ struct StartWatchRequest {
   std::uint64_t steal_epoch = 1;
   std::uint64_t steal = 0;
   std::uint64_t steal_from = 0;
+
+  static auto fields(auto& m) {
+    return std::tie(m.inventory, m.seed, m.epochs, m.identify, m.steal_epoch,
+                    m.steal, m.steal_from);
+  }
 };
 
 struct RunAdmitted {
   std::uint64_t run_id = 0;
   std::uint8_t admission = 0;  // fleet::Admission (accepted | deferred)
   std::uint64_t queue_depth = 0;  // deferred: position in the deferred queue
+
+  static auto fields(auto& m) {
+    return std::tie(m.run_id, m.admission, m.queue_depth);
+  }
 };
 
 /// Explicit backpressure (the rejected admission): the request was NOT
@@ -93,6 +123,8 @@ struct RunAdmitted {
 struct Backpressure {
   std::uint64_t retry_after_ms = 0;
   std::string reason;
+
+  static auto fields(auto& m) { return std::tie(m.retry_after_ms, m.reason); }
 };
 
 struct RunVerdictMsg {
@@ -106,6 +138,12 @@ struct RunVerdictMsg {
   bool aborted = false;
   /// Stolen tags named by the identification drill-down, enrolled order.
   std::vector<tag::TagId> missing;
+
+  static auto fields(auto& m) {
+    return std::tie(m.run_id, m.inventory, m.verdict, m.zones,
+                    m.zones_violated, m.attempts, m.tags_named, m.aborted,
+                    m.missing);
+  }
 };
 
 struct RunAlertMsg {
@@ -114,6 +152,10 @@ struct RunAlertMsg {
   std::string inventory;
   std::uint64_t zone = 0;
   std::string detail;
+
+  static auto fields(auto& m) {
+    return std::tie(m.run_id, m.kind, m.inventory, m.zone, m.detail);
+  }
 };
 
 struct WatchDone {
@@ -121,12 +163,18 @@ struct WatchDone {
   std::uint64_t epochs_completed = 0;
   std::uint64_t alerts = 0;
   bool gave_up = false;
+
+  static auto fields(auto& m) {
+    return std::tie(m.run_id, m.epochs_completed, m.alerts, m.gave_up);
+  }
 };
 
 // -------------------------------------------------------------- alerts ----
 
 struct SubscribeOk {
   std::uint64_t backlog = 0;  // retained feed entries about to replay
+
+  static auto fields(auto& m) { return std::tie(m.backlog); }
 };
 
 /// One entry of a tenant's alert feed: daemon alerts from watches plus
@@ -139,64 +187,112 @@ struct TenantAlert {
   std::uint64_t zone = 0;
   std::string detail;
   std::vector<tag::TagId> missing;  // named stolen tags, when identified
+
+  static auto fields(auto& m) {
+    return std::tie(m.sequence, m.kind, m.run_id, m.epoch, m.zone, m.detail,
+                    m.missing);
+  }
 };
 
 // ------------------------------------------------------------- control ----
 
 struct PingMsg {
   std::uint64_t nonce = 0;
+
+  static auto fields(auto& m) { return std::tie(m.nonce); }
 };
 
 struct ErrorMsg {
   ErrorCode code = ErrorCode::kNone;
   std::string message;
+
+  static auto fields(auto& m) { return std::tie(m.code, m.message); }
 };
 
 struct ShutdownMsg {
   std::uint64_t drain_ms = 0;  // how long the server will wait for drains
+
+  static auto fields(auto& m) { return std::tie(m.drain_ms); }
 };
 
 // -------------------------------------------------------- encode/decode ----
 
-[[nodiscard]] std::vector<std::byte> encode(const HelloRequest& m);
-[[nodiscard]] std::vector<std::byte> encode(const HelloOk& m);
-[[nodiscard]] std::vector<std::byte> encode(const EnrollRequest& m);
-[[nodiscard]] std::vector<std::byte> encode(const EnrollOk& m);
-[[nodiscard]] std::vector<std::byte> encode(const StartRunRequest& m);
-[[nodiscard]] std::vector<std::byte> encode(const StartWatchRequest& m);
-[[nodiscard]] std::vector<std::byte> encode(const RunAdmitted& m);
-[[nodiscard]] std::vector<std::byte> encode(const Backpressure& m);
-[[nodiscard]] std::vector<std::byte> encode(const RunVerdictMsg& m);
-[[nodiscard]] std::vector<std::byte> encode(const RunAlertMsg& m);
-[[nodiscard]] std::vector<std::byte> encode(const WatchDone& m);
-[[nodiscard]] std::vector<std::byte> encode(const SubscribeOk& m);
-[[nodiscard]] std::vector<std::byte> encode(const TenantAlert& m);
-[[nodiscard]] std::vector<std::byte> encode(const PingMsg& m);
-[[nodiscard]] std::vector<std::byte> encode(const ErrorMsg& m);
-[[nodiscard]] std::vector<std::byte> encode(const ShutdownMsg& m);
+/// The payload of any message above.
+template <class Message>
+  requires util::HasFields<Message>
+[[nodiscard]] std::vector<std::byte> encode(const Message& m) {
+  return util::encode(m);
+}
 
-[[nodiscard]] HelloRequest decode_hello(std::span<const std::byte> payload);
-[[nodiscard]] HelloOk decode_hello_ok(std::span<const std::byte> payload);
-[[nodiscard]] EnrollRequest decode_enroll(std::span<const std::byte> payload);
-[[nodiscard]] EnrollOk decode_enroll_ok(std::span<const std::byte> payload);
-[[nodiscard]] StartRunRequest decode_start_run(
-    std::span<const std::byte> payload);
-[[nodiscard]] StartWatchRequest decode_start_watch(
-    std::span<const std::byte> payload);
-[[nodiscard]] RunAdmitted decode_run_admitted(
-    std::span<const std::byte> payload);
-[[nodiscard]] Backpressure decode_backpressure(
-    std::span<const std::byte> payload);
-[[nodiscard]] RunVerdictMsg decode_run_verdict(
-    std::span<const std::byte> payload);
-[[nodiscard]] RunAlertMsg decode_run_alert(std::span<const std::byte> payload);
-[[nodiscard]] WatchDone decode_watch_done(std::span<const std::byte> payload);
-[[nodiscard]] SubscribeOk decode_subscribe_ok(
-    std::span<const std::byte> payload);
-[[nodiscard]] TenantAlert decode_tenant_alert(
-    std::span<const std::byte> payload);
-[[nodiscard]] PingMsg decode_ping(std::span<const std::byte> payload);
-[[nodiscard]] ErrorMsg decode_error(std::span<const std::byte> payload);
-[[nodiscard]] ShutdownMsg decode_shutdown(std::span<const std::byte> payload);
+[[nodiscard]] inline HelloRequest decode_hello(std::span<const std::byte> payload) {
+  return util::decode<HelloRequest>(payload);
+}
+
+[[nodiscard]] inline HelloOk decode_hello_ok(std::span<const std::byte> payload) {
+  return util::decode<HelloOk>(payload);
+}
+
+[[nodiscard]] inline EnrollRequest decode_enroll(std::span<const std::byte> payload) {
+  return util::decode<EnrollRequest>(payload);
+}
+
+[[nodiscard]] inline EnrollOk decode_enroll_ok(std::span<const std::byte> payload) {
+  return util::decode<EnrollOk>(payload);
+}
+
+[[nodiscard]] inline StartRunRequest decode_start_run(
+    std::span<const std::byte> payload) {
+  return util::decode<StartRunRequest>(payload);
+}
+
+[[nodiscard]] inline StartWatchRequest decode_start_watch(
+    std::span<const std::byte> payload) {
+  return util::decode<StartWatchRequest>(payload);
+}
+
+[[nodiscard]] inline RunAdmitted decode_run_admitted(
+    std::span<const std::byte> payload) {
+  return util::decode<RunAdmitted>(payload);
+}
+
+[[nodiscard]] inline Backpressure decode_backpressure(
+    std::span<const std::byte> payload) {
+  return util::decode<Backpressure>(payload);
+}
+
+[[nodiscard]] inline RunVerdictMsg decode_run_verdict(
+    std::span<const std::byte> payload) {
+  return util::decode<RunVerdictMsg>(payload);
+}
+
+[[nodiscard]] inline RunAlertMsg decode_run_alert(std::span<const std::byte> payload) {
+  return util::decode<RunAlertMsg>(payload);
+}
+
+[[nodiscard]] inline WatchDone decode_watch_done(std::span<const std::byte> payload) {
+  return util::decode<WatchDone>(payload);
+}
+
+[[nodiscard]] inline SubscribeOk decode_subscribe_ok(
+    std::span<const std::byte> payload) {
+  return util::decode<SubscribeOk>(payload);
+}
+
+[[nodiscard]] inline TenantAlert decode_tenant_alert(
+    std::span<const std::byte> payload) {
+  return util::decode<TenantAlert>(payload);
+}
+
+[[nodiscard]] inline PingMsg decode_ping(std::span<const std::byte> payload) {
+  return util::decode<PingMsg>(payload);
+}
+
+[[nodiscard]] inline ErrorMsg decode_error(std::span<const std::byte> payload) {
+  return util::decode<ErrorMsg>(payload);
+}
+
+[[nodiscard]] inline ShutdownMsg decode_shutdown(std::span<const std::byte> payload) {
+  return util::decode<ShutdownMsg>(payload);
+}
 
 }  // namespace rfid::service

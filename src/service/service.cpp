@@ -19,6 +19,7 @@
 #include "daemon/daemon.h"
 #include "fleet/fleet.h"
 #include "fleet/scheduler.h"
+#include "math/frame_optimizer.h"
 #include "obs/catalog.h"
 #include "obs/expose.h"
 #include "server/group_planner.h"
@@ -39,6 +40,12 @@ constexpr std::size_t kHttpHeaderLimit = 8 * 1024;
 /// abort switch and keeps every round's verdict and bitstring, so an
 /// unbounded count would outlast any drain budget and grow without bound.
 constexpr std::uint64_t kMaxRoundsPerSession = 64;
+/// Planned slots (every zone's Eq. 2 frame, times the rounds) an Enroll may
+/// ask each run to simulate: the optimizer's one-frame cap. A tiny inventory
+/// at alpha near 1 plans frames of millions of slots (100 tags at m = 0 and
+/// alpha = 0.99999 plan 9,899,951 a round), and a session walks them round
+/// by round without reading the abort switch.
+constexpr std::uint64_t kMaxSlotsPerRun = math::kMaxFrameSize;
 
 }  // namespace
 
@@ -750,6 +757,13 @@ struct MonitorService::Impl {
            .model = math::EmptySlotModel::kPoissonApprox});
     } catch (const std::invalid_argument& e) {
       send_error(c, ErrorCode::kBadRequest, e.what());
+      return;
+    }
+    // rounds <= 64 was checked above, so the product cannot overflow.
+    if (plan.total_slots * std::max<std::uint64_t>(1, req.rounds) >
+        kMaxSlotsPerRun) {
+      send_error(c, ErrorCode::kBadRequest,
+                 "planned slots per run above " + std::to_string(kMaxSlotsPerRun));
       return;
     }
     std::vector<tag::Tag> tags;

@@ -1,7 +1,8 @@
 #include "storage/daemon_journal.h"
 
 #include <span>
-#include <stdexcept>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "storage/record_log.h"
@@ -11,181 +12,55 @@ namespace rfid::storage {
 
 namespace {
 
-using util::Decoder;
-using util::Encoder;
+// Format 2, read only: the records as they were before alerts named their
+// missing tags. Each wraps the current record it upgrades to.
+struct AlertV2 {
+  DaemonAlertRecord alert;
 
-enum class RecordKind : std::uint8_t {
-  kStart = 1,
-  kCheckpoint = 2,
-  kSnapshot = 3,
+  static auto fields(auto& m) {
+    auto& a = m.alert;
+    return std::tie(a.sequence, a.kind, a.epoch, a.zone, a.detail);
+  }
+};
+static_assert(util::min_size<AlertV2>() == 29, "a format-2 alert's count bound");
+
+struct CheckpointV2 {
+  DaemonCheckpointRecord record;
+  std::vector<AlertV2> alerts;
+
+  static auto fields(auto& m) {
+    auto& r = m.record;
+    return std::tie(r.epoch, r.verdict, r.next_alert_sequence, r.zones,
+                    m.alerts);
+  }
 };
 
-// Minimum encoded sizes, for bounding count prefixes before reserving.
-constexpr std::size_t kZoneHealthBytes = 4 + 4 + 1 + 1 + 8 + 4;
-constexpr std::size_t kReaderHealthBytes = 4 + 1 + 8;
-constexpr std::size_t kAlertBytes = 8 + 1 + 8 + 8 + 4;  // format 2
-constexpr std::size_t kTagIdBytes = 4 + 8;
+struct SnapshotV2 {
+  DaemonSnapshotRecord record;
+  std::vector<AlertV2> alerts;
 
-void write_zone_health(Encoder& w, const DaemonZoneHealthRecord& zone) {
-  w.put_u32(zone.miss_streak);
-  w.put_u32(zone.intact_streak);
-  w.put_bool(zone.violated);
-  w.put_bool(zone.quarantined);
-  w.put_u64(zone.quarantined_at);
-  w.put_u32(static_cast<std::uint32_t>(zone.readers.size()));
-  for (const DaemonReaderHealthRecord& reader : zone.readers) {
-    w.put_u32(reader.bad_streak);
-    w.put_bool(reader.quarantined);
-    w.put_u64(reader.quarantined_at);
+  static auto fields(auto& m) {
+    auto& r = m.record;
+    return std::tie(r.next_alert_sequence, r.verdicts, r.zones, m.alerts);
   }
-}
+};
 
-void write_alert(Encoder& w, const DaemonAlertRecord& alert) {
-  w.put_u64(alert.sequence);
-  w.put_u8(alert.kind);
-  w.put_u64(alert.epoch);
-  w.put_u64(alert.zone);
-  w.put_string(alert.detail);
-  w.put_u32(static_cast<std::uint32_t>(alert.missing.size()));
-  for (const tag::TagId& id : alert.missing) {
-    w.put_u32(id.hi());
-    w.put_u64(id.lo());
-  }
-}
+using DaemonJournalRecordV2 =
+    std::variant<DaemonStartRecord, CheckpointV2, SnapshotV2>;
 
-// Checkpoints and snapshots both end in [zones][alerts].
-void write_zones_and_alerts(Encoder& w,
-                            const std::vector<DaemonZoneHealthRecord>& zones,
-                            const std::vector<DaemonAlertRecord>& alerts) {
-  w.put_u32(static_cast<std::uint32_t>(zones.size()));
-  for (const DaemonZoneHealthRecord& zone : zones) write_zone_health(w, zone);
-  w.put_u32(static_cast<std::uint32_t>(alerts.size()));
-  for (const DaemonAlertRecord& alert : alerts) write_alert(w, alert);
-}
-
-[[nodiscard]] std::vector<std::byte> encode_payload(
-    const DaemonJournalRecord& record) {
-  Encoder w;
-  std::visit(
-      [&w](const auto& r) {
-        using T = std::decay_t<decltype(r)>;
-        if constexpr (std::is_same_v<T, DaemonStartRecord>) {
-          w.put_u8(static_cast<std::uint8_t>(RecordKind::kStart));
-          w.put_u64(r.seed);
-          w.put_string(r.daemon);
-          w.put_u64(r.config_hash);
-        } else if constexpr (std::is_same_v<T, DaemonCheckpointRecord>) {
-          w.put_u8(static_cast<std::uint8_t>(RecordKind::kCheckpoint));
-          w.put_u64(r.epoch);
-          w.put_u8(r.verdict);
-          w.put_u64(r.next_alert_sequence);
-          write_zones_and_alerts(w, r.zones, r.alerts);
+[[nodiscard]] DaemonJournalRecord decode_v2(std::span<const std::byte> payload) {
+  return std::visit(
+      [](auto v2) -> DaemonJournalRecord {
+        if constexpr (std::is_same_v<decltype(v2), DaemonStartRecord>) {
+          return v2;
         } else {
-          w.put_u8(static_cast<std::uint8_t>(RecordKind::kSnapshot));
-          w.put_u64(r.next_alert_sequence);
-          w.put_u32(static_cast<std::uint32_t>(r.verdicts.size()));
-          for (const std::uint8_t verdict : r.verdicts) w.put_u8(verdict);
-          write_zones_and_alerts(w, r.zones, r.alerts);
+          for (AlertV2& a : v2.alerts) {
+            v2.record.alerts.push_back(std::move(a.alert));
+          }
+          return std::move(v2.record);
         }
       },
-      record);
-  return std::move(w).take();
-}
-
-[[nodiscard]] DaemonZoneHealthRecord read_zone_health(Decoder& r) {
-  DaemonZoneHealthRecord zone;
-  zone.miss_streak = r.get_u32();
-  zone.intact_streak = r.get_u32();
-  zone.violated = r.get_bool();
-  zone.quarantined = r.get_bool();
-  zone.quarantined_at = r.get_u64();
-  const std::size_t readers = r.get_count(kReaderHealthBytes);
-  zone.readers.reserve(readers);
-  for (std::size_t i = 0; i < readers; ++i) {
-    DaemonReaderHealthRecord reader;
-    reader.bad_streak = r.get_u32();
-    reader.quarantined = r.get_bool();
-    reader.quarantined_at = r.get_u64();
-    zone.readers.push_back(reader);
-  }
-  return zone;
-}
-
-[[nodiscard]] DaemonAlertRecord read_alert(Decoder& r,
-                                           std::uint32_t version) {
-  DaemonAlertRecord alert;
-  alert.sequence = r.get_u64();
-  alert.kind = r.get_u8();
-  alert.epoch = r.get_u64();
-  alert.zone = r.get_u64();
-  alert.detail = r.get_string();
-  if (version >= 3) {
-    const std::size_t missing = r.get_count(kTagIdBytes);
-    alert.missing.reserve(missing);
-    for (std::size_t i = 0; i < missing; ++i) {
-      const std::uint32_t hi = r.get_u32();
-      const std::uint64_t lo = r.get_u64();
-      alert.missing.emplace_back(hi, lo);
-    }
-  }
-  return alert;
-}
-
-void read_zones_and_alerts(Decoder& r, std::uint32_t version,
-                           std::vector<DaemonZoneHealthRecord>& zones,
-                           std::vector<DaemonAlertRecord>& alerts) {
-  const std::size_t zone_count = r.get_count(kZoneHealthBytes);
-  zones.reserve(zone_count);
-  for (std::size_t i = 0; i < zone_count; ++i) {
-    zones.push_back(read_zone_health(r));
-  }
-  const std::size_t alert_count = r.get_count(kAlertBytes);
-  alerts.reserve(alert_count);
-  for (std::size_t i = 0; i < alert_count; ++i) {
-    alerts.push_back(read_alert(r, version));
-  }
-}
-
-[[nodiscard]] DaemonJournalRecord decode_payload(
-    std::span<const std::byte> payload, std::uint32_t version) {
-  Decoder r(payload);
-  const auto kind = static_cast<RecordKind>(r.get_u8());
-  DaemonJournalRecord out;
-  switch (kind) {
-    case RecordKind::kStart: {
-      DaemonStartRecord rec;
-      rec.seed = r.get_u64();
-      rec.daemon = r.get_string();
-      rec.config_hash = r.get_u64();
-      out = std::move(rec);
-      break;
-    }
-    case RecordKind::kCheckpoint: {
-      DaemonCheckpointRecord rec;
-      rec.epoch = r.get_u64();
-      rec.verdict = r.get_u8();
-      rec.next_alert_sequence = r.get_u64();
-      read_zones_and_alerts(r, version, rec.zones, rec.alerts);
-      out = std::move(rec);
-      break;
-    }
-    case RecordKind::kSnapshot: {
-      DaemonSnapshotRecord rec;
-      rec.next_alert_sequence = r.get_u64();
-      const std::size_t verdicts = r.get_count(1);
-      rec.verdicts.reserve(verdicts);
-      for (std::size_t i = 0; i < verdicts; ++i) {
-        rec.verdicts.push_back(r.get_u8());
-      }
-      read_zones_and_alerts(r, version, rec.zones, rec.alerts);
-      out = std::move(rec);
-      break;
-    }
-    default:
-      throw std::invalid_argument("unknown daemon journal record kind");
-  }
-  r.expect_exhausted();
-  return out;
+      util::decode<DaemonJournalRecordV2>(payload));
 }
 
 // Extends the folded image by one checkpoint: the reduction both replay and
@@ -202,18 +77,19 @@ void fold(DaemonSnapshotRecord& folded, DaemonCheckpointRecord checkpoint) {
 }  // namespace
 
 std::string encode_daemon_record(const DaemonJournalRecord& record) {
-  return frame_record(encode_payload(record));
+  return frame_record(util::encode(record));
 }
 
 DaemonJournalScan scan_daemon_journal(std::string_view bytes) {
-  const bool v2 = bytes.starts_with(kDaemonJournalMagicV2);
-  const std::uint32_t version = v2 ? 2 : 3;
+  if (bytes.starts_with(kDaemonJournalMagicV2)) {
+    auto scan = scan_record_log<DaemonJournalScan>(bytes, kDaemonJournalMagicV2,
+                                                   decode_v2);
+    scan.version = 2;
+    return scan;
+  }
   auto scan = scan_record_log<DaemonJournalScan>(
-      bytes, v2 ? kDaemonJournalMagicV2 : kDaemonJournalMagic,
-      [version](std::span<const std::byte> payload) {
-        return decode_payload(payload, version);
-      });
-  scan.version = scan.header_valid ? version : 0;
+      bytes, kDaemonJournalMagic, util::decode<DaemonJournalRecord>);
+  scan.version = scan.header_valid ? 3 : 0;
   return scan;
 }
 

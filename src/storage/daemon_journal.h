@@ -19,7 +19,10 @@
 //
 // On disk: the "RFIDMON-DAEMON 3\n" magic line, then one record-log frame
 // per record (storage/record_log.h owns the frame, the truncate-at-first-
-// tear scan and the atomic rewrite that fresh starts and rotations use).
+// tear scan and the atomic rewrite that fresh starts and rotations use). A
+// record's payload is its kind byte — DaemonJournalRecord's alternative
+// index + 1: start 1, checkpoint 2, snapshot 3 — then its field list below,
+// walked by util/codec.h.
 // Replay folds every checkpoint after the last matching start record;
 // a torn tail is compacted away on open() so later appends never extend
 // garbage into an unreadable journal.
@@ -40,6 +43,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -51,8 +55,9 @@ namespace rfid::storage {
 /// Format 2 added snapshot records and the per-reader health sub-records.
 /// Format 3 added the named missing-tag list to alert records (the fleet's
 /// identification drill-down). Decoders reject trailing payload bytes, so
-/// the version lives in the magic. Format 2 journals are still READ
-/// (alerts decode with an empty missing list); anything older fails the
+/// the version lives in the magic. Format 2 journals are still READ (their
+/// records have field lists of their own, without the missing list, and are
+/// upgraded to these records on read); anything older fails the
 /// header check and the daemon begins fresh (the safe direction —
 /// monitoring restarts at epoch 0, loudly). Writers always produce format
 /// 3, so a resumable format-2 journal is rotated on open(): mixing v3
@@ -66,6 +71,8 @@ struct DaemonStartRecord {
   /// Fingerprint of the daemon's monitoring configuration (same 0=unknown
   /// sentinel convention as FleetRunStartRecord::config_hash).
   std::uint64_t config_hash = 0;
+
+  static auto fields(auto& m) { return std::tie(m.seed, m.daemon, m.config_hash); }
 };
 
 /// One reader's health-state-machine snapshot inside a fused zone
@@ -74,6 +81,10 @@ struct DaemonReaderHealthRecord {
   std::uint32_t bad_streak = 0;  // consecutive epochs suspect or incomplete
   bool quarantined = false;      // excluded from scans until parole
   std::uint64_t quarantined_at = 0;  // epoch the quarantine began
+
+  static auto fields(auto& m) {
+    return std::tie(m.bad_streak, m.quarantined, m.quarantined_at);
+  }
 };
 
 /// One zone's health-state-machine snapshot (implicit index: position in
@@ -86,6 +97,11 @@ struct DaemonZoneHealthRecord {
   std::uint64_t quarantined_at = 0; // epoch the quarantine began
   /// Fused (k > 1) zones: the per-reader quarantine tier; empty otherwise.
   std::vector<DaemonReaderHealthRecord> readers;
+
+  static auto fields(auto& m) {
+    return std::tie(m.miss_streak, m.intact_streak, m.violated, m.quarantined,
+                    m.quarantined_at, m.readers);
+  }
 };
 
 /// One alert, exactly as the daemon raised it. Sequence numbers are
@@ -99,6 +115,10 @@ struct DaemonAlertRecord {
   /// Stolen tags named by the identification drill-down (format 3+; empty
   /// when the drill-down was off or the record predates it).
   std::vector<tag::TagId> missing;
+
+  static auto fields(auto& m) {
+    return std::tie(m.sequence, m.kind, m.epoch, m.zone, m.detail, m.missing);
+  }
 };
 
 struct DaemonCheckpointRecord {
@@ -107,6 +127,11 @@ struct DaemonCheckpointRecord {
   std::uint64_t next_alert_sequence = 0; // first sequence a later epoch uses
   std::vector<DaemonZoneHealthRecord> zones;
   std::vector<DaemonAlertRecord> alerts; // raised by THIS epoch only
+
+  static auto fields(auto& m) {
+    return std::tie(m.epoch, m.verdict, m.next_alert_sequence, m.zones,
+                    m.alerts);
+  }
 };
 
 /// The folded image of every checkpoint up to (and including) some epoch —
@@ -118,6 +143,11 @@ struct DaemonSnapshotRecord {
   std::vector<DaemonZoneHealthRecord> zones;  // latest health machines
   std::vector<DaemonAlertRecord> alerts;      // FULL history, sequence order
   std::uint64_t next_alert_sequence = 0;
+
+  /// The sequence number travels first.
+  static auto fields(auto& m) {
+    return std::tie(m.next_alert_sequence, m.verdicts, m.zones, m.alerts);
+  }
 };
 
 using DaemonJournalRecord =

@@ -1,7 +1,5 @@
 #include "storage/fleet_journal.h"
 
-#include <span>
-#include <stdexcept>
 #include <utility>
 
 #include "storage/record_log.h"
@@ -9,112 +7,13 @@
 
 namespace rfid::storage {
 
-namespace {
-
-using util::Decoder;
-using util::Encoder;
-
-enum class RecordKind : std::uint8_t {
-  kRunStart = 1,
-  kZone = 2,
-  kRunEnd = 3,
-};
-
-[[nodiscard]] std::vector<std::byte> encode_payload(
-    const FleetJournalRecord& record) {
-  Encoder w;
-  std::visit(
-      [&w](const auto& r) {
-        using T = std::decay_t<decltype(r)>;
-        if constexpr (std::is_same_v<T, FleetRunStartRecord>) {
-          w.put_u8(static_cast<std::uint8_t>(RecordKind::kRunStart));
-          w.put_u64(r.seed);
-          w.put_string(r.fleet);
-          w.put_u64(r.config_hash);
-        } else if constexpr (std::is_same_v<T, FleetZoneRecord>) {
-          w.put_u8(static_cast<std::uint8_t>(RecordKind::kZone));
-          w.put_string(r.inventory);
-          w.put_u64(r.zone);
-          w.put_u8(r.status);
-          w.put_u32(r.attempts);
-          w.put_u8(r.last_failure);
-          w.put_bool(r.resynced);
-          w.put_u64(r.rounds_completed);
-          w.put_u64(r.intact_rounds);
-          w.put_u64(r.mismatched_rounds);
-          w.put_u64(r.deadline_missed_rounds);
-          w.put_u64(r.frames_sent);
-          w.put_u64(r.retransmissions);
-          w.put_f64(r.duration_us);
-          w.put_u32(r.readers);
-          w.put_u64(r.degraded_rounds);
-          w.put_u32(r.suspected_readers);
-        } else {
-          w.put_u8(static_cast<std::uint8_t>(RecordKind::kRunEnd));
-          w.put_u8(r.verdict);
-        }
-      },
-      record);
-  return std::move(w).take();
-}
-
-[[nodiscard]] FleetJournalRecord decode_payload(
-    std::span<const std::byte> payload) {
-  Decoder r(payload);
-  const auto kind = static_cast<RecordKind>(r.get_u8());
-  FleetJournalRecord out;
-  switch (kind) {
-    case RecordKind::kRunStart: {
-      FleetRunStartRecord rec;
-      rec.seed = r.get_u64();
-      rec.fleet = r.get_string();
-      rec.config_hash = r.get_u64();
-      out = std::move(rec);
-      break;
-    }
-    case RecordKind::kZone: {
-      FleetZoneRecord rec;
-      rec.inventory = r.get_string();
-      rec.zone = r.get_u64();
-      rec.status = r.get_u8();
-      rec.attempts = r.get_u32();
-      rec.last_failure = r.get_u8();
-      rec.resynced = r.get_bool();
-      rec.rounds_completed = r.get_u64();
-      rec.intact_rounds = r.get_u64();
-      rec.mismatched_rounds = r.get_u64();
-      rec.deadline_missed_rounds = r.get_u64();
-      rec.frames_sent = r.get_u64();
-      rec.retransmissions = r.get_u64();
-      rec.duration_us = r.get_f64();
-      rec.readers = r.get_u32();
-      rec.degraded_rounds = r.get_u64();
-      rec.suspected_readers = r.get_u32();
-      out = std::move(rec);
-      break;
-    }
-    case RecordKind::kRunEnd: {
-      FleetRunEndRecord rec;
-      rec.verdict = r.get_u8();
-      out = rec;
-      break;
-    }
-    default:
-      throw std::invalid_argument("unknown fleet journal record kind");
-  }
-  r.expect_exhausted();
-  return out;
-}
-
-}  // namespace
-
 std::string encode_fleet_record(const FleetJournalRecord& record) {
-  return frame_record(encode_payload(record));
+  return frame_record(util::encode(record));
 }
 
 FleetJournalScan scan_fleet_journal(std::string_view bytes) {
   return scan_record_log<FleetJournalScan>(bytes, kFleetJournalMagic,
-                                           decode_payload);
+                                           util::decode<FleetJournalRecord>);
 }
 
 FleetRecovery recover_interrupted_run_checked(const FleetJournalScan& scan,

@@ -9,7 +9,9 @@
 //
 // On disk: the "RFIDMON-FLEET 2\n" magic line, then one record-log frame per
 // record (storage/record_log.h owns the frame, the truncate-at-first-tear
-// scan and the atomic rewrite begin() uses). Record stream shape:
+// scan and the atomic rewrite begin() uses). A record's payload is its kind
+// byte — FleetJournalRecord's alternative index + 1: start 1, zone 2, end 3
+// — then its field list below, walked by util/codec.h. Record stream shape:
 //
 //   FleetRunStartRecord(seed, fleet)        one per run, written at start
 //   FleetZoneRecord ...                     one per zone reaching a terminal
@@ -27,6 +29,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -47,6 +50,8 @@ struct FleetRunStartRecord {
   /// per-zone tolerances and sizes). 0 = unknown (hand-built journals,
   /// pre-fingerprint records): recovery then skips the config check.
   std::uint64_t config_hash = 0;
+
+  static auto fields(auto& m) { return std::tie(m.seed, m.fleet, m.config_hash); }
 };
 
 /// A zone that reached a terminal state (verified, violated, or failed for
@@ -71,10 +76,20 @@ struct FleetZoneRecord {
   std::uint32_t readers = 1;            // reader count k
   std::uint64_t degraded_rounds = 0;    // rounds committed below quorum
   std::uint32_t suspected_readers = 0;  // flagged by the trust tracker
+
+  static auto fields(auto& m) {
+    return std::tie(m.inventory, m.zone, m.status, m.attempts, m.last_failure,
+                    m.resynced, m.rounds_completed, m.intact_rounds,
+                    m.mismatched_rounds, m.deadline_missed_rounds, m.frames_sent,
+                    m.retransmissions, m.duration_us, m.readers,
+                    m.degraded_rounds, m.suspected_readers);
+  }
 };
 
 struct FleetRunEndRecord {
   std::uint8_t verdict = 0;  // fleet::GlobalVerdict raw value
+
+  static auto fields(auto& m) { return std::tie(m.verdict); }
 };
 
 using FleetJournalRecord =

@@ -11,18 +11,23 @@
 // deterministic, so recovery regenerates verdicts, counter advances, and the
 // alert timeline bit-for-bit.
 //
-// On-disk layout: the "RFIDMON-JOURNAL 1\n" magic line, then one record-log
-// frame per record (storage/record_log.h owns the frame, the torn-tail scan
-// and the atomic rewrite). scan_journal() stops at the first invalid record
-// and reports the clean prefix — a torn tail (crash mid-append) or a rotted
-// byte truncates the suffix instead of failing recovery. Atomicity therefore
-// holds per record: a mutation is either fully journaled (replayed) or not
-// journaled at all (lost with the crash) — never half-applied.
+// On disk: the "RFIDMON-JOURNAL 1\n" magic line, then one record-log frame
+// per record (storage/record_log.h owns the frame, the torn-tail scan and
+// the atomic rewrite). A record's payload is its kind byte — JournalRecord's
+// alternative index + 1: enroll 1, TRP round 2, UTRP round 3, resync 4 —
+// then its field list below, walked by util/codec.h; the rounds share the
+// reader link's statement of the paper's challenges (protocol/messages.h).
+// scan_journal() stops at the first invalid record and reports the clean
+// prefix — a torn tail (crash mid-append) or a rotted byte truncates the
+// suffix instead of failing recovery. Atomicity therefore holds per record:
+// a mutation is either fully journaled (replayed) or not journaled at all
+// (lost with the crash) — never half-applied.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -39,6 +44,12 @@ inline constexpr std::string_view kJournalMagic = "RFIDMON-JOURNAL 1\n";
 struct EnrollRecord {
   server::GroupConfig config;
   tag::TagSet tags;
+
+  static auto fields(auto& m) {
+    auto& c = m.config;
+    return std::tie(c.protocol, c.policy.tolerated_missing, c.policy.confidence,
+                    c.policy.model, c.comm_budget, c.slack_slots, c.name, m.tags);
+  }
 };
 
 /// One completed TRP round: enough to re-run submit_trp verbatim.
@@ -46,6 +57,10 @@ struct TrpRoundRecord {
   std::uint64_t group = 0;
   protocol::TrpChallenge challenge;
   bits::Bitstring reported;
+
+  static auto fields(auto& m) {
+    return std::tie(m.group, m.challenge, m.reported);
+  }
 };
 
 /// One completed UTRP round: challenge seeds, reported bitstring, and the
@@ -56,12 +71,19 @@ struct UtrpRoundRecord {
   protocol::UtrpChallenge challenge;
   bits::Bitstring reported;
   bool deadline_met = true;
+
+  /// The timer outcome travels before the bitstring.
+  static auto fields(auto& m) {
+    return std::tie(m.group, m.challenge, m.deadline_met, m.reported);
+  }
 };
 
 /// A mirror re-commit from a trusted physical audit.
 struct ResyncRecord {
   std::uint64_t group = 0;
   tag::TagSet audited;
+
+  static auto fields(auto& m) { return std::tie(m.group, m.audited); }
 };
 
 using JournalRecord =

@@ -10,9 +10,10 @@
 // Because a scan truncates at the first invalid record, a torn tail (crash
 // mid-append) or a rotted byte shortens the log instead of failing recovery,
 // and atomicity holds per record: a record is either fully logged or not
-// logged at all. Payloads are encoded with util/codec.h; decoders read every
-// count prefix through Decoder::get_count, so a checksum-valid record with a
-// forged count is rejected before it can allocate.
+// logged at all. A payload is a record variant walked by util/codec.h: its
+// kind byte, then the record's field list. The walk reads every count prefix
+// through Decoder::get_count, so a checksum-valid record with a forged count
+// is rejected before it can allocate.
 #pragma once
 
 #include <cstddef>

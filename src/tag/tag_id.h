@@ -10,6 +10,7 @@
 #include <compare>
 #include <cstdint>
 #include <string>
+#include <tuple>
 
 namespace rfid::tag {
 
@@ -32,6 +33,9 @@ class TagId {
   [[nodiscard]] std::string to_string() const;
 
   friend constexpr auto operator<=>(const TagId&, const TagId&) noexcept = default;
+
+  /// Codec layout (util/codec.h): u32 hi, then u64 lo.
+  static auto fields(auto& id) { return std::tie(id.hi_, id.lo_); }
 
  private:
   std::uint32_t hi_ = 0;

@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 
+#include "util/codec.h"
 #include "util/expect.h"
 
 namespace rfid::tag {
@@ -58,6 +59,27 @@ TagSet TagSet::steal_random(std::size_t count, util::Rng& rng) {
 
 void TagSet::begin_round() noexcept {
   for (Tag& t : tags_) t.begin_round();
+}
+
+void put(util::Encoder& out, const TagSet& tags) {
+  out.put_u64(tags.size());
+  for (const Tag& t : tags.tags()) {
+    util::put(out, t.id());
+    out.put_u64(t.counter());
+  }
+}
+
+void get(util::Decoder& in, TagSet& tags) {
+  const std::size_t count =
+      in.get_count<std::uint64_t>(util::min_size<TagId>() + 8);
+  std::vector<Tag> parsed;
+  parsed.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    TagId id;
+    util::get(in, id);
+    parsed.emplace_back(id, in.get_u64());
+  }
+  tags = TagSet(std::move(parsed));
 }
 
 }  // namespace rfid::tag

@@ -15,6 +15,11 @@
 #include "tag/tag.h"
 #include "util/random.h"
 
+namespace rfid::util {
+class Decoder;
+class Encoder;
+}  // namespace rfid::util
+
 namespace rfid::tag {
 
 class TagSet {
@@ -47,5 +52,10 @@ class TagSet {
  private:
   std::vector<Tag> tags_;
 };
+
+/// Codec layout (util/codec.h), the server journal's record of a population:
+/// a u64 count, then per tag its TagId and its u64 counter.
+void put(util::Encoder& out, const TagSet& tags);
+void get(util::Decoder& in, TagSet& tags);
 
 }  // namespace rfid::tag

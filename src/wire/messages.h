@@ -6,14 +6,19 @@
 //   UtrpChallengeMsg   server -> reader   (f, r_1..r_f)           [Alg. 5]
 //   BitstringReport    reader -> server   bs (+ measured scan time)
 //   VerdictAck         server -> reader   round accepted (intact or not)
-// A message's type is its frame's type byte (wire/frame.h) and its fields, encoded
-// with util/codec.h, the payload; decode_* reject wrong types, truncation and garbage.
+// A message's type is its frame's type byte (wire/frame.h); its payload is
+// its field list, walked by util/codec.h (the challenges' layouts are the
+// field lists of protocol/messages.h, which the server journal shares).
+// decode_* reject wrong types, truncation and trailing bytes, and check what
+// a layout cannot say: a challenge has at least one slot, and a UTRP
+// challenge at least one seed.
 // Requests and reports are idempotent (keyed by round number) so the session
 // layer can retransmit over lossy links without double-counting.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bitstring/bitstring.h"
@@ -33,6 +38,8 @@ enum class MessageType : std::uint8_t {
 struct ChallengeRequest {
   std::string group_name;
   std::uint64_t round = 0;
+
+  static auto fields(auto& m) { return std::tie(m.group_name, m.round); }
 };
 
 /// Challenges carry the round they answer so a delayed duplicate from an
@@ -40,11 +47,15 @@ struct ChallengeRequest {
 struct TrpChallengeMsg {
   std::uint64_t round = 0;
   protocol::TrpChallenge challenge;
+
+  static auto fields(auto& m) { return std::tie(m.round, m.challenge); }
 };
 
 struct UtrpChallengeMsg {
   std::uint64_t round = 0;
   protocol::UtrpChallenge challenge;
+
+  static auto fields(auto& m) { return std::tie(m.round, m.challenge); }
 };
 
 struct BitstringReport {
@@ -52,11 +63,17 @@ struct BitstringReport {
   std::uint64_t round = 0;
   bits::Bitstring bitstring;
   double scan_time_us = 0.0;  // the reader's claimed scan duration
+
+  static auto fields(auto& m) {
+    return std::tie(m.group_name, m.round, m.bitstring, m.scan_time_us);
+  }
 };
 
 struct VerdictAck {
   std::uint64_t round = 0;
   bool intact = false;
+
+  static auto fields(auto& m) { return std::tie(m.round, m.intact); }
 };
 
 [[nodiscard]] std::vector<std::byte> encode(const ChallengeRequest& msg);

@@ -9,6 +9,9 @@
 
 #include <cstring>
 #include <random>
+#include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "decoder_battery.h"
@@ -276,6 +279,198 @@ TEST(FrameCodec, EncodedFrameIsPinnedLittleEndian) {
   ASSERT_EQ(reader.feed(frame, out), ErrorCode::kNone);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(decode_ping(out[0].payload).nonce, 0x0102030405060708ULL);
+}
+
+// ---- every message's bytes, pinned ----
+//
+// One populated instance of each message (every field non-default, every
+// list at least two entries long), framed, as hex captured from the
+// hand-written codecs. A layout change that moves, widens or drops a field
+// fails here. Each test also decodes the payload and encodes it again: the
+// decoder must read back every field the encoder wrote.
+
+std::string hex_of(std::span<const std::byte> bytes) {
+  constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const std::byte b : bytes) {
+    hex += kDigits[std::to_integer<unsigned>(b) >> 4];
+    hex += kDigits[std::to_integer<unsigned>(b) & 0xf];
+  }
+  return hex;
+}
+
+template <class Message, class Decode>
+void expect_pinned(FrameType type, const Message& message, Decode decode,
+                   std::string_view hex) {
+  const std::vector<std::byte> payload = encode(message);
+  EXPECT_EQ(hex_of(encode_frame(type, payload)), hex);
+  EXPECT_EQ(encode(decode(payload)), payload);
+}
+
+const std::vector<rfid::tag::TagId> kPinnedIds = {
+    rfid::tag::TagId(1, 2),
+    rfid::tag::TagId(0xdeadbeef, 0x0123456789abcdefULL)};
+
+TEST(MessageBytes, HelloRequest) {
+  expect_pinned(FrameType::kHello, HelloRequest{.version = 2, .tenant = "acme"},
+                decode_hello,
+                "010c000000020000000400000061636d6538aea976");
+}
+
+TEST(MessageBytes, HelloOk) {
+  expect_pinned(FrameType::kHelloOk,
+                HelloOk{.version = 2,
+                        .session_id = 0x1122334455667788ULL,
+                        .max_frame_bytes = 1 << 20,
+                        .token_capacity = 64,
+                        .max_inflight_per_tenant = 8},
+                decode_hello_ok,
+                "41200000000200000088776655443322110000100040000000000000"
+                "00080000000000000086d9f10e");
+}
+
+TEST(MessageBytes, EnrollRequest) {
+  expect_pinned(FrameType::kEnroll,
+                EnrollRequest{.inventory = "aisle",
+                              .protocol = 1,
+                              .tolerance = 3,
+                              .alpha = 0.99,
+                              .zone_capacity = 40,
+                              .rounds = 2,
+                              .tags = kPinnedIds},
+                decode_enroll,
+                "0246000000050000006169736c65010300000000000000ae47e17a14"
+                "aeef3f28000000000000000200000000000000020000000100000002"
+                "00000000000000efbeaddeefcdab8967452301db9d4063");
+}
+
+TEST(MessageBytes, EnrollOk) {
+  expect_pinned(FrameType::kEnrollOk,
+                EnrollOk{.inventory = "aisle",
+                         .tags = 120,
+                         .zones = 3,
+                         .total_slots = 4096},
+                decode_enroll_ok,
+                "4221000000050000006169736c657800000000000000030000000000"
+                "0000001000000000000070a9d9bd");
+}
+
+TEST(MessageBytes, StartRunRequest) {
+  expect_pinned(FrameType::kStartRun,
+                StartRunRequest{.inventory = "aisle",
+                                .seed = 9,
+                                .identify = true,
+                                .stolen = {1, 0x0102030405060708ULL}},
+                decode_start_run,
+                "0326000000050000006169736c650900000000000000010200000001"
+                "0000000000000008070605040302012a4bc3ce");
+}
+
+TEST(MessageBytes, StartWatchRequest) {
+  expect_pinned(FrameType::kStartWatch,
+                StartWatchRequest{.inventory = "aisle",
+                                  .seed = 9,
+                                  .epochs = 6,
+                                  .identify = true,
+                                  .steal_epoch = 2,
+                                  .steal = 4,
+                                  .steal_from = 10},
+                decode_start_watch,
+                "0432000000050000006169736c650900000000000000060000000000"
+                "000001020000000000000004000000000000000a000000000000008e"
+                "26e389");
+}
+
+TEST(MessageBytes, RunAdmitted) {
+  expect_pinned(FrameType::kRunAdmitted,
+                RunAdmitted{.run_id = 11, .admission = 1, .queue_depth = 3},
+                decode_run_admitted,
+                "43110000000b0000000000000001030000000000000058ba6123");
+}
+
+TEST(MessageBytes, Backpressure) {
+  expect_pinned(FrameType::kBackpressure,
+                Backpressure{.retry_after_ms = 250, .reason = "saturated"},
+                decode_backpressure,
+                "4415000000fa000000000000000900000073617475726174656480b5"
+                "d451");
+}
+
+TEST(MessageBytes, RunVerdictMsg) {
+  expect_pinned(FrameType::kRunVerdict,
+                RunVerdictMsg{.run_id = 11,
+                              .inventory = "aisle",
+                              .verdict = 1,
+                              .zones = 4,
+                              .zones_violated = 1,
+                              .attempts = 5,
+                              .tags_named = 2,
+                              .aborted = true,
+                              .missing = kPinnedIds},
+                decode_run_verdict,
+                "454f0000000b00000000000000050000006169736c65010400000000"
+                "00000001000000000000000500000000000000020000000000000001"
+                "02000000010000000200000000000000efbeaddeefcdab8967452301"
+                "384ff767");
+}
+
+TEST(MessageBytes, RunAlertMsg) {
+  expect_pinned(FrameType::kRunAlert,
+                RunAlertMsg{.run_id = 11,
+                            .kind = "zone_escalated",
+                            .inventory = "aisle",
+                            .zone = 2,
+                            .detail = "crashed"},
+                decode_run_alert,
+                "46360000000b000000000000000e0000007a6f6e655f657363616c61"
+                "746564050000006169736c6502000000000000000700000063726173"
+                "686564531133d2");
+}
+
+TEST(MessageBytes, WatchDone) {
+  expect_pinned(FrameType::kWatchDone,
+                WatchDone{.run_id = 11,
+                          .epochs_completed = 6,
+                          .alerts = 2,
+                          .gave_up = true},
+                decode_watch_done,
+                "49190000000b00000000000000060000000000000002000000000000"
+                "00017916fba4");
+}
+
+TEST(MessageBytes, SubscribeOk) {
+  expect_pinned(FrameType::kSubscribeOk, SubscribeOk{.backlog = 5},
+                decode_subscribe_ok,
+                "47080000000500000000000000eba6e9f3");
+}
+
+TEST(MessageBytes, TenantAlert) {
+  expect_pinned(FrameType::kTenantAlert,
+                TenantAlert{.sequence = 1,
+                            .kind = "zone_violated",
+                            .run_id = 11,
+                            .epoch = 3,
+                            .zone = 2,
+                            .detail = "theft",
+                            .missing = kPinnedIds},
+                decode_tenant_alert,
+                "485600000001000000000000000d0000007a6f6e655f76696f6c6174"
+                "65640b00000000000000030000000000000002000000000000000500"
+                "0000746865667402000000010000000200000000000000efbeaddeef"
+                "cdab89674523019d0f8fdc");
+}
+
+TEST(MessageBytes, ErrorMsg) {
+  expect_pinned(FrameType::kError,
+                ErrorMsg{.code = ErrorCode::kBadRequest, .message = "bad"},
+                decode_error,
+                "4b0b0000001200000003000000626164a39b2001");
+}
+
+TEST(MessageBytes, ShutdownMsg) {
+  expect_pinned(FrameType::kShutdown, ShutdownMsg{.drain_ms = 1500},
+                decode_shutdown,
+                "4c08000000dc0500000000000008679fd0");
 }
 
 // ---- the same attacks against a live service over loopback ----

@@ -357,7 +357,16 @@ TEST(ServiceSession, RequestLevelErrorsKeepConnectionAlive) {
   wrapping.tolerance = kTop;
   EnrollRequest endless = small_inventory("endless");
   endless.rounds = 65;
-  for (const EnrollRequest& req : {hostile, wrapping, endless}) {
+  // A plan of more slots per run than one frame may hold (2^24): 100 tags
+  // at m = 0 and alpha = 0.99999 plan about 9.9 million slots a round, so
+  // two rounds are refused.
+  EnrollRequest greedy;
+  greedy.inventory = "greedy";
+  greedy.tolerance = 0;
+  greedy.alpha = 0.99999;
+  greedy.rounds = 2;
+  greedy.tags = make_ids(100);
+  for (const EnrollRequest& req : {hostile, wrapping, endless, greedy}) {
     SCOPED_TRACE(req.inventory + " tolerance " +
                  std::to_string(req.tolerance) + " rounds " +
                  std::to_string(req.rounds));
@@ -368,6 +377,11 @@ TEST(ServiceSession, RequestLevelErrorsKeepConnectionAlive) {
     EXPECT_EQ(service::decode_error(frame.payload).code,
               service::ErrorCode::kBadRequest);
   }
+  // The same inventory at one round fits under the bound and enrolls.
+  greedy.rounds = 1;
+  const std::uint64_t greedy_slots = client.enroll(greedy).total_slots;
+  EXPECT_LE(greedy_slots, std::uint64_t{1} << 24);
+  EXPECT_GT(2 * greedy_slots, std::uint64_t{1} << 24);
 
   // Stolen index out of range.
   client.enroll(small_inventory("aisle1"));
@@ -381,7 +395,7 @@ TEST(ServiceSession, RequestLevelErrorsKeepConnectionAlive) {
   EXPECT_EQ(service::decode_error(frame.payload).code,
             service::ErrorCode::kBadRequest);
 
-  // The connection still works after all seven errors.
+  // The connection still works after all eight errors.
   EXPECT_EQ(client.ping(5), 5u);
   svc.stop();
 }

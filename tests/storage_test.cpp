@@ -374,6 +374,19 @@ TEST(JournalBytes, DaemonRecordsMatchCapturedBytes) {
 // Forged counts: a checksum-valid record whose count prefix claims billions
 // of elements must be rejected as damage, not attempted as an allocation.
 
+TEST(JournalForgedCount, ListBoundsComeFromFieldLists) {
+  // The generic list decode checks each count against its element's
+  // minimum size, computed from the element's field list, before it
+  // reserves anything.
+  using rfid::util::min_size;
+  EXPECT_EQ(min_size<TagId>(), 12u);
+  EXPECT_EQ(min_size<std::uint64_t>(), 8u);
+  EXPECT_EQ(min_size<std::uint8_t>(), 1u);  // a snapshot's verdict
+  EXPECT_EQ(min_size<storage::DaemonZoneHealthRecord>(), 22u);
+  EXPECT_EQ(min_size<storage::DaemonReaderHealthRecord>(), 13u);
+  EXPECT_EQ(min_size<storage::DaemonAlertRecord>(), 33u);  // format 2: 29
+}
+
 TEST(JournalForgedCount, WalTagCountTruncatesTheScan) {
   rfid::util::Rng rng(14);
   std::string bytes(storage::kJournalMagic);
