@@ -3,8 +3,9 @@
 // path (the server's kernel against the per-tag loop written out below),
 // the expected-cache fast path, fleet-scale end-to-end runs (through the
 // one-shot adapter and over a prepared population), the filter-first
-// identification campaign the fleet runs on a violated zone, and the
-// UTRP walks of the server's mirror and of the reader's tags.
+// identification campaign the fleet runs on a violated zone, the UTRP
+// walks of the server's mirror and of the reader's tags, and the server's
+// half of a UTRP round.
 // items_per_second reads as tag-slots/sec (or zones for the fleet case);
 // the acceptance bar is >= 5x bulk over scalar at n = 10^6 on the frame
 // path. Numbers are recorded in EXPERIMENTS.md.
@@ -250,10 +251,10 @@ UtrpZone utrp_zone(std::uint64_t n) {
   return zone;
 }
 
-/// The server's UTRP mirror walk (protocol::utrp_scan_columnar, the walk
-/// verify and commit_round each run once per zone). Each iteration walks
-/// the next of the zone's challenges in place, so the counters advance as
-/// a committed mirror's do. items_per_second reads as slot computations
+/// The server's UTRP mirror walk (protocol::utrp_scan_columnar, the one
+/// walk UtrpServer::commit_round runs per zone). Each iteration walks the
+/// next of the zone's challenges in place, so the counters advance as a
+/// committed mirror's do. items_per_second reads as slot computations
 /// (counter bump + hash) per second.
 void BM_UtrpMirrorWalk(benchmark::State& state) {
   const UtrpZone zone = utrp_zone(static_cast<std::uint64_t>(state.range(0)));
@@ -290,6 +291,48 @@ void BM_UtrpReaderWalk(benchmark::State& state) {
   state.counters["frame"] = zone.frame_size;
 }
 
+/// The server's half of one UTRP round as a wire session runs it:
+/// UtrpServer::commit_round judging the honest report of the zone's next
+/// challenge. The reports are the reader's scans of a copy of the zone,
+/// taken round after round before timing starts. After the zone's 64
+/// challenges the server re-enrolls the zone, untimed, and the cycle
+/// starts again, so every round is intact.
+void BM_UtrpServerRound(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const UtrpZone zone = utrp_zone(n);
+  tag::TagSet reader_tags = zone.tags;
+  std::vector<bits::Bitstring> reports;
+  for (const protocol::UtrpChallenge& challenge : zone.challenges) {
+    reports.push_back(
+        protocol::utrp_scan(reader_tags.tags(), hash::SlotHasher{}, challenge)
+            .bitstring);
+  }
+  protocol::UtrpServer server(
+      zone.tags, {.tolerated_missing = n * 2 / 250, .confidence = 0.95}, 100);
+  if (server.frame_size() != zone.frame_size) {
+    state.SkipWithError("server frame differs from the zone plan");
+    return;
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == zone.challenges.size()) {
+      state.PauseTiming();
+      server.resync(zone.tags);
+      next = 0;
+      state.ResumeTiming();
+    }
+    const protocol::Verdict verdict =
+        server.commit_round(zone.challenges[next], reports[next]);
+    benchmark::DoNotOptimize(verdict);
+    if (!verdict.intact) {
+      state.SkipWithError("an honest round was not intact");
+      break;
+    }
+    ++next;
+  }
+  state.counters["frame"] = zone.frame_size;
+}
+
 }  // namespace
 
 BENCHMARK(BM_ScalarTrpSlots)->Arg(10000)->Arg(100000)->Arg(1000000)
@@ -310,4 +353,6 @@ BENCHMARK(BM_FilterFirstIdentify)->Arg(100000)->Arg(1000000)
 BENCHMARK(BM_UtrpMirrorWalk)->Arg(250)->Arg(2000)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_UtrpReaderWalk)->Arg(250)->Arg(2000)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_UtrpServerRound)->Arg(250)->Arg(2000)
     ->Unit(benchmark::kMicrosecond);

@@ -38,9 +38,7 @@ void BM_UtrpRound(benchmark::State& state) {
   for (auto _ : state) {
     const auto c = server.issue_challenge(rng);
     const auto scan = reader.scan(set.tags(), c);
-    const auto verdict = server.verify(c, scan.bitstring);
-    benchmark::DoNotOptimize(verdict);
-    server.commit_round(c, verdict);
+    benchmark::DoNotOptimize(server.commit_round(c, scan.bitstring));
     set.begin_round();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

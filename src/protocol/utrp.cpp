@@ -9,7 +9,7 @@ namespace rfid::protocol {
 
 namespace {
 
-/// The one UTRP frame walk: every scan, prediction and commit runs it.
+/// The one UTRP frame walk: every scan, prediction and round step runs it.
 /// `tags` is what the tag::UtrpLiveTags is built over: a Tag span or a
 /// ColumnarTagSet* walked in place, or a const ColumnarTagSet that a
 /// prediction only reads. `channel`/`rng` may be null for the ideal
@@ -165,7 +165,46 @@ bits::Bitstring UtrpServer::expected_bitstring(const UtrpChallenge& challenge) c
 Verdict UtrpServer::verify(const UtrpChallenge& challenge,
                            const bits::Bitstring& reported,
                            bool deadline_met) const {
-  const bits::Bitstring expected = expected_bitstring(challenge);
+  return verify_against(challenge, expected_bitstring(challenge), reported,
+                        deadline_met);
+}
+
+Verdict UtrpServer::commit_round(const UtrpChallenge& challenge,
+                                 const bits::Bitstring& reported,
+                                 bool deadline_met) {
+  RFID_EXPECT(reported.size() == challenge.frame_size,
+              "reported bitstring has wrong length");
+  tag::ColumnarTagSet::WalkState before = mirror_.walk_state();
+  UtrpScanResult scan;
+  try {
+    scan = utrp_scan_columnar(mirror_, hasher_, challenge);
+  } catch (...) {
+    // The walk's live set wrote its counters back as it unwound.
+    mirror_.restore(std::move(before));
+    throw;
+  }
+  if (instruments_.bulk_slots != nullptr) {
+    instruments_.bulk_slots->inc(scan.slots_hashed);
+  }
+  const Verdict verdict =
+      verify_against(challenge, scan.bitstring, reported, deadline_met);
+  if (verdict.intact) {
+    if (instruments_.mirror_reseeds != nullptr) {
+      instruments_.mirror_reseeds->inc(scan.reseeds);
+    }
+  } else {
+    // The real walk may have diverged from the expected one at the first
+    // mismatch; counters beyond that point are unknowable remotely.
+    mirror_.restore(std::move(before));
+    needs_resync_ = true;
+  }
+  return verdict;
+}
+
+Verdict UtrpServer::verify_against(const UtrpChallenge& challenge,
+                                   const bits::Bitstring& expected,
+                                   const bits::Bitstring& reported,
+                                   bool deadline_met) const {
   RFID_EXPECT(reported.size() == expected.size(),
               "reported bitstring has wrong length");
   Verdict verdict;
@@ -187,23 +226,6 @@ Verdict UtrpServer::verify(const UtrpChallenge& challenge,
     }
   }
   return verdict;
-}
-
-void UtrpServer::commit_round(const UtrpChallenge& challenge,
-                              const Verdict& verdict) {
-  if (!verdict.intact) {
-    // The real walk may have diverged from the expected one at the first
-    // mismatch; counters beyond that point are unknowable remotely.
-    needs_resync_ = true;
-    return;
-  }
-  const UtrpScanResult replay = utrp_scan_columnar(mirror_, hasher_, challenge);
-  if (instruments_.mirror_reseeds != nullptr) {
-    instruments_.mirror_reseeds->inc(replay.reseeds);
-  }
-  if (instruments_.bulk_slots != nullptr) {
-    instruments_.bulk_slots->inc(replay.slots_hashed);
-  }
 }
 
 void UtrpServer::resync(const tag::TagSet& audited) {

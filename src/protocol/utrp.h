@@ -28,11 +28,14 @@
 // advances when its tag is queried), in place, and
 // UtrpServer::expected_bitstring walks it without the write-back.
 //
-// Counter synchronization: after a verified-intact round the real walk was
-// identical to the expected walk, so commit_round() advances the server's
-// mirror by replaying it. After an alert, mirror and reality may have
-// diverged; re-synchronization (e.g. re-enrollment) is out of the paper's
-// scope and is surfaced by needs_resync().
+// Counter synchronization: the server runs one walk per round.
+// UtrpServer::commit_round walks the mirror in place and compares that
+// walk's bitstring with the report. After an intact round the real walk was
+// identical to the mirror's, so the mirror keeps the walk's write-back.
+// After an alert, mirror and reality may have diverged: the mirror is put
+// back as it was before the round, and re-synchronization (e.g.
+// re-enrollment) is out of the paper's scope and is surfaced by
+// needs_resync().
 #pragma once
 
 #include <cstdint>
@@ -116,18 +119,24 @@ class UtrpServer {
   /// columnar walk without its write-back. Does not advance the mirror.
   [[nodiscard]] bits::Bitstring expected_bitstring(const UtrpChallenge& challenge) const;
 
-  /// Compares a returned bitstring against the expectation. `deadline_met`
-  /// feeds the timer check of Alg. 5 (a late answer fails verification
-  /// regardless of content).
+  /// Compares a returned bitstring against the expectation without
+  /// advancing the mirror: a check only (attacks, examples, benches).
+  /// `deadline_met` feeds the timer check of Alg. 5 (a late answer fails
+  /// verification regardless of content).
   [[nodiscard]] Verdict verify(const UtrpChallenge& challenge,
                                const bits::Bitstring& reported,
                                bool deadline_met = true) const;
 
-  /// Advances the mirror counters by replaying the expected walk in place.
-  /// Call after a round whose verdict was intact (the real tags then made
-  /// exactly the same transitions). Calling it after a failed round marks
-  /// the server as needing re-synchronization.
-  void commit_round(const UtrpChallenge& challenge, const Verdict& verdict);
+  /// The server's step of one round: walks the mirror once in place and
+  /// judges the report against that walk's bitstring exactly as verify()
+  /// does. An intact round keeps the walk (the real tags made exactly the
+  /// same transitions). A mismatched or late round puts the mirror back
+  /// as it was and marks the server as needing re-synchronization. A
+  /// report of the wrong length, or a walk that throws, leaves the mirror
+  /// as it was and flags nothing.
+  [[nodiscard]] Verdict commit_round(const UtrpChallenge& challenge,
+                                     const bits::Bitstring& reported,
+                                     bool deadline_met = true);
 
   /// True once a failed round has left mirror and reality possibly diverged.
   [[nodiscard]] bool needs_resync() const noexcept { return needs_resync_; }
@@ -148,12 +157,19 @@ class UtrpServer {
 
   /// Attaches an observability registry: issue_challenge/verify/commit_round
   /// start recording challenges, round outcomes (intact | mismatch |
-  /// deadline_missed), slot totals, frame sizes, and mirror-side re-seed
-  /// replays under protocol="utrp". Pass nullptr to detach. The registry
-  /// must outlive this server.
+  /// deadline_missed), slot totals, frame sizes, and the re-seeds of each
+  /// intact round's mirror walk under protocol="utrp". Pass nullptr to
+  /// detach. The registry must outlive this server.
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
+  /// Judges `reported` against the walk's `expected` bitstring and records
+  /// the round's outcome.
+  [[nodiscard]] Verdict verify_against(const UtrpChallenge& challenge,
+                                       const bits::Bitstring& expected,
+                                       const bits::Bitstring& reported,
+                                       bool deadline_met) const;
+
   /// Cached series handles; null when no registry is attached.
   struct Instruments {
     obs::Counter* challenges = nullptr;

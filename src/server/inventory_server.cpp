@@ -191,8 +191,8 @@ protocol::Verdict InventoryServer::submit_utrp(
   RFID_EXPECT(g.active, "group is decommissioned");
   auto* utrp = std::get_if<protocol::UtrpServer>(&g.engine);
   RFID_EXPECT(utrp != nullptr, "group is not a UTRP group");
-  const protocol::Verdict verdict = utrp->verify(challenge, reported, deadline_met);
-  utrp->commit_round(challenge, verdict);
+  const protocol::Verdict verdict =
+      utrp->commit_round(challenge, reported, deadline_met);
   ++g.rounds;
   if (metrics_ != nullptr) {
     obs::catalog::verdicts_total(*metrics_, "utrp",

@@ -1,6 +1,7 @@
 #include "service/framing.h"
 
 #include "util/codec.h"
+#include "util/expect.h"
 
 namespace rfid::service {
 
@@ -52,7 +53,9 @@ void put(util::Encoder& out, ErrorCode code) {
 }
 
 void get(util::Decoder& in, ErrorCode& code) {
-  code = static_cast<ErrorCode>(in.get_u32());
+  const std::uint32_t raw = in.get_u32();
+  RFID_EXPECT(raw <= 0xffffu, "bad error code");
+  code = static_cast<ErrorCode>(raw);
 }
 
 ErrorCode FrameReader::feed(std::span<const std::byte> data,

@@ -404,6 +404,14 @@ TagSet ColumnarTagSet::to_tag_set() const {
   return TagSet(std::move(tags));
 }
 
+void ColumnarTagSet::restore(WalkState state) {
+  RFID_EXPECT(state.counters.size() == counters_.size() &&
+                  state.silenced.size() == silenced_.size(),
+              "walk state saved from another tag set");
+  counters_ = std::move(state.counters);
+  silenced_ = std::move(state.silenced);
+}
+
 void bulk_trp_slots(const hash::SlotHasher& hasher,
                     std::span<const std::uint64_t> slot_words, std::uint64_t r,
                     std::uint32_t frame_size, std::span<std::uint32_t> out) {

@@ -102,6 +102,17 @@ class ColumnarTagSet {
     for (auto& w : silenced_) w = 0;
   }
 
+  /// What a UTRP walk in place changes: the counters and the silenced
+  /// bitmap (ids and slot words never change). Saved before a walk, it
+  /// lets restore() undo the walk bit for bit.
+  struct WalkState {
+    std::vector<std::uint64_t> counters;
+    std::vector<std::uint64_t> silenced;
+  };
+  [[nodiscard]] WalkState walk_state() const { return {counters_, silenced_}; }
+  /// Puts back a state that walk_state() saved from this set.
+  void restore(WalkState state);
+
  private:
   std::vector<TagId> ids_;
   std::vector<std::uint64_t> slot_words_;  // ids_[i].slot_word(), cached

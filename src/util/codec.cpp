@@ -1,17 +1,44 @@
 #include "util/codec.h"
 
+#include <array>
 #include <cstring>
 
 #include "util/expect.h"
 
 namespace rfid::util {
 
+namespace {
+
+/// The little-endian bytes of `v`, built with shifts: the same on any host.
+template <class U>
+std::array<std::byte, sizeof(U)> little_endian(U v) {
+  std::array<std::byte, sizeof(U)> out;
+  for (std::size_t i = 0; i < sizeof(U); ++i) {
+    out[i] = static_cast<std::byte>(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  return out;
+}
+
+/// The value whose little-endian bytes are `in`.
+template <class U>
+U from_little_endian(std::span<const std::byte, sizeof(U)> in) {
+  U v = 0;
+  for (std::size_t i = 0; i < sizeof(U); ++i) {
+    v |= std::to_integer<U>(in[i]) << (8 * i);
+  }
+  return v;
+}
+
+}  // namespace
+
 void Encoder::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  const auto bytes = little_endian(v);
+  bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
 }
 
 void Encoder::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  const auto bytes = little_endian(v);
+  bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
 }
 
 void Encoder::put_f64(double v) {
@@ -41,14 +68,16 @@ std::uint8_t Decoder::get_u8() {
 }
 
 std::uint32_t Decoder::get_u32() {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(get_u8()) << (8 * i);
+  need(4);
+  const auto v = from_little_endian<std::uint32_t>(data_.subspan(offset_).first<4>());
+  offset_ += 4;
   return v;
 }
 
 std::uint64_t Decoder::get_u64() {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(get_u8()) << (8 * i);
+  need(8);
+  const auto v = from_little_endian<std::uint64_t>(data_.subspan(offset_).first<8>());
+  offset_ += 8;
   return v;
 }
 

@@ -133,9 +133,7 @@ struct UtrpAdapter {
                                          double elapsed_us) const {
     const bool on_time = config.utrp_deadline_us <= 0.0 ||
                          elapsed_us <= config.utrp_deadline_us;
-    const protocol::Verdict verdict = server.verify(c, bs, on_time);
-    server.commit_round(c, verdict);
-    return verdict;
+    return server.commit_round(c, bs, on_time);
   }
 };
 

@@ -7,7 +7,7 @@
 //   * TRP: the per-tag slot loop, one SlotHasher::slot per enrolled id;
 //   * UTRP: the frozen per-tag walk (tests/per_tag_utrp_walk.h) over a
 //     std::vector<tag::Tag> mirror, with every server mirror entry (id,
-//     counter, silenced) compared against it after each commit_round;
+//     counter, silenced) compared against it after each round step;
 //   * multi-round: campaign verdicts recomputed from the TRP oracle.
 //
 // Larger cases — wire sessions under noisy fault scripts, a 10^5-tag
@@ -15,7 +15,9 @@
 // every step (dump_state() plus the Prometheus exposition, the
 // rfidmon_bulk_slots_total series included) — are pinned to fingerprints
 // recorded while the per-tag and columnar server paths both existed and
-// agreed bit for bit.
+// agreed bit for bit. The script's pins from its first UTRP round on were
+// re-derived when the UTRP round step went from two mirror walks to one:
+// each is the earlier text with every utrp_seed value halved.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -212,24 +214,22 @@ TEST(ColumnarDiff, UtrpServerBitIdenticalWithCommits) {
 
       const auto scan = reader.scan(present.tags(), c);
       ASSERT_EQ(scan.bitstring, expected);
-      const protocol::Verdict verdict = server.verify(c, scan.bitstring);
+      // The round step advances the mirror counters: after this the NEXT
+      // round's expectation depends on its walk having run identically.
+      const protocol::Verdict verdict = server.commit_round(c, scan.bitstring);
       expect_verdicts_equal(verdict, oracle_verdict(expected, scan.bitstring));
-      // Commit advances the mirror counters: after this the NEXT round's
-      // expectation depends on the walk having replayed identically.
-      server.commit_round(c, verdict);
       oracle.commit(c, verdict);
       expect_mirror_matches(server, oracle, n);
       present.begin_round();
     }
 
-    // A tampered round: the verdict fails, the commit leaves the mirror
-    // untouched, and both sides flag the divergence.
+    // A tampered round: the verdict fails, the step leaves the mirror as it
+    // was, and both sides flag the divergence.
     const protocol::UtrpChallenge c = server.issue_challenge(rng);
     bits::Bitstring tampered = oracle.expected(c);
     tampered.set(0, !tampered.test(0));
-    const protocol::Verdict verdict = server.verify(c, tampered);
+    const protocol::Verdict verdict = server.commit_round(c, tampered);
     expect_verdicts_equal(verdict, oracle_verdict(oracle.expected(c), tampered));
-    server.commit_round(c, verdict);
     oracle.commit(c, verdict);
     expect_mirror_matches(server, oracle, n);
     EXPECT_TRUE(server.needs_resync());
@@ -370,12 +370,12 @@ TEST(ColumnarDiff, InventoryServerStateAndExpositionBitIdentical) {
       "b576cf542c672699",  // after TRP round 1 (and its replayed challenge)
       "a27d7852c717f41f",  // after TRP round 2
       "1b72aa4a26501fcf",  // after theft round
-      "5f6b3685af4ce502",  // after UTRP round 0
-      "6ce3ba8fe68abcbb",  // after UTRP round 1
-      "ff31e53fec3f9d3f",  // after re_enroll
-      "136c962490e1ae61",  // after post-re_enroll round
-      "a5157384f3eb5695",  // after resync
-      "bf36f281419b65fd",  // after decommission
+      "13a964fafe427e9d",  // after UTRP round 0
+      "88dbf23fe903d22d",  // after UTRP round 1
+      "57e51c206f9f8361",  // after re_enroll
+      "e74d2d7af34c6177",  // after post-re_enroll round
+      "23d6b85f01139d93",  // after resync
+      "5e0d5c8b666d65bb",  // after decommission
   };
   obs::MetricsRegistry registry;
   server::InventoryServer inventory;

@@ -421,15 +421,15 @@ TEST(ObsProtocol, UtrpRoundOutcomesAndMirrorReseeds) {
 
   const auto challenge = server.issue_challenge(rng);
   const auto report = server.expected_bitstring(challenge);
-  const auto verdict = server.verify(challenge, report, /*deadline_met=*/true);
+  const auto verdict =
+      server.commit_round(challenge, report, /*deadline_met=*/true);
   EXPECT_TRUE(verdict.intact);
-  server.commit_round(challenge, verdict);
 
   EXPECT_EQ(cat::challenges_total(reg, "utrp").value(), 1u);
   EXPECT_EQ(cat::rounds_total(reg, "utrp", "intact").value(), 1u);
   EXPECT_EQ(cat::slots_total(reg, "utrp").value(), server.frame_size());
-  // 60 replying tags in one frame force at least one re-seed on the commit
-  // replay.
+  // 60 replying tags in one frame force at least one re-seed on the
+  // mirror's walk.
   EXPECT_GE(cat::reseeds_total(reg, "mirror").value(), 1u);
 
   // A late report counts as deadline_missed even when the bits match.
@@ -438,6 +438,30 @@ TEST(ObsProtocol, UtrpRoundOutcomesAndMirrorReseeds) {
   EXPECT_FALSE(server.verify(challenge2, report2, /*deadline_met=*/false).intact);
   EXPECT_EQ(cat::rounds_total(reg, "utrp", "deadline_missed").value(), 1u);
   EXPECT_EQ(cat::rounds_total(reg, "utrp", "mismatch").value(), 0u);
+}
+
+TEST(ObsProtocol, UtrpRoundStepCountsOneWalk) {
+  // The round step walks the mirror once: an intact round adds that walk's
+  // receptions to utrp_seed and its re-seeds to the mirror side, once each.
+  util::Rng rng(11);
+  const tag::TagSet set = tag::TagSet::make_random(60, rng);
+  protocol::UtrpServer server(set, {.tolerated_missing = 1, .confidence = 0.9},
+                              20);
+  obs::MetricsRegistry reg;
+  server.set_metrics(&reg);
+
+  const auto challenge = server.issue_challenge(rng);
+  const auto report = server.expected_bitstring(challenge);
+  tag::ColumnarTagSet copy = server.mirror();
+  const protocol::UtrpScanResult walk =
+      protocol::utrp_scan_columnar(copy, hash::SlotHasher{}, challenge);
+  obs::Counter& slots = cat::bulk_slots_total(reg, "utrp_seed");
+  const std::uint64_t slots_before = slots.value();
+
+  ASSERT_TRUE(server.commit_round(challenge, report).intact);
+  EXPECT_EQ(slots.value() - slots_before, walk.slots_hashed);
+  EXPECT_EQ(cat::reseeds_total(reg, "mirror").value(), walk.reseeds);
+  EXPECT_GE(walk.reseeds, 1u);
 }
 
 TEST(ObsProtocol, MultiRoundCampaignCounters) {

@@ -163,6 +163,16 @@ TEST(Messages, TrailingGarbageRejected) {
   EXPECT_THROW((void)decode_hello({}), std::invalid_argument);  // truncated
 }
 
+TEST(Messages, ErrorCodeBeyondSixteenBitsRejected) {
+  // The code travels as a u32 but names a u16 enum: 0x10012 is malformed,
+  // not bad_request (0x12) with its high bits dropped.
+  std::vector<std::byte> payload =
+      encode(ErrorMsg{.code = ErrorCode::kBadRequest, .message = "bad"});
+  EXPECT_EQ(decode_error(payload).code, ErrorCode::kBadRequest);
+  payload[2] = std::byte{0x01};  // the code's third byte: 0x12 -> 0x10012
+  EXPECT_THROW((void)decode_error(payload), std::invalid_argument);
+}
+
 TEST(Messages, EveryServiceDecoderSurvivesGarbage) {
   using rfid::tag::TagId;
   using rfid::test::expect_decoder_survives_garbage;

@@ -274,13 +274,13 @@ TEST_P(UtrpWalkBattery, ColumnarWalkMatchesPerTagWalkAndOracle) {
     if (n == 0) continue;  // a server monitors a non-empty group
 
     // The server runs the same walk without its write-back to predict the
-    // bitstring, and with it to commit an intact round.
+    // bitstring, and with it to judge and commit an intact round.
     rfid::protocol::UtrpServer server(
         proto, rfid::protocol::MonitoringPolicy{}, 100,
         rfid::math::UtrpPlan{.frame_size = f}, hasher);
     EXPECT_EQ(server.expected_bitstring(challenge), oracle.bitstring);
     expect_same_tags(server.mirror(), proto, "mirror after the prediction");
-    server.commit_round(challenge, rfid::protocol::Verdict{.intact = true});
+    EXPECT_TRUE(server.commit_round(challenge, oracle.bitstring).intact);
     expect_same_tags(server.mirror(), oracle_tags, "mirror after the commit");
   }
 }

@@ -2,9 +2,11 @@
 // counter semantics, server mirroring, and end-to-end rounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "protocol/utrp.h"
+#include "tag/columnar.h"
 #include "tag/tag_set.h"
 #include "util/random.h"
 
@@ -15,6 +17,7 @@ using rfid::protocol::UtrpChallenge;
 using rfid::protocol::UtrpReader;
 using rfid::protocol::utrp_scan;
 using rfid::protocol::UtrpServer;
+using rfid::tag::ColumnarTagSet;
 using rfid::tag::TagSet;
 
 MonitoringPolicy policy(std::uint64_t m, double alpha = 0.95) {
@@ -208,9 +211,8 @@ TEST(UtrpServer, HonestRoundVerifiesAndCommits) {
   for (int round = 0; round < 5; ++round) {
     const auto c = server.issue_challenge(rng);
     const auto scan = reader.scan(set.tags(), c);
-    const auto verdict = server.verify(c, scan.bitstring);
+    const auto verdict = server.commit_round(c, scan.bitstring);
     EXPECT_TRUE(verdict.intact) << "round " << round;
-    server.commit_round(c, verdict);
     EXPECT_FALSE(server.needs_resync());
     set.begin_round();
   }
@@ -255,10 +257,72 @@ TEST(UtrpServer, FailedRoundMarksResyncNeeded) {
   const UtrpReader reader;
   (void)set.steal_random(50, rng);
   const auto c = server.issue_challenge(rng);
-  const auto verdict = server.verify(c, reader.scan(set.tags(), c).bitstring);
+  const auto verdict =
+      server.commit_round(c, reader.scan(set.tags(), c).bitstring);
   ASSERT_FALSE(verdict.intact);
-  server.commit_round(c, verdict);
   EXPECT_TRUE(server.needs_resync());
+}
+
+/// Every id, counter and silenced flag of two mirrors.
+void expect_same_mirror(const ColumnarTagSet& got, const ColumnarTagSet& want) {
+  EXPECT_TRUE(std::ranges::equal(got.ids(), want.ids()));
+  EXPECT_TRUE(std::ranges::equal(got.counters(), want.counters()));
+  EXPECT_TRUE(std::ranges::equal(got.silenced_words(), want.silenced_words()));
+}
+
+/// A server whose mirror has committed one intact round, so its counters
+/// and silenced flags are no longer the enrolled ones.
+UtrpServer server_after_one_round(TagSet& set, rfid::util::Rng& rng) {
+  UtrpServer server(set, policy(2), 20);
+  const auto c = server.issue_challenge(rng);
+  EXPECT_TRUE(
+      server.commit_round(c, UtrpReader{}.scan(set.tags(), c).bitstring).intact);
+  set.begin_round();
+  return server;
+}
+
+TEST(UtrpServer, FailedRoundPutsTheMirrorBack) {
+  // The step walks the mirror in place before it can judge the round; a
+  // mismatched or late report undoes that walk and flags the divergence.
+  for (const bool late : {false, true}) {
+    rfid::util::Rng rng(20);
+    TagSet set = TagSet::make_random(130, rng);
+    UtrpServer server = server_after_one_round(set, rng);
+    const ColumnarTagSet before = server.mirror();
+
+    const auto c = server.issue_challenge(rng);
+    auto report = UtrpReader{}.scan(set.tags(), c).bitstring;
+    if (!late) report.set(0, !report.test(0));
+    const auto verdict = server.commit_round(c, report, /*deadline_met=*/!late);
+    EXPECT_FALSE(verdict.intact) << "late=" << late;
+    EXPECT_EQ(verdict.mismatched_slots, late ? 0u : 1u) << "late=" << late;
+    expect_same_mirror(server.mirror(), before);
+    EXPECT_TRUE(server.needs_resync()) << "late=" << late;
+  }
+}
+
+TEST(UtrpServer, RefusedRoundPutsTheMirrorBackAndFlagsNothing) {
+  rfid::util::Rng rng(21);
+  TagSet set = TagSet::make_random(130, rng);
+  UtrpServer server = server_after_one_round(set, rng);
+  const ColumnarTagSet before = server.mirror();
+  const auto c = server.issue_challenge(rng);
+
+  // A report of the wrong length is refused before any walk.
+  EXPECT_THROW(
+      (void)server.commit_round(c, rfid::bits::Bitstring(c.frame_size + 5)),
+      std::invalid_argument);
+  expect_same_mirror(server.mirror(), before);
+
+  // Too few seeds: the walk throws when it needs a third seed, after tags
+  // have replied and counters have moved.
+  UtrpChallenge short_of_seeds = c;
+  short_of_seeds.seeds.resize(2);
+  EXPECT_THROW((void)server.commit_round(short_of_seeds,
+                                         rfid::bits::Bitstring(c.frame_size)),
+               std::logic_error);
+  expect_same_mirror(server.mirror(), before);
+  EXPECT_FALSE(server.needs_resync());
 }
 
 TEST(UtrpServer, ResyncRestoresOperation) {
@@ -276,9 +340,9 @@ TEST(UtrpServer, ResyncRestoresOperation) {
     set.begin_round();
   }
   const auto c1 = server.issue_challenge(rng);
-  const auto v1 = server.verify(c1, reader.scan(set.tags(), c1).bitstring);
+  const auto v1 =
+      server.commit_round(c1, reader.scan(set.tags(), c1).bitstring);
   EXPECT_FALSE(v1.intact);  // counters diverged
-  server.commit_round(c1, v1);
   EXPECT_TRUE(server.needs_resync());
   set.begin_round();
 
