@@ -19,13 +19,13 @@
 // epoch's churn, fleet run, decision and checkpoint into memory journals.
 // Two shapes: the benchmark suite's svc_watch request (2000 TRP tags in
 // zones of 250, M = 16, 16 epochs, an 18-tag theft at epoch 8, one fleet
-// thread, the service's abort switch wired) and a watch at warehouse scale
-// (10^6 TRP tags in one zone, 4 epochs, a 2000-tag theft at epoch 2). Both
-// run the identification drill-down.
+// thread, a stoppable abort token like the service's) and a watch at
+// warehouse scale (10^6 TRP tags in one zone, 4 epochs, a 2000-tag theft at
+// epoch 2). Both run the identification drill-down.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <utility>
@@ -159,7 +159,8 @@ void BM_DaemonWatch(benchmark::State& state, WatchShape shape) {
   warehouse.churn.push_back(daemon::ChurnEvent{.epoch = shape.steal_epoch,
                                                .steal = shape.steal,
                                                .steal_from = shape.steal_from});
-  std::atomic<bool> abort{false};
+  // Stoppable, as the service's token is, so each watch runs the stop relay.
+  std::stop_source abort;
   for (auto _ : state) {
     storage::MemoryBackend backend;
     daemon::DaemonConfig config;
@@ -167,7 +168,7 @@ void BM_DaemonWatch(benchmark::State& state, WatchShape shape) {
     config.epochs = shape.epochs;
     config.threads = 1;
     config.backend = &backend;
-    config.abort = &abort;
+    config.abort = abort.get_token();
     daemon::MonitorDaemon watch(config, warehouse);
     daemon::DaemonResult result = watch.run();
     benchmark::DoNotOptimize(result);

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <optional>
 #include <ranges>
+#include <thread>
 #include <utility>
 
 #include "obs/catalog.h"
@@ -228,17 +229,11 @@ void MonitorDaemon::advance_population(std::uint64_t epoch) {
 void MonitorDaemon::prepare_zones(tag::TagSet tags) {
   // Re-plan so Σ m_i = M still covers whatever the population has become.
   // The tolerance clamps to keep the planner's M + zones <= N invariant
-  // alive through heavy decommissioning.
+  // alive through heavy decommissioning (zones <= n, so nothing wraps).
   const std::uint64_t n = tags.size();
   RFID_EXPECT(n > 0, "churn script emptied the population");
-  const std::uint64_t zones_estimate =
-      warehouse_.zone_capacity == 0
-          ? 1
-          : (n + warehouse_.zone_capacity - 1) / warehouse_.zone_capacity;
-  std::uint64_t tolerance = warehouse_.tolerance;
-  if (tolerance + zones_estimate > n) {
-    tolerance = n > zones_estimate ? n - zones_estimate : 0;
-  }
+  const std::uint64_t zones = server::zone_count(n, warehouse_.zone_capacity);
+  const std::uint64_t tolerance = std::min(warehouse_.tolerance, n - zones);
   population_ = fleet::PreparedPopulation::prepare(
       std::move(tags),
       server::plan_groups({.total_tags = n,
@@ -252,27 +247,15 @@ void MonitorDaemon::resume_from_journal(DaemonResult& result) {
   const auto t0 = std::chrono::steady_clock::now();
   const storage::DaemonStartRecord start{config_.seed, config_.name,
                                          config_fingerprint()};
-  storage::DaemonReplay replay = journal_->open(start);
+  const storage::DaemonReplay replay = journal_->open(start);
 
-  // In-memory state is a cache of the journal, never the truth: rebuild it
-  // wholesale so the daemon after a crash is in exactly the state the
-  // journal proves, nothing more.
-  healths_.clear();
-  alerts_.clear();
+  // The journal's folded image (O(1) in the daemon's lifetime once rotation
+  // is on) is the daemon's state: after a crash it is in exactly the state
+  // the journal proves, nothing more.
+  const storage::DaemonSnapshotRecord& state = journal_->state();
   pending_alerts_.clear();
-  verdicts_.clear();
-  next_alert_sequence_ = 0;
-  // The journal hands back already-folded state (O(1) in the daemon's
-  // lifetime once rotation is on): adopting it IS the replay.
-  verdicts_.reserve(replay.verdicts.size());
-  for (const std::uint8_t verdict : replay.verdicts) {
-    verdicts_.push_back(static_cast<EpochVerdict>(verdict));
-  }
-  healths_ = std::move(replay.zones);
-  alerts_ = std::move(replay.alerts);
-  next_alert_sequence_ = replay.next_alert_sequence;
-  const std::uint64_t restored = alerts_.size();
-  epochs_committed_.store(replay.verdicts.size(), std::memory_order_release);
+  const std::uint64_t restored = state.alerts.size();
+  epochs_committed_.store(state.verdicts.size(), std::memory_order_release);
 
   if (replay.stale) {
     // The refusal itself must reach the operator — but an alert is only
@@ -303,18 +286,19 @@ void MonitorDaemon::resume_from_journal(DaemonResult& result) {
   }
 }
 
-void MonitorDaemon::run_epoch(std::uint64_t epoch) {
-  if (abort_.load(std::memory_order_acquire) ||
-      (config_.abort != nullptr &&
-       config_.abort->load(std::memory_order_acquire))) {
+void MonitorDaemon::run_epoch(std::uint64_t epoch,
+                              const std::stop_token& stop) {
+  if (stop.stop_requested()) {
     throw fault::CrashInjected("monitor killed before epoch " +
                                std::to_string(epoch));
   }
   fault::DaemonFaultInjector* faults = config_.faults;
   if (faults != nullptr) {
     faults->at(epoch, fault::DaemonCrashPoint::kEpochStart);
-    faults->maybe_hang(epoch);
+    faults->maybe_hang(epoch, stop);
   }
+  // Read before checkpoint(), which folds this epoch into it.
+  const storage::DaemonSnapshotRecord& state = journal_->state();
 
   // Re-audit: apply this epoch's churn, re-preparing the zones only if it
   // moved membership.
@@ -342,9 +326,9 @@ void MonitorDaemon::run_epoch(std::uint64_t epoch) {
   // campaign's names would be discarded. A replan resets the latches, so
   // the list holds only while the zones still match the health machines.
   spec.identify.skip_zones.clear();
-  if (healths_.size() == zone_count) {
+  if (state.zones.size() == zone_count) {
     for (std::size_t z = 0; z < zone_count; ++z) {
-      if (healths_[z].violated) spec.identify.skip_zones.push_back(z);
+      if (state.zones[z].violated) spec.identify.skip_zones.push_back(z);
     }
   }
   const std::uint32_t k = warehouse_.fusion.readers;
@@ -356,10 +340,10 @@ void MonitorDaemon::run_epoch(std::uint64_t epoch) {
   if (k > 1) {
     // Quarantined readers sit out the scan entirely — no evidence, no
     // vote, no chance to poison the fusion while on the bench.
-    for (std::size_t z = 0; z < std::min<std::size_t>(healths_.size(),
+    for (std::size_t z = 0; z < std::min<std::size_t>(state.zones.size(),
                                                       zone_count); ++z) {
-      for (std::size_t r = 0; r < healths_[z].readers.size(); ++r) {
-        if (healths_[z].readers[r].quarantined) {
+      for (std::size_t r = 0; r < state.zones[z].readers.size(); ++r) {
+        if (state.zones[z].readers[r].quarantined) {
           spec.excluded_readers.emplace_back(z,
                                              static_cast<std::uint32_t>(r));
         }
@@ -375,7 +359,7 @@ void MonitorDaemon::run_epoch(std::uint64_t epoch) {
   fleet_config.fleet_name = config_.name + "/epoch-" + std::to_string(epoch);
   fleet_config.journal_backend = config_.backend;
   fleet_config.journal_name = config_.fleet_journal_name;
-  fleet_config.abort = &abort_;
+  fleet_config.abort = stop;
 
   fleet::FleetOrchestrator orchestrator(std::move(fleet_config));
   orchestrator.submit(std::move(spec), population_);
@@ -385,7 +369,7 @@ void MonitorDaemon::run_epoch(std::uint64_t epoch) {
     faults->at(epoch, fault::DaemonCrashPoint::kAfterFleetRun);
   }
   if (fleet_result.aborted) {
-    // The watchdog pulled the kill switch mid-run; unwind as the crash the
+    // The life's stop was requested mid-run; unwind as the crash the
     // supervisor is already expecting. Nothing was journaled for this
     // epoch, so the restart re-runs it (resuming finished zones from the
     // fleet journal).
@@ -393,12 +377,12 @@ void MonitorDaemon::run_epoch(std::uint64_t epoch) {
                                " aborted by supervisor");
   }
 
-  // ---- decide (nothing in-memory mutates until the checkpoint holds) ----
+  // ---- decide (on copies: the state moves only with the checkpoint) ----
   const std::vector<fleet::ZoneReport>& reports =
       fleet_result.inventories.at(0).zones;
-  std::vector<storage::DaemonZoneHealthRecord> healths = healths_;
+  std::vector<storage::DaemonZoneHealthRecord> healths = state.zones;
   std::vector<storage::DaemonAlertRecord> raised;
-  std::uint64_t sequence = next_alert_sequence_;
+  std::uint64_t sequence = state.next_alert_sequence;
   const auto raise = [&](DaemonAlertKind kind, std::uint64_t zone,
                          std::string detail) {
     storage::DaemonAlertRecord alert;
@@ -562,34 +546,29 @@ void MonitorDaemon::run_epoch(std::uint64_t epoch) {
                                : quarantined_miss ? EpochVerdict::kDegraded
                                                   : EpochVerdict::kIntact;
 
+  const std::size_t raised_count = raised.size();
   storage::DaemonCheckpointRecord record;
   record.epoch = epoch;
   record.verdict = static_cast<std::uint8_t>(verdict);
   record.next_alert_sequence = sequence;
-  record.zones = healths;
-  record.alerts = raised;
+  record.zones = std::move(healths);
+  record.alerts = std::move(raised);
 
   if (faults != nullptr) {
     faults->at(epoch, fault::DaemonCrashPoint::kBeforeCheckpoint);
   }
-  journal_->checkpoint(record);
+  // ---- commit: the checkpoint folds the epoch into the state ----
+  journal_->checkpoint(std::move(record));
   if (faults != nullptr) {
     faults->at(epoch, fault::DaemonCrashPoint::kAfterCheckpoint);
   }
-
-  // ---- commit (the epoch is durable; in-memory state catches up) ----
-  healths_ = std::move(healths);
-  for (storage::DaemonAlertRecord& alert : raised) {
-    alerts_.push_back(std::move(alert));
-  }
   pending_alerts_.clear();
-  verdicts_.push_back(verdict);
-  next_alert_sequence_ = sequence;
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry& m = *config_.metrics;
     obs::catalog::daemon_epochs_total(m, to_string(verdict)).inc();
     obs::catalog::daemon_checkpoints_total(m).inc();
-    for (const storage::DaemonAlertRecord& alert : record.alerts) {
+    for (const storage::DaemonAlertRecord& alert :
+         std::span(state.alerts).last(raised_count)) {
       obs::catalog::daemon_alerts_total(
           m, to_string(static_cast<DaemonAlertKind>(alert.kind)))
           .inc();
@@ -608,11 +587,11 @@ void MonitorDaemon::run_epoch(std::uint64_t epoch) {
   wd_cv_.notify_all();
 }
 
-void MonitorDaemon::monitor_main() {
+void MonitorDaemon::monitor_main(const std::stop_token& stop) {
   try {
     while (epochs_committed_.load(std::memory_order_acquire) <
            config_.epochs) {
-      run_epoch(epochs_committed_.load(std::memory_order_acquire));
+      run_epoch(epochs_committed_.load(std::memory_order_acquire), stop);
     }
   } catch (...) {
     monitor_error_ = std::current_exception();
@@ -627,49 +606,29 @@ void MonitorDaemon::monitor_main() {
   wd_cv_.notify_all();
 }
 
-void MonitorDaemon::supervise() {
+bool MonitorDaemon::supervise(std::stop_source& life) {
+  const auto hang = std::chrono::milliseconds(config_.hang_timeout_ms);
   std::unique_lock<std::mutex> lock(wd_mu_);
   std::uint64_t last = epochs_committed_.load(std::memory_order_acquire);
-  const auto hang = std::chrono::milliseconds(config_.hang_timeout_ms);
-  auto deadline = std::chrono::steady_clock::now() + hang;
-  // Kill cooperatively — the abort switch drains the fleet run, the
-  // injector kill wakes a scripted hang — then wait for the unwind.
-  const auto kill_and_wait = [&] {
-    abort_.store(true, std::memory_order_release);
-    if (config_.faults != nullptr) config_.faults->kill();
-    wd_cv_.wait(lock, [this] { return monitor_done_; });
+  bool hung = false;
+  // Wakes on a checkpoint, the monitor's end, or the life's stop, which
+  // only the relay can request while the supervisor waits.
+  const auto woken = [&] {
+    return monitor_done_ || life.stop_requested() ||
+           epochs_committed_.load(std::memory_order_acquire) != last;
   };
-  while (!monitor_done_) {
-    // With an external stop switch wired in, wake in short slices so a
-    // blown drain budget interrupts the watch mid-epoch instead of waiting
-    // for the next checkpoint or the hang deadline.
-    auto wake_at = deadline;
-    if (config_.abort != nullptr) {
-      wake_at = std::min(wake_at, std::chrono::steady_clock::now() +
-                                      std::chrono::milliseconds(10));
-    }
-    (void)wd_cv_.wait_until(lock, wake_at, [&] {
-      return monitor_done_ ||
-             epochs_committed_.load(std::memory_order_acquire) != last;
-    });
-    if (monitor_done_) break;
-    if (config_.abort != nullptr &&
-        config_.abort->load(std::memory_order_acquire)) {
-      // External stop: unwind the monitor; run() gives up, no restart.
-      kill_and_wait();
-      break;
-    }
-    if (epochs_committed_.load(std::memory_order_acquire) != last) {
+  while (!monitor_done_ && !life.stop_requested()) {
+    if (wd_cv_.wait_for(lock, hang, woken)) {
       last = epochs_committed_.load(std::memory_order_acquire);
-      deadline = std::chrono::steady_clock::now() + hang;
       continue;
     }
-    if (std::chrono::steady_clock::now() < deadline) continue;  // slice wake
     // The progress deadline passed with no checkpoint: the monitor is
-    // wedged.
-    kill_requested_ = true;
-    kill_and_wait();
+    // wedged. Its stop drains the fleet run and wakes a scripted hang.
+    hung = true;
+    life.request_stop();
   }
+  wd_cv_.wait(lock, [this] { return monitor_done_; });
+  return hung;
 }
 
 DaemonResult MonitorDaemon::run() {
@@ -684,8 +643,8 @@ DaemonResult MonitorDaemon::run() {
   // Books one supervised death (crash or hang), applies backoff, and
   // reports whether the daemon may try again.
   const auto register_restart = [&](DaemonEventKind cause) -> bool {
-    result.events.push_back(DaemonEvent{
-        cause, epochs_committed_.load(std::memory_order_acquire)});
+    result.events.push_back(
+        DaemonEvent{cause, journal_->state().verdicts.size()});
     ++result.restarts;
     if (cause == DaemonEventKind::kHangRestart) {
       ++result.hang_restarts;
@@ -699,14 +658,11 @@ DaemonResult MonitorDaemon::run() {
     }
     if (result.restarts > config_.max_restarts) {
       result.gave_up = true;
-      result.events.push_back(DaemonEvent{
-          DaemonEventKind::kGaveUp,
-          epochs_committed_.load(std::memory_order_acquire)});
+      result.events.push_back(DaemonEvent{DaemonEventKind::kGaveUp,
+                                          journal_->state().verdicts.size()});
       return false;
     }
     if (config_.crash_hook) config_.crash_hook();
-    if (config_.faults != nullptr) config_.faults->reset_kill();
-    abort_.store(false, std::memory_order_release);
     if (backoff_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
     }
@@ -729,14 +685,24 @@ DaemonResult MonitorDaemon::run() {
       break;
     }
 
+    // One stop per life, requested only under wd_mu_ (the supervisor's
+    // predicate reads it). The relay passes an external stop on to it and
+    // wakes the supervisor; it is declared after the source it requests,
+    // so it is gone before the source.
+    std::stop_source life;
+    const std::stop_callback relay(config_.abort, [&] {
+      const std::lock_guard<std::mutex> lock(wd_mu_);
+      life.request_stop();
+      wd_cv_.notify_all();
+    });
     {
       const std::lock_guard<std::mutex> lock(wd_mu_);
       monitor_done_ = false;
-      kill_requested_ = false;
     }
     monitor_error_ = nullptr;
-    std::thread monitor([this] { monitor_main(); });
-    supervise();
+    std::thread monitor(
+        [this, stop = life.get_token()] { monitor_main(stop); });
+    const bool hung = supervise(life);
     monitor.join();
 
     if (monitor_error_ == nullptr) break;  // all epochs checkpointed
@@ -746,25 +712,26 @@ DaemonResult MonitorDaemon::run() {
       // The supervised failure mode; fall through to the restart path.
       // Anything else is a genuine bug and propagates to the caller.
     }
-    if (config_.abort != nullptr &&
-        config_.abort->load(std::memory_order_acquire)) {
+    if (config_.abort.stop_requested()) {
       // Externally stopped: give up instead of restarting. Checkpointed
       // epochs are durable; a later daemon resumes from them as usual.
       result.gave_up = true;
-      result.events.push_back(DaemonEvent{
-          DaemonEventKind::kGaveUp,
-          epochs_committed_.load(std::memory_order_acquire)});
+      result.events.push_back(DaemonEvent{DaemonEventKind::kGaveUp,
+                                          journal_->state().verdicts.size()});
       break;
     }
-    alive = register_restart(kill_requested_ ? DaemonEventKind::kHangRestart
-                                             : DaemonEventKind::kCrashRestart);
+    alive = register_restart(hung ? DaemonEventKind::kHangRestart
+                                  : DaemonEventKind::kCrashRestart);
   }
 
-  result.epochs_completed =
-      epochs_committed_.load(std::memory_order_acquire);
-  result.epoch_verdicts = verdicts_;
-  result.alerts.reserve(alerts_.size());
-  for (const storage::DaemonAlertRecord& alert : alerts_) {
+  const storage::DaemonSnapshotRecord& state = journal_->state();
+  result.epochs_completed = state.verdicts.size();
+  result.epoch_verdicts.reserve(state.verdicts.size());
+  for (const std::uint8_t verdict : state.verdicts) {
+    result.epoch_verdicts.push_back(static_cast<EpochVerdict>(verdict));
+  }
+  result.alerts.reserve(state.alerts.size());
+  for (const storage::DaemonAlertRecord& alert : state.alerts) {
     result.alerts.push_back(
         DaemonAlert{alert.sequence,
                     static_cast<DaemonAlertKind>(alert.kind), alert.epoch,

@@ -19,14 +19,20 @@
 //     from the daemon fault injector or a FaultyBackend under the journal)
 //     unwinds the monitor thread; a scripted hang parks it until the
 //     supervisor notices the missed progress deadline and kills it
-//     cooperatively (abort switch + injector kill). Either way the
-//     supervisor restarts the monitor with capped exponential backoff, up
-//     to max_restarts, then gives up loudly.
+//     cooperatively. Each monitor life has one stop source: its token is
+//     what the epoch-start check, the epoch's fleet run and a scripted hang
+//     read, the supervisor's kill requests it, and DaemonConfig::abort is
+//     relayed into it. After a kill or a crash the supervisor restarts the
+//     monitor with capped exponential backoff, up to max_restarts, then
+//     gives up loudly.
 //
 //   * Resume. Per epoch the daemon journals ONE atomic checkpoint record
 //     (storage/daemon_journal.h): epoch counter, verdict, zone health
-//     machines, next alert sequence, and the alerts that epoch raised. A
-//     restarted monitor replays the journal and continues at the first
+//     machines, next alert sequence, and the alerts that epoch raised. The
+//     journal's folded image of those records (DaemonJournal::state()) is
+//     the daemon's only copy of them: every epoch decides from it, the
+//     checkpoint's fold is the commit, and run() reports from it. A
+//     restarted monitor re-opens the journal and continues at the first
 //     uncheckpointed epoch. Because alerts ride inside the checkpoint, a
 //     crash on either side of the write yields the same alert history as
 //     an uncrashed run — never a lost alert, never a duplicate
@@ -61,9 +67,9 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <stop_token>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "fault/daemon_fault.h"
@@ -204,13 +210,14 @@ struct DaemonConfig {
   /// layout — replay is bit-identical with or without rotation, so this
   /// knob is deliberately outside the config fingerprint.
   std::uint64_t journal_rotate_after = 0;
-  /// External stop switch (not owned; may be null). When it flips, the
-  /// in-flight epoch aborts cooperatively, no restart is attempted, and
-  /// run() returns early with gave_up = true — every checkpointed epoch
-  /// stays durable and resumable, exactly as after a supervisor kill. The
-  /// service wires its drain-budget abort flag here so a blown stop()
-  /// budget also unwinds in-flight watches.
-  std::atomic<bool>* abort = nullptr;
+  /// External stop (the default token never stops). A stop request reaches
+  /// the in-flight epoch at once, through the monitor life's own stop: the
+  /// epoch aborts cooperatively, no restart is attempted, and run() returns
+  /// early with gave_up = true — every checkpointed epoch stays durable and
+  /// resumable, exactly as after a supervisor kill. The service passes its
+  /// drain-budget stop here so a blown stop() budget also unwinds in-flight
+  /// watches.
+  std::stop_token abort{};
   /// Scripted crashes/hangs (not owned; may be null).
   fault::DaemonFaultInjector* faults = nullptr;
   /// Invoked between a caught crash and the journal replay — the torture
@@ -271,24 +278,22 @@ class MonitorDaemon {
   void advance_population(std::uint64_t epoch);
   void prepare_zones(tag::TagSet tags);
   void resume_from_journal(DaemonResult& result);
-  void run_epoch(std::uint64_t epoch);
-  void monitor_main();
-  void supervise();
+  void run_epoch(std::uint64_t epoch, const std::stop_token& stop);
+  void monitor_main(const std::stop_token& stop);
+  /// Waits for the monitor life to end; requests the life's stop when the
+  /// progress deadline passes. True iff it did (a hang restart).
+  [[nodiscard]] bool supervise(std::stop_source& life);
 
   DaemonConfig config_;
   WarehouseConfig warehouse_;
   bool ran_ = false;
 
+  // The daemon's state is journal_->state(): owned by the monitor thread
+  // while it runs; the supervisor touches it only between joins.
   std::unique_ptr<storage::DaemonJournal> journal_;
-
-  // Monitor state: owned by the monitor thread while it runs; the
-  // supervisor touches it only between joins. Rebuilt wholesale from the
-  // journal on every resume — in-memory state is a cache, never the truth.
-  std::vector<storage::DaemonZoneHealthRecord> healths_;
-  std::vector<storage::DaemonAlertRecord> alerts_;
-  std::vector<storage::DaemonAlertRecord> pending_alerts_;  // next checkpoint
-  std::vector<EpochVerdict> verdicts_;
-  std::uint64_t next_alert_sequence_ = 0;
+  // Alerts a resume parked for the next checkpoint (the stale-journal
+  // refusal), the only ones not yet in the journal.
+  std::vector<storage::DaemonAlertRecord> pending_alerts_;
 
   // The watched population, owned by the monitor thread for one life and
   // derived afresh by each life's first epoch: the prepared zones, whose
@@ -298,13 +303,13 @@ class MonitorDaemon {
   std::vector<std::uint64_t> stolen_;
   std::size_t churn_applied_ = 0;
 
-  // Supervision plumbing.
+  // Supervision plumbing. wd_mu_ orders what the supervisor waits on: the
+  // monitor's progress and end, and each life's stop (the relay and the
+  // hang kill request it under wd_mu_).
   std::atomic<std::uint64_t> epochs_committed_{0};
-  std::atomic<bool> abort_{false};
   std::mutex wd_mu_;
   std::condition_variable wd_cv_;
   bool monitor_done_ = false;
-  bool kill_requested_ = false;
   std::exception_ptr monitor_error_;
 };
 

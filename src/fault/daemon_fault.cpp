@@ -37,30 +37,18 @@ void DaemonFaultInjector::at(std::uint64_t epoch, DaemonCrashPoint point) {
   }
 }
 
-void DaemonFaultInjector::maybe_hang(std::uint64_t epoch) {
+void DaemonFaultInjector::maybe_hang(std::uint64_t epoch,
+                                     const std::stop_token& stop) {
   std::unique_lock<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < plan_.hang_epochs.size(); ++i) {
     if (hang_fired_[i] || plan_.hang_epochs[i] != epoch) continue;
     hang_fired_[i] = true;
     ++hangs_delivered_;
-    cv_.wait(lock, [this] { return killed_; });
+    (void)hang_cv_.wait(lock, stop, [] { return false; });
     lock.unlock();
     throw CrashInjected("daemon hang at epoch " + std::to_string(epoch) +
-                        " killed by supervisor");
+                        " stopped");
   }
-}
-
-void DaemonFaultInjector::kill() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    killed_ = true;
-  }
-  cv_.notify_all();
-}
-
-void DaemonFaultInjector::reset_kill() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  killed_ = false;
 }
 
 std::uint64_t DaemonFaultInjector::crashes_delivered() const {

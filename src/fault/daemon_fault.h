@@ -8,10 +8,11 @@
 // interesting boundary without counting storage ops.
 //
 // Hangs are cooperative, because a std::thread cannot be killed from
-// outside: maybe_hang() blocks the monitor thread on a condition variable
-// until the supervisor notices the missed heartbeat and calls kill(), at
-// which point the hung thread throws CrashInjected and unwinds. The same
-// kill() doubles as the watchdog's lever for genuinely wedged epochs.
+// outside: maybe_hang() blocks the monitor thread until its monitor life's
+// stop token is stopped (the supervisor's kill after a missed heartbeat, or
+// an external stop relayed into the life), at which point the hung thread
+// throws CrashInjected and unwinds. A restarted life brings a fresh token,
+// so nothing here needs re-arming.
 //
 // Every scripted event fires at most once (a restarted epoch must not
 // re-crash on the same script entry, or no sweep would ever terminate).
@@ -20,6 +21,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <stop_token>
 #include <string_view>
 #include <vector>
 
@@ -45,12 +47,12 @@ struct DaemonCrash {
 /// Everything defaults to off; a default plan injects nothing.
 struct DaemonFaultPlan {
   std::vector<DaemonCrash> crashes;
-  /// Epochs whose monitor body hangs (blocks until kill()).
+  /// Epochs whose monitor body hangs (blocks until its stop is requested).
   std::vector<std::uint64_t> hang_epochs;
 };
 
-/// Thread-safe: the monitor thread calls at()/maybe_hang(), the supervisor
-/// calls kill()/reset_kill() concurrently.
+/// Thread-safe: the monitor thread calls at()/maybe_hang() while any thread
+/// reads the delivery counts.
 class DaemonFaultInjector {
  public:
   explicit DaemonFaultInjector(DaemonFaultPlan plan);
@@ -59,29 +61,20 @@ class DaemonFaultInjector {
   /// entry has not fired yet.
   void at(std::uint64_t epoch, DaemonCrashPoint point);
 
-  /// Blocks until kill() iff the plan scripts a hang for this epoch (once);
-  /// the woken thread then throws CrashInjected. Returns immediately when
-  /// the epoch is not scripted.
-  void maybe_hang(std::uint64_t epoch);
-
-  /// Wakes any hung thread and makes future maybe_hang() calls return by
-  /// throwing immediately. Idempotent.
-  void kill();
-
-  /// Re-arms hangs after a restart (a killed injector would otherwise turn
-  /// every later scripted hang into an instant crash).
-  void reset_kill();
+  /// Blocks until `stop` is stopped iff the plan scripts a hang for this
+  /// epoch (once; a token that never stops hangs forever), then throws
+  /// CrashInjected. Returns immediately when the epoch is not scripted.
+  void maybe_hang(std::uint64_t epoch, const std::stop_token& stop);
 
   [[nodiscard]] std::uint64_t crashes_delivered() const;
   [[nodiscard]] std::uint64_t hangs_delivered() const;
 
  private:
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable_any hang_cv_;  // woken only by a stop request
   DaemonFaultPlan plan_;
   std::vector<bool> crash_fired_;
   std::vector<bool> hang_fired_;
-  bool killed_ = false;
   std::uint64_t crashes_delivered_ = 0;
   std::uint64_t hangs_delivered_ = 0;
 };

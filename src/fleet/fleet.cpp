@@ -367,8 +367,7 @@ Admission FleetOrchestrator::submit(
 
 bool FleetOrchestrator::should_abort() const noexcept {
   return task_failed_.load(std::memory_order_acquire) ||
-         (config_.abort != nullptr &&
-          config_.abort->load(std::memory_order_acquire));
+         config_.abort.stop_requested();
 }
 
 std::uint64_t FleetOrchestrator::config_fingerprint() const {

@@ -56,6 +56,7 @@
 #include <mutex>
 #include <memory>
 #include <span>
+#include <stop_token>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -147,13 +148,13 @@ struct FleetConfig {
   /// Durable fleet-run journal (not owned; may be null for no durability).
   storage::StorageBackend* journal_backend = nullptr;
   std::string journal_name = "fleet.journal";
-  /// Cooperative kill switch (not owned; may be null). When it reads true,
-  /// every attempt that has not started returns at once, in-flight zones
-  /// finish, later waves never start, and run() returns early with
-  /// FleetResult::aborted set — no end record is journaled, so a restart
-  /// resumes the run. This is how a watchdog or a service drain stops a
-  /// run.
-  const std::atomic<bool>* abort = nullptr;
+  /// Cooperative kill switch (the default token never stops). Once a stop
+  /// is requested, every attempt that has not started returns at once,
+  /// in-flight zones finish, later waves never start, and run() returns
+  /// early with FleetResult::aborted set — no end record is journaled, so a
+  /// restart resumes the run. This is how a daemon's supervisor or a
+  /// service drain stops a run.
+  std::stop_token abort{};
 };
 
 /// Identification drill-down policy: after a zone's verdict comes back
@@ -349,9 +350,10 @@ struct FleetResult {
   std::uint64_t tags_named = 0;        // stolen tags named by drill-downs
   std::uint64_t deferred_inventories = 0;
   std::uint64_t waves = 1;
-  /// The abort switch fired (or a zone task threw): zones that never ran
-  /// are reported kFailed/kCrashed, no end record was journaled, and the
-  /// verdict is at best inconclusive. A restart resumes from the journal.
+  /// FleetConfig::abort was stopped (or a zone task threw): zones that
+  /// never ran are reported kFailed/kCrashed, no end record was journaled,
+  /// and the verdict is at best inconclusive. A restart resumes from the
+  /// journal.
   bool aborted = false;
   /// FleetConfig::threads resolved: the caller plus its helpers. Excluded
   /// from summary(), which reads the same at any thread count.

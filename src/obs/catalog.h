@@ -65,7 +65,7 @@ inline Counter& reseeds_total(MetricsRegistry& r, std::string_view side) {
   return r.counter_family(
            "rfidmon_reseeds_total",
            "UTRP re-seed broadcasts walked (reader = physical scan, mirror = "
-           "server-side commit replay).",
+           "the server's one walk of each intact round).",
            {"side"})
       .with({side});
 }

@@ -11,39 +11,37 @@ GroupPlan plan_groups(const PlannerInput& input) {
   RFID_EXPECT(input.total_tags >= 1, "need at least one tag");
   RFID_EXPECT(input.alpha > 0.0 && input.alpha < 1.0, "alpha must be in (0,1)");
 
-  const std::uint64_t capacity =
-      input.max_group_size == 0 ? input.total_tags : input.max_group_size;
-  RFID_EXPECT(capacity >= 1, "zone capacity must be positive");
-  // Neither form can wrap: both inputs may arrive from a client as any u64.
-  const std::uint64_t zone_count =
-      input.total_tags / capacity + (input.total_tags % capacity != 0 ? 1 : 0);
-  RFID_EXPECT(input.total_tolerance <= input.total_tags - zone_count,
+  // Neither the zone count nor N - zones can wrap: both inputs may arrive
+  // from a client as any u64.
+  const std::uint64_t zones =
+      zone_count(input.total_tags, input.max_group_size);
+  RFID_EXPECT(input.total_tolerance <= input.total_tags - zones,
               "tolerance too large: every zone must be able to lose m_i + 1 tags");
 
   GroupPlan plan;
-  plan.zones.reserve(zone_count);
+  plan.zones.reserve(zones);
 
   // Near-equal zone sizes: the first (N mod z) zones get one extra tag.
-  const std::uint64_t base_size = input.total_tags / zone_count;
-  const std::uint64_t oversized = input.total_tags % zone_count;
+  const std::uint64_t base_size = input.total_tags / zones;
+  const std::uint64_t oversized = input.total_tags % zones;
 
   // Proportional tolerance with exact total: floor allocation, then hand the
   // remainder to the largest zones (they shoulder theft most cheaply).
-  std::vector<std::uint64_t> sizes(zone_count, base_size);
+  std::vector<std::uint64_t> sizes(zones, base_size);
   for (std::uint64_t z = 0; z < oversized; ++z) ++sizes[z];
-  std::vector<std::uint64_t> tolerances(zone_count, 0);
+  std::vector<std::uint64_t> tolerances(zones, 0);
   std::uint64_t allocated = 0;
-  for (std::uint64_t z = 0; z < zone_count; ++z) {
+  for (std::uint64_t z = 0; z < zones; ++z) {
     tolerances[z] = input.total_tolerance * sizes[z] / input.total_tags;
     allocated += tolerances[z];
   }
   for (std::uint64_t z = 0; allocated < input.total_tolerance; ++z) {
-    ++tolerances[z % zone_count];
+    ++tolerances[z % zones];
     ++allocated;
   }
 
   plan.worst_zone_detection = 1.0;
-  for (std::uint64_t z = 0; z < zone_count; ++z) {
+  for (std::uint64_t z = 0; z < zones; ++z) {
     RFID_ENSURE(tolerances[z] + 1 <= sizes[z],
                 "tolerance allocation exceeded a zone's size");
     const auto frame = math::optimize_trp_frame(sizes[z], tolerances[z],

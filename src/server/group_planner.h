@@ -52,6 +52,16 @@ struct GroupPlan {
   double worst_zone_detection = 0.0;    // min over zones (the guarantee)
 };
 
+/// How many zones plan_groups makes: ceil(total_tags / max_group_size), or
+/// one zone when max_group_size is 0 (none for no tags). Never wraps and
+/// never exceeds total_tags, whatever the two u64 inputs are.
+[[nodiscard]] constexpr std::uint64_t zone_count(
+    std::uint64_t total_tags, std::uint64_t max_group_size) noexcept {
+  if (max_group_size == 0) return total_tags == 0 ? 0 : 1;
+  return total_tags / max_group_size +
+         (total_tags % max_group_size != 0 ? 1 : 0);
+}
+
 /// Plans zones of near-equal size within the capacity, allocates the global
 /// tolerance proportionally (Σ m_i = M exactly), and sizes each zone's
 /// frame by Eq. (2). Requires total_tolerance + zone_count <= total_tags

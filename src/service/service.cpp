@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <stop_token>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -37,14 +38,14 @@ namespace {
 constexpr std::size_t kReadChunk = 16 * 1024;
 constexpr std::size_t kHttpHeaderLimit = 8 * 1024;
 /// Rounds per zone session an Enroll may ask for. A session never reads the
-/// abort switch and keeps every round's verdict and bitstring, so an
+/// abort token and keeps every round's verdict and bitstring, so an
 /// unbounded count would outlast any drain budget and grow without bound.
 constexpr std::uint64_t kMaxRoundsPerSession = 64;
 /// Planned slots (every zone's Eq. 2 frame, times the rounds) an Enroll may
 /// ask each run to simulate: the optimizer's one-frame cap. A tiny inventory
 /// at alpha near 1 plans frames of millions of slots (100 tags at m = 0 and
 /// alpha = 0.99999 plan 9,899,951 a round), and a session walks them round
-/// by round without reading the abort switch.
+/// by round without reading the abort token.
 constexpr std::uint64_t kMaxSlotsPerRun = math::kMaxFrameSize;
 
 }  // namespace
@@ -145,11 +146,11 @@ struct MonitorService::Impl {
 
   // Shared across threads, besides the completion queue: stop() sets
   // `stopped` and joins the IO thread, which runs the drain; the IO thread
-  // flips `abort_runs`, which the workers' runs poll, when the drain
-  // budget expires.
+  // requests `abort_runs`' stop when the drain budget expires, and its
+  // token reaches every run and watch it launched.
   std::atomic<bool> started{false};
   std::atomic<bool> stopped{false};
-  std::atomic<bool> abort_runs{false};
+  std::stop_source abort_runs;
 
   std::mutex done_mu;
   std::vector<Completion> done;
@@ -373,7 +374,7 @@ struct MonitorService::Impl {
   /// Past the drain budget every deferred run goes to launch(), which
   /// starts none of them and answers each kShuttingDown.
   void launch_deferred() {
-    const bool refuse = abort_runs.load(std::memory_order_relaxed);
+    const bool refuse = abort_runs.stop_requested();
     for (auto it = deferred.begin(); it != deferred.end();) {
       if (!refuse) {
         if (inflight >= config.max_inflight) break;
@@ -403,7 +404,7 @@ struct MonitorService::Impl {
     // a re-Enroll may have shrunk the population since admission.
     Completion refused;
     refused.failed = true;
-    if (abort_runs.load(std::memory_order_relaxed)) {
+    if (abort_runs.stop_requested()) {
       refused.error = ErrorCode::kShuttingDown;
       refused.failure = "run " + std::to_string(pending.run_id) +
                         " not started: shutting down";
@@ -442,7 +443,7 @@ struct MonitorService::Impl {
       work->dcfg.metrics = config.metrics;
       // Drain contract: a blown stop() budget aborts in-flight watches
       // just like fleet runs — the daemon gives up instead of restarting.
-      work->dcfg.abort = &abort_runs;
+      work->dcfg.abort = abort_runs.get_token();
     } else {
       const StartRunRequest& req = pending.run;
       fleet::InventorySpec spec;
@@ -490,8 +491,8 @@ struct MonitorService::Impl {
         fcfg.threads = config.run_threads;
         fcfg.fleet_name = work.pending.tenant;
         fcfg.metrics = config.metrics;
-        fcfg.abort = &abort_runs;
-        fleet::FleetOrchestrator orchestrator(fcfg);
+        fcfg.abort = abort_runs.get_token();
+        fleet::FleetOrchestrator orchestrator(std::move(fcfg));
         orchestrator.submit(std::move(work.spec), std::move(work.population));
         comp.fleet = orchestrator.run();
       }
@@ -971,13 +972,13 @@ struct MonitorService::Impl {
   /// whether they finish or abort.
   [[nodiscard]] bool budget_decides() const {
     return draining && (inflight > 0 || !deferred.empty()) &&
-           !abort_runs.load(std::memory_order_relaxed);
+           !abort_runs.stop_requested();
   }
 
   /// The drain, run by the IO thread once per loop iteration. The first
   /// iteration that sees stop() starts it: new runs are refused from then
   /// on and every client hears the budget. If the budget expires before
-  /// the runs drain, the abort switch flips: in-flight runs abort
+  /// the runs drain, the abort stop is requested: in-flight runs abort
   /// cooperatively, and launch_deferred() starts nothing more.
   void drain_step() {
     if (!draining && stopped.load(std::memory_order_relaxed)) {
@@ -988,7 +989,7 @@ struct MonitorService::Impl {
       }
     }
     if (budget_decides() && Clock::now() >= drain_deadline) {
-      abort_runs.store(true, std::memory_order_relaxed);
+      abort_runs.request_stop();
       stats.drained_cleanly = false;
     }
   }

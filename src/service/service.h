@@ -41,14 +41,16 @@
 //      clients receive a Shutdown frame naming the drain budget;
 //   2. in-flight runs finish on the pool's workers, and deferred runs
 //      keep launching as room frees — their verdicts still stream out;
-//   3. if the drain budget expires first, the IO thread flips the shared
-//      abort switch — fleet runs report themselves aborted, and in-flight
-//      watches observe the same switch via DaemonConfig::abort and give up
-//      (their checkpointed epochs stay durable), exactly like a daemon
-//      watchdog kill. Runs still queued on the pool start, see the switch
-//      at once and abort too. Nothing launches after that: each run still
-//      deferred is answered with Error{kShuttingDown} and counted as
-//      aborted, so every admitted run is answered exactly once;
+//   3. if the drain budget expires first, the IO thread requests the
+//      shared abort stop (one std::stop_source) — fleet runs read its token
+//      and report themselves aborted, and in-flight watches, handed the
+//      same token as DaemonConfig::abort, have it relayed into their
+//      monitor life at once and give up (their checkpointed epochs stay
+//      durable), exactly like a daemon watchdog kill. Runs still queued on
+//      the pool start, see the stop at once and abort too. Nothing launches
+//      after that: each run still deferred is answered with
+//      Error{kShuttingDown} and counted as aborted, so every admitted run
+//      is answered exactly once;
 //   4. once no run is in flight, outboxes are flushed (best effort, for at
 //      most a second), sockets close, and stop() returns the stats.
 #pragma once

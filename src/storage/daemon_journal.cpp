@@ -120,8 +120,8 @@ DaemonReplay DaemonJournal::open(const DaemonStartRecord& start) {
   }
 
   // Fold the suffix: a snapshot (rotation's output) resets the folded
-  // state wholesale, each checkpoint extends it — the same reduction the
-  // daemon itself would perform, done once here.
+  // state wholesale, each checkpoint extends it — the same reduction
+  // checkpoint() performs live, done once here.
   DaemonSnapshotRecord folded;
   std::uint64_t tail_checkpoints = 0;
   bool resumable = false;
@@ -159,10 +159,6 @@ DaemonReplay DaemonJournal::open(const DaemonStartRecord& start) {
   replay.fresh = false;
   folded_ = std::move(folded);
   checkpoints_since_snapshot_ = tail_checkpoints;
-  replay.verdicts = folded_.verdicts;
-  replay.zones = folded_.zones;
-  replay.alerts = folded_.alerts;
-  replay.next_alert_sequence = folded_.next_alert_sequence;
 
   if (scan.dropped_bytes > 0 || scan.version < 3) {
     // A torn tail must not stay: appending after it would bury every later
@@ -205,7 +201,7 @@ bool DaemonJournal::replace_locked(std::string_view bytes) {
   }
 }
 
-void DaemonJournal::checkpoint(const DaemonCheckpointRecord& record) {
+void DaemonJournal::checkpoint(DaemonCheckpointRecord record) {
   const std::lock_guard<std::mutex> lock(mu_);
   try {
     backend_.append(name_, encode_daemon_record(record));
@@ -214,10 +210,10 @@ void DaemonJournal::checkpoint(const DaemonCheckpointRecord& record) {
     ++append_failures_;
   }
   // Fold BEFORE deciding to rotate: the snapshot must cover this epoch.
-  // Folding happens even when the append failed — the folded image mirrors
-  // what the daemon believes, and a later successful rotation repairs the
+  // Folding happens even when the append failed — the folded image is what
+  // the daemon believes, and a later successful rotation repairs the
   // journal to match it.
-  fold(folded_, record);
+  fold(folded_, std::move(record));
   ++checkpoints_since_snapshot_;
   if (rotate_after_ > 0 && checkpoints_since_snapshot_ >= rotate_after_) {
     rotate_locked();

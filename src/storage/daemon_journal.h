@@ -169,31 +169,28 @@ struct DaemonJournalScan {
 /// Truncate-at-first-tear scan; never throws on damaged input.
 [[nodiscard]] DaemonJournalScan scan_daemon_journal(std::string_view bytes);
 
-/// What open() reconstructed — already folded over the snapshot (if the
-/// journal rotated) and every checkpoint after it, so the caller's resume
-/// cost does not grow with the daemon's lifetime.
+/// What open() found. The image it rebuilt is the journal's state(), folded
+/// over the snapshot (if the journal rotated) and every checkpoint after
+/// it, so resume cost does not grow with the daemon's lifetime.
 struct DaemonReplay {
   /// No usable prior state: missing journal, unreadable journal, or a start
-  /// record for a different (seed, daemon). The folded fields are empty.
+  /// record for a different (seed, daemon). state() is empty.
   bool fresh = true;
   /// A prior journal for this (seed, daemon) exists but its config_hash
   /// conflicts: its checkpoints were quarantined (not replayed) and the
   /// journal was begun fresh. The caller should raise an alert.
   bool stale = false;
   std::uint64_t stale_checkpoints = 0;
-  /// Folded resume state: epochs 0..verdicts.size()-1 are committed.
-  std::vector<std::uint8_t> verdicts;         // epoch order
-  std::vector<DaemonZoneHealthRecord> zones;  // latest health machines
-  std::vector<DaemonAlertRecord> alerts;      // full history, sequence order
-  std::uint64_t next_alert_sequence = 0;
   /// Torn/rotted tail bytes dropped (and compacted away) during open().
   std::uint64_t compacted_bytes = 0;
 };
 
-/// Single-writer appender (the daemon's supervisor thread). Append failures
-/// are swallowed and counted — a sick journal disk must not take continuous
-/// monitoring down — but a scripted CrashInjected propagates: it is the
-/// process dying, not the disk failing.
+/// Single-writer appender: open() and checkpoint() run on one thread at a
+/// time (the daemon opens it on its supervisor thread, and each monitor
+/// life checkpoints on its own thread, joined before the next open).
+/// Append failures are swallowed and counted — a sick journal disk must not
+/// take continuous monitoring down — but a scripted CrashInjected
+/// propagates: it is the process dying, not the disk failing.
 class DaemonJournal {
  public:
   /// rotate_after > 0 folds the journal into [start][snapshot] every that
@@ -205,14 +202,25 @@ class DaemonJournal {
         rotate_after_(rotate_after) {}
 
   /// Loads and replays the journal. A matching interrupted daemon resumes
-  /// (folded state returned, torn tail compacted away); anything else —
-  /// missing, foreign, or config-stale — atomically begins a fresh journal
-  /// holding only the new start record.
+  /// (state() is the folded image, torn tail compacted away); anything else
+  /// — missing, foreign, or config-stale — atomically begins a fresh journal
+  /// holding only the new start record, and state() is empty. A crash in
+  /// either rewrite leaves state() at what the backend replays to (each
+  /// rewrite is atomic).
   [[nodiscard]] DaemonReplay open(const DaemonStartRecord& start);
 
-  /// Appends one epoch checkpoint and flushes it durable; rotates first
-  /// when the checkpoint-since-snapshot budget is spent.
-  void checkpoint(const DaemonCheckpointRecord& record);
+  /// Appends one epoch checkpoint, flushes it durable and folds it into
+  /// state() (even when the append failed: state() is what the daemon
+  /// believes, and a later successful rotation repairs the journal to it);
+  /// rotates when the checkpoint-since-snapshot budget is spent.
+  void checkpoint(DaemonCheckpointRecord record);
+
+  /// The folded image of every checkpoint since the matching start record:
+  /// what the daemon decides, resumes and reports from. open() replaces it
+  /// and checkpoint() extends it, so only their thread may read it.
+  [[nodiscard]] const DaemonSnapshotRecord& state() const noexcept {
+    return folded_;
+  }
 
   [[nodiscard]] std::uint64_t append_failures() const {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -238,9 +246,9 @@ class DaemonJournal {
   std::uint64_t append_failures_ = 0;
   std::uint64_t rotations_ = 0;
 
-  // The folded image of everything durable under this journal, maintained
-  // through open() and every checkpoint() so rotation can rewrite the
-  // journal without re-reading the backend.
+  // The folded image (state()), maintained through open() and every
+  // checkpoint() so rotation can rewrite the journal without re-reading the
+  // backend.
   DaemonStartRecord start_;
   DaemonSnapshotRecord folded_;
   std::uint64_t checkpoints_since_snapshot_ = 0;

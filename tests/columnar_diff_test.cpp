@@ -365,17 +365,17 @@ TEST(ColumnarDiff, InventoryServerStateAndExpositionBitIdentical) {
   // the dump_state() text and the Prometheus exposition are fingerprinted
   // and compared, in order, with the pinned values.
   const char* const pins[] = {
-      "a61d6c82354d053b",  // after enroll
-      "a7aa85f83a7f844d",  // after TRP round 0
-      "b576cf542c672699",  // after TRP round 1 (and its replayed challenge)
-      "a27d7852c717f41f",  // after TRP round 2
-      "1b72aa4a26501fcf",  // after theft round
-      "13a964fafe427e9d",  // after UTRP round 0
-      "88dbf23fe903d22d",  // after UTRP round 1
-      "57e51c206f9f8361",  // after re_enroll
-      "e74d2d7af34c6177",  // after post-re_enroll round
-      "23d6b85f01139d93",  // after resync
-      "5e0d5c8b666d65bb",  // after decommission
+      "e84859039d3a0af6",  // after enroll
+      "e38734dd2eb0dff2",  // after TRP round 0
+      "02c2658d5922b1ee",  // after TRP round 1 (and its replayed challenge)
+      "c1e92411ff7a2150",  // after TRP round 2
+      "bf1bdec7c83de184",  // after theft round
+      "48e880482b117d0a",  // after UTRP round 0
+      "20e46db6ce223482",  // after UTRP round 1
+      "49a5653a6c565996",  // after re_enroll
+      "b5f493941e824908",  // after post-re_enroll round
+      "4f942555efddebc2",  // after resync
+      "e60c13395de0838a",  // after decommission
   };
   obs::MetricsRegistry registry;
   server::InventoryServer inventory;

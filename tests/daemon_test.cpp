@@ -6,11 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <stop_token>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -177,6 +177,31 @@ TEST(MonitorDaemon, ChurnReplansZones) {
             (std::vector<std::uint64_t>{0, 1, 2}));
 }
 
+TEST(MonitorDaemon, ReplanClampsToleranceAtAnyZoneCapacity) {
+  // M = N - 1 fits one zone of 100 tags. Retiring one tag re-plans 99 tags,
+  // so M clamps to 98 whatever the capacity: a capacity near 2^64 must not
+  // wrap the zone count to 0 and skip the clamp.
+  for (const std::uint64_t capacity : {std::uint64_t{0}, std::uint64_t{100},
+                                       std::uint64_t{UINT64_MAX}}) {
+    SCOPED_TRACE("zone_capacity = " + std::to_string(capacity));
+    daemon::WarehouseConfig warehouse;
+    warehouse.initial_tags = 100;
+    warehouse.tolerance = 99;
+    warehouse.zone_capacity = capacity;
+    warehouse.rounds = 1;
+    warehouse.churn.push_back(
+        daemon::ChurnEvent{.epoch = 1, .decommission = 1});
+    storage::MemoryBackend backend;
+    daemon::DaemonConfig config = base_config(backend);
+    config.epochs = 2;
+    daemon::MonitorDaemon d(config, warehouse);
+    daemon::DaemonResult result;
+    ASSERT_NO_THROW(result = d.run());
+    EXPECT_EQ(result.epochs_completed, 2u);
+    EXPECT_FALSE(result.gave_up);
+  }
+}
+
 TEST(MonitorDaemon, DebounceEscalatesOnConsecutiveMisses) {
   storage::MemoryBackend backend;
   daemon::WarehouseConfig warehouse = small_warehouse();
@@ -281,6 +306,26 @@ TEST(MonitorDaemon, CrashRestartsReplayIdenticalHistory) {
   expect_monotonic_sequences(result.alerts);
 }
 
+TEST(MonitorDaemon, RestartEventNamesTheFirstUncheckpointedEpoch) {
+  // The crash lands after epoch 1's checkpoint is durable: the next life
+  // resumes at epoch 2, and the restart event says so.
+  fault::DaemonFaultPlan plan;
+  plan.crashes.push_back({1, fault::DaemonCrashPoint::kAfterCheckpoint});
+  fault::DaemonFaultInjector faults(plan);
+
+  storage::MemoryBackend backend;
+  daemon::DaemonConfig config = base_config(backend);
+  config.faults = &faults;
+  daemon::MonitorDaemon d(config, small_warehouse());
+  const daemon::DaemonResult result = d.run();
+
+  EXPECT_EQ(result.crash_restarts, 1u);
+  EXPECT_EQ(result.epochs_completed, 3u);
+  ASSERT_EQ(result.events.size(), 1u);
+  EXPECT_EQ(result.events[0].kind, daemon::DaemonEventKind::kCrashRestart);
+  EXPECT_EQ(result.events[0].epoch, 2u);
+}
+
 TEST(MonitorDaemon, WatchdogKillsAndRestartsHungMonitor) {
   std::string baseline;
   {
@@ -373,8 +418,9 @@ TEST(MonitorDaemon, ExternalAbortGivesUpInsteadOfRestarting) {
   // backoff, just an early gave_up return.
   storage::MemoryBackend backend;
   daemon::DaemonConfig config = base_config(backend);
-  std::atomic<bool> abort{true};  // stopped before the first epoch
-  config.abort = &abort;
+  std::stop_source abort;
+  abort.request_stop();  // stopped before the first epoch
+  config.abort = abort.get_token();
   daemon::MonitorDaemon d(config, small_warehouse());
   const daemon::DaemonResult result = d.run();
 
@@ -389,12 +435,12 @@ TEST(MonitorDaemon, ExternalAbortMidRunKeepsCheckpointedEpochsDurable) {
   storage::MemoryBackend backend;
   daemon::DaemonConfig config = base_config(backend);
   config.epochs = 1000000;  // far more than the abort window allows
-  std::atomic<bool> abort{false};
-  config.abort = &abort;
+  std::stop_source abort;
+  config.abort = abort.get_token();
   daemon::MonitorDaemon d(config, small_warehouse());
   std::thread stopper([&abort] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    abort.store(true, std::memory_order_release);
+    abort.request_stop();
   });
   const daemon::DaemonResult result = d.run();
   stopper.join();
@@ -408,6 +454,56 @@ TEST(MonitorDaemon, ExternalAbortMidRunKeepsCheckpointedEpochsDurable) {
   EXPECT_TRUE(scan.header_valid);
   EXPECT_EQ(scan.dropped_bytes, 0u);
   EXPECT_GE(scan.records.size(), result.epochs_completed);
+}
+
+TEST(MonitorDaemon, ExternalStopWakesAHungEpoch) {
+  // The external stop reaches a hung epoch through the monitor life's own
+  // stop at once, not at the hang deadline, and it is a give-up, not a
+  // hang restart.
+  fault::DaemonFaultPlan plan;
+  plan.hang_epochs.push_back(1);
+  fault::DaemonFaultInjector faults(plan);
+
+  storage::MemoryBackend backend;
+  daemon::DaemonConfig config = base_config(backend);
+  config.faults = &faults;
+  config.hang_timeout_ms = 60000;
+  std::stop_source abort;
+  config.abort = abort.get_token();
+  daemon::MonitorDaemon d(config, small_warehouse());
+  const auto t0 = std::chrono::steady_clock::now();
+  std::thread stopper([&] {
+    while (faults.hangs_delivered() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    abort.request_stop();
+  });
+  const daemon::DaemonResult result = d.run();
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  stopper.join();
+
+  EXPECT_TRUE(result.gave_up);
+  EXPECT_EQ(result.hang_restarts, 0u);
+  EXPECT_EQ(result.restarts, 0u);
+  EXPECT_EQ(faults.hangs_delivered(), 1u);
+  EXPECT_EQ(result.epochs_completed, 1u);  // epoch 0 checkpointed first
+  ASSERT_FALSE(result.events.empty());
+  EXPECT_EQ(result.events.back().kind, daemon::DaemonEventKind::kGaveUp);
+  EXPECT_LT(elapsed, std::chrono::seconds(20));  // the deadline is 60 s
+}
+
+TEST(DaemonFaultInjector, StoppedTokenEndsAScriptedHangAtOnce) {
+  fault::DaemonFaultPlan plan;
+  plan.hang_epochs.push_back(1);
+  fault::DaemonFaultInjector faults(plan);
+  std::stop_source stop;
+  stop.request_stop();
+
+  faults.maybe_hang(0, stop.get_token());  // unscripted: returns
+  EXPECT_EQ(faults.hangs_delivered(), 0u);
+  EXPECT_THROW(faults.maybe_hang(1, stop.get_token()), fault::CrashInjected);
+  EXPECT_EQ(faults.hangs_delivered(), 1u);
 }
 
 TEST(MonitorDaemon, StaleJournalIsQuarantinedNotReplayed) {

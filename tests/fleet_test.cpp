@@ -11,6 +11,7 @@
 #include <limits>
 #include <mutex>
 #include <stdexcept>
+#include <stop_token>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -824,12 +825,13 @@ TEST(FleetOrchestrator, AbortSwitchAbandonsRunWithoutEndRecord) {
   for (const std::uint32_t readers : {1u, 3u}) {
     SCOPED_TRACE("readers = " + std::to_string(readers));
     storage::MemoryBackend backend;
-    const std::atomic<bool> abort{true};  // killed before any zone starts
+    std::stop_source abort;
+    abort.request_stop();  // killed before any zone starts
     {
       util::Rng rng(114);
       fleet::FleetConfig config{.seed = 53, .threads = 2};
       config.journal_backend = &backend;
-      config.abort = &abort;
+      config.abort = abort.get_token();
       fleet::FleetOrchestrator orchestrator(std::move(config));
       fleet::InventorySpec spec = make_trp_spec("ware", 90, 3, 30, rng);
       spec.fusion.readers = readers;
@@ -870,16 +872,16 @@ TEST(FleetOrchestrator, AbortSwitchMidRunKeepsFinishedZoneForRestart) {
   // the only thread of a one-thread run. That zone is finished and
   // journaled; every later zone's attempt returns at its check before it
   // starts, so no other zone runs or journals anything.
-  std::atomic<bool> abort{false};
+  std::stop_source abort;
   HookedBackend backend([&abort](const std::string& name) {
     // The begin record is staged under a temporary name.
-    if (name == "fleet.journal") abort.store(true);
+    if (name == "fleet.journal") abort.request_stop();
   });
   {
     util::Rng rng(118);
     fleet::FleetConfig config{.seed = 71, .threads = 1};
     config.journal_backend = &backend;
-    config.abort = &abort;
+    config.abort = abort.get_token();
     fleet::FleetOrchestrator orchestrator(std::move(config));
     orchestrator.submit(make_trp_spec("ware", 120, 4, 30, rng));
     const fleet::FleetResult result = orchestrator.run();

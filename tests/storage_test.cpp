@@ -439,7 +439,7 @@ TEST(JournalForgedCount, DaemonZoneCountTruncatesTheScanAndOpenResumes) {
   storage::DaemonJournal journal(backend, "daemon.journal");
   const storage::DaemonReplay replay = journal.open(start);
   EXPECT_FALSE(replay.fresh);
-  EXPECT_EQ(replay.verdicts, (std::vector<std::uint8_t>{1}));
+  EXPECT_EQ(journal.state().verdicts, (std::vector<std::uint8_t>{1}));
   EXPECT_EQ(replay.compacted_bytes, scan.dropped_bytes);
   // open() compacted the forged tail away.
   EXPECT_EQ(storage::scan_daemon_journal(backend.read("daemon.journal"))
